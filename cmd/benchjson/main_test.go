@@ -195,7 +195,7 @@ func TestRunDiffExitCodes(t *testing.T) {
 // TestRunDiffHardGate pins the -hard semantics: only regressions whose
 // name matches the regexp fail the diff; the rest are reported as "warn"
 // and keep exit code 0. This is the CI shape — BenchmarkMatrix/j=1 is the
-// hard gate, the forced-shard parallel variants stay warn-only.
+// hard gate, the parallel-pool matrix variants stay warn-only.
 func TestRunDiffHardGate(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", report(map[string]float64{

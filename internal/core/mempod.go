@@ -129,13 +129,6 @@ type pod struct {
 	swapVictim   uint32 // fast frame being filled
 	swapOld      uint32 // slow frame being vacated
 	swapResident uint32 // local page being evicted
-
-	// stats holds this pod's share of the migration counters. Keeping
-	// them per pod (summed in Stats) is what lets the engine's
-	// pod-parallel path run AccessSharded for different pods concurrently
-	// without a shared counter write; the sums are order-independent, so
-	// the merged totals are bit-identical to serial accumulation.
-	stats mech.MigStats
 }
 
 // MemPod is the full mechanism. It implements mech.Mechanism.
@@ -147,9 +140,7 @@ type MemPod struct {
 	pods    []pod
 	touch   mech.TouchFilter
 	next    clock.Time // next interval boundary
-	// stats holds only the cross-pod counters (Intervals); everything
-	// counted on the access path lives in the pods (pod.stats).
-	stats mech.MigStats
+	stats   mech.MigStats
 }
 
 // New builds a MemPod over the backend's two-level memory.
@@ -210,16 +201,8 @@ func (m *MemPod) Name() string {
 	return "MemPod"
 }
 
-// Stats implements mech.Mechanism: the cross-pod counters plus every
-// pod's share, merged in pod order (the sums commute, so the result is
-// identical however the per-access counters were produced).
-func (m *MemPod) Stats() mech.MigStats {
-	s := m.stats
-	for i := range m.pods {
-		s.Merge(m.pods[i].stats)
-	}
-	return s
-}
+// Stats implements mech.Mechanism.
+func (m *MemPod) Stats() mech.MigStats { return m.stats }
 
 // Config returns the mechanism's configuration.
 func (m *MemPod) Config() Config { return m.cfg }
@@ -261,41 +244,7 @@ func (m *MemPod) access(r *trace.Request, page uint64, podID int, local uint32, 
 		m.runInterval(m.next)
 		m.next += m.cfg.Interval
 	}
-	return m.accessPod(&m.pods[podID], r, podID, local, li, at, d, m.touch.Touch(r.Core, page))
-}
-
-// Pods implements mech.PodSharded.
-func (m *MemPod) Pods() int { return len(m.pods) }
-
-// NextBoundary implements mech.PodSharded.
-func (m *MemPod) NextBoundary() clock.Time { return m.next }
-
-// AdvanceBoundary implements mech.PodSharded: the same loop the serial
-// access path runs inline, hoisted to the engine's barrier.
-func (m *MemPod) AdvanceBoundary(t clock.Time) {
-	for t >= m.next {
-		m.runInterval(m.next)
-		m.next += m.cfg.Interval
-	}
-}
-
-// SharedTouch implements mech.TouchSharer.
-func (m *MemPod) SharedTouch() *mech.TouchFilter { return &m.touch }
-
-// AccessSharded implements mech.PodSharded: the access path with the two
-// cross-pod pieces — interval advancement and the touch filter — already
-// handled by the caller. Everything it reads or writes below belongs to
-// d's pod (tables, locks, cache, queue, per-pod stats) or is immutable
-// (geometry, config), and the backend routes the pod's demand,
-// bookkeeping and swap traffic onto the pod's own channels, so concurrent
-// calls for different pods share nothing mutable.
-func (m *MemPod) AccessSharded(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time {
-	return m.accessPod(&m.pods[d.Pod], r, int(d.Pod), d.Frame, int(d.Line), at, d, touched)
-}
-
-// accessPod is the pod-local tail of the access path, shared by the
-// serial and pod-parallel entry points.
-func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li int, at clock.Time, d *trace.Decoded, touched bool) clock.Time {
+	p := &m.pods[podID]
 	// Execute any queued swaps whose paced start time has arrived, so
 	// channel traffic stays in time order. The guard is inlined here:
 	// most accesses find nothing due, and the call is not free.
@@ -303,7 +252,7 @@ func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li
 		m.drainPod(p, at)
 	}
 
-	if touched {
+	if m.touch.Touch(r.Core, page) {
 		// Direct dispatch for the common concrete tracker; the interface
 		// call is only paid by the Full Counters ablation.
 		if p.mea != nil {
@@ -317,9 +266,9 @@ func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li
 	if p.cache != nil {
 		block := uint64(local) / entriesPerBlock
 		if p.cache.Access(block) {
-			p.stats.CacheHits++
+			m.stats.CacheHits++
 		} else {
-			p.stats.CacheMisses++
+			m.stats.CacheMisses++
 			start = m.backend.BookkeepingRead(podID, block, start)
 		}
 	}
@@ -330,7 +279,7 @@ func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li
 		// now (channel traffic must stay in time order); the lock
 		// wait is added to the completion.
 		lockEnd = end
-		p.stats.LockStalls++
+		m.stats.LockStalls++
 	}
 
 	f := addr.Frame(p.remap.A[local])
@@ -388,7 +337,7 @@ func (m *MemPod) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 		var lockEnd clock.Time
 		if end := p.locks.GetActive(uint64(d.Frame), t); end != 0 {
 			lockEnd = end
-			p.stats.LockStalls++
+			m.stats.LockStalls++
 		}
 		done[i] = lockEnd
 		if f := p.remap.A[d.Frame]; f == d.Frame {
@@ -396,59 +345,6 @@ func (m *MemPod) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 		} else {
 			ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
 			plan.Route(ch, row, sc.Write(i), t, int32(i))
-		}
-	}
-	plan.Flush()
-}
-
-// AccessShardedColumn implements mech.PodShardedColumns: AccessSharded
-// over a worker's share of a wavefront segment, routed through the
-// worker-private plan. Boundaries are already advanced and the touch
-// filter already consulted (sc.Touched), so the only flush points left
-// are the worker's own pods' swap drains, each pod-scoped like the
-// serial path's (a drain touches only the draining pod's channels).
-func (m *MemPod) AccessShardedColumn(sc *mech.ShardedColumn) {
-	if m.cfg.CacheBytes > 0 {
-		for i := sc.Lo; i < sc.Hi; i++ {
-			d := &sc.Dec[i]
-			if int(d.Pod)%sc.Workers != sc.Worker {
-				continue
-			}
-			sc.Done[i] = m.AccessSharded(&sc.Reqs[i], d, sc.At[i], sc.Touched[i])
-		}
-		return
-	}
-	plan := sc.Plan
-	plan.Begin(sc.Done)
-	for i := sc.Lo; i < sc.Hi; i++ {
-		d := &sc.Dec[i]
-		if int(d.Pod)%sc.Workers != sc.Worker {
-			continue
-		}
-		t := sc.At[i]
-		p := &m.pods[d.Pod]
-		if p.qpos < len(p.queue) && p.queue[p.qpos].start <= t {
-			m.backend.FlushPodChannels(plan, int(d.Pod))
-			m.drainPod(p, t)
-		}
-		if sc.Touched[i] {
-			if p.mea != nil {
-				p.mea.Observe(uint64(d.Frame))
-			} else {
-				p.tracker.Observe(uint64(d.Frame))
-			}
-		}
-		var lockEnd clock.Time
-		if end := p.locks.GetActive(uint64(d.Frame), t); end != 0 {
-			lockEnd = end
-			p.stats.LockStalls++
-		}
-		sc.Done[i] = lockEnd
-		if f := p.remap.A[d.Frame]; f == d.Frame {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Reqs[i].Write, t, int32(i))
-		} else {
-			ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
-			plan.Route(ch, row, sc.Reqs[i].Write, t, int32(i))
 		}
 	}
 	plan.Flush()
@@ -489,9 +385,9 @@ func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
 			for _, lp := range [2]uint32{sw.local, p.swapResident} {
 				block := uint64(lp) / entriesPerBlock
 				if p.cache.Access(block) {
-					p.stats.CacheHits++
+					m.stats.CacheHits++
 				} else {
-					p.stats.CacheMisses++
+					m.stats.CacheMisses++
 					t := m.backend.BookkeepingRead(p.id, block, sw.start)
 					if t > p.lastSwapEnd {
 						p.lastSwapEnd = t
@@ -504,7 +400,7 @@ func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
 		p.inverted.Set(p.swapVictim, sw.local)
 		// The victim frame now holds a page from the epoch's hot set.
 		p.hotFast.Add(p.swapVictim)
-		p.stats.PageMigrations++
+		m.stats.PageMigrations++
 	}
 	if p.swapSkip {
 		return
@@ -517,8 +413,8 @@ func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
 	lo := int(sw.chunk) * linesPerChunk
 	end := m.backend.SwapPagesChunk(p.id, addr.Frame(p.swapOld), addr.Frame(p.swapVictim),
 		lo, lo+linesPerChunk, sw.start)
-	p.stats.LineMigrations += 2 * linesPerChunk
-	p.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
+	m.stats.LineMigrations += 2 * linesPerChunk
+	m.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
 	if end > p.lastSwapEnd {
 		p.lastSwapEnd = end
 	}
@@ -550,7 +446,7 @@ func (m *MemPod) runInterval(boundary clock.Time) {
 			if !flushing && sw.chunk == 0 {
 				// Peek: never-started swap -> drop all its chunks.
 				p.qpos += swapChunks
-				p.stats.DroppedMigrations++
+				m.stats.DroppedMigrations++
 				continue
 			}
 			if sw.start < boundary {
@@ -604,7 +500,7 @@ func (m *MemPod) runInterval(boundary clock.Time) {
 		}
 		maxSwaps := int(avail / minSwapTime)
 		if len(cand) > maxSwaps {
-			p.stats.DroppedMigrations += uint64(len(cand) - maxSwaps)
+			m.stats.DroppedMigrations += uint64(len(cand) - maxSwaps)
 			cand = cand[:maxSwaps]
 		}
 		p.cand = cand
@@ -687,9 +583,8 @@ func (m *MemPod) CheckInvariants() error {
 }
 
 var (
-	_ mech.Mechanism         = (*MemPod)(nil)
-	_ mech.DecodedAccessor   = (*MemPod)(nil)
-	_ mech.Releaser          = (*MemPod)(nil)
-	_ mech.ColumnAccessor    = (*MemPod)(nil)
-	_ mech.PodShardedColumns = (*MemPod)(nil)
+	_ mech.Mechanism       = (*MemPod)(nil)
+	_ mech.DecodedAccessor = (*MemPod)(nil)
+	_ mech.Releaser        = (*MemPod)(nil)
+	_ mech.ColumnAccessor  = (*MemPod)(nil)
 )

@@ -56,7 +56,7 @@ type bank struct {
 // safe for concurrent use, but carries no cross-channel state — refresh
 // catch-up is arithmetic on the channel's own clock (see Access), not a
 // global tick — so disjoint channel sets may be driven from different
-// goroutines concurrently (the pod-parallel engine path relies on this).
+// goroutines concurrently.
 type Channel struct {
 	spec  Spec
 	banks []bank

@@ -24,8 +24,8 @@ import (
 
 // Params is the serializable subset of Config that determines cell
 // identity: everything a distributed worker needs to rebuild a plan
-// bit-identically, and nothing about execution shape (parallelism, pod
-// shards and caches stay per-process).
+// bit-identically, and nothing about execution shape (parallelism and
+// caches stay per-process).
 type Params struct {
 	Requests  int      `json:"requests"`
 	Seed      int64    `json:"seed"`
@@ -92,7 +92,7 @@ type Job struct {
 type planCell struct {
 	key     resultcache.CellKey
 	tkey    tracecache.Key
-	compute func(traces *tracecache.Cache, uses, shards int) ([]byte, error)
+	compute func(traces *tracecache.Cache, uses int) ([]byte, error)
 }
 
 // Plan is the deduplicated, deterministically ordered cell list of a Job
@@ -171,7 +171,7 @@ func (c Config) planCells(id string) ([]planCell, error) {
 			cells = append(cells, planCell{
 				key:  c.oracleKey(w),
 				tkey: c.traceKey(w),
-				compute: func(traces *tracecache.Cache, uses, shards int) ([]byte, error) {
+				compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
 					r, err := c.oracleOne(w, traces, uses)
 					if err != nil {
 						return nil, err
@@ -193,8 +193,8 @@ func (c Config) planCells(id string) ([]planCell, error) {
 			cells = append(cells, planCell{
 				key:  c.cellKey(w, b),
 				tkey: c.traceKey(w),
-				compute: func(traces *tracecache.Cache, uses, shards int) ([]byte, error) {
-					r, err := c.simulate(w, b, traces, uses, shards)
+				compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
+					r, err := c.simulate(w, b, traces, uses)
 					if err != nil {
 						return nil, err
 					}
@@ -254,9 +254,6 @@ type RunCellsOptions struct {
 	Traces *tracecache.Cache
 	// Parallelism bounds concurrent cells (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
-	// PodShards forces each cell's intra-cell pod-parallel worker count
-	// (0 = auto-budget against Parallelism, like the matrix).
-	PodShards int
 }
 
 // CellRun is the outcome of one requested cell: a complete MPR1 frame
@@ -298,10 +295,6 @@ func (p *Plan) RunCells(indices []int, opts RunCellsOptions) []CellRun {
 		uses[cell.tkey]++
 	}
 
-	shards := opts.PodShards
-	if shards == 0 {
-		shards = runner.PerTaskParallelism(opts.Parallelism, len(indices))
-	}
 	tasks := make([]runner.Task[[]byte], len(indices))
 	for oi, i := range indices {
 		oi, i := oi, i
@@ -317,7 +310,7 @@ func (p *Plan) RunCells(indices []int, opts RunCellsOptions) []CellRun {
 			Labels: []string{"mechanism", "distrib-cell", "workload", cell.key.Workload},
 			Run: func() ([]byte, error) {
 				compute := func() ([]byte, error) {
-					return cell.compute(traces, uses[cell.tkey], shards)
+					return cell.compute(traces, uses[cell.tkey])
 				}
 				if results != nil {
 					return results.GetOrRun(cell.key, compute)

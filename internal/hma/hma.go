@@ -193,11 +193,6 @@ func (h *HMA) Name() string { return "HMA" }
 // Stats implements mech.Mechanism.
 func (h *HMA) Stats() mech.MigStats { return h.stats }
 
-// SharedTouch implements mech.TouchSharer. HMA is still not pod-sharded —
-// its interval migrations cross pods — so the engine only uses this for
-// differential state checks, never concurrently.
-func (h *HMA) SharedTouch() *mech.TouchFilter { return &h.touch }
-
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (h *HMA) Release() {
 	h.counters.Release()

@@ -39,8 +39,7 @@ type Backend struct {
 	fastCPP int
 	slowCPP int
 
-	// plan is the backend's shared column plan for serial column routing
-	// (Plan); pod-parallel workers build their own with NewColumnPlan.
+	// plan is the backend's column plan (Plan).
 	plan *ColumnPlan
 }
 
@@ -95,12 +94,11 @@ func (b *Backend) LineLoc(pod int, f addr.Frame) (ch int, row uint64) {
 	return int(b.slowBase[pod]) + int(b.dSlowCPP.Mod(sf)), b.dSlowRowPg.Div(b.dSlowCPP.Div(sf))
 }
 
-// Plan returns the backend's shared column plan, creating it on first
-// use. Serial-path mechanisms route through this one; it must never be
-// used from more than one goroutine.
+// Plan returns the backend's column plan, creating it on first use. It
+// must never be used from more than one goroutine.
 func (b *Backend) Plan() *ColumnPlan {
 	if b.plan == nil {
-		b.plan = NewColumnPlan(b.Sys)
+		b.plan = newColumnPlan(b.Sys)
 	}
 	return b.plan
 }

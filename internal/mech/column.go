@@ -20,10 +20,7 @@ import (
 // triggered swaps, bookkeeping reads — so that traffic observes exactly
 // the channel state it would have seen on the per-request path.
 //
-// A plan is single-goroutine state. The serial engine path shares one
-// plan per backend (Backend.Plan); the pod-parallel path gives each
-// worker its own (NewColumnPlan), which is safe because workers own
-// disjoint pods and therefore route to disjoint channel sets.
+// A plan is single-goroutine state; each backend owns one (Backend.Plan).
 type ColumnPlan struct {
 	sys  *memsys.System
 	cols [][]dram.BatchReq
@@ -38,8 +35,8 @@ type ColumnPlan struct {
 // spans are bounded by the engine window, so in practice almost none do.
 const colCap = 64
 
-// NewColumnPlan returns an empty plan over sys's channels.
-func NewColumnPlan(sys *memsys.System) *ColumnPlan {
+// newColumnPlan returns an empty plan over sys's channels.
+func newColumnPlan(sys *memsys.System) *ColumnPlan {
 	nch := sys.NumChannels()
 	flat := make([]dram.BatchReq, nch*colCap)
 	cols := make([][]dram.BatchReq, nch)
@@ -161,32 +158,4 @@ type ColumnAccessor interface {
 	// and done are parallel to the span and caller-owned; every done[i]
 	// is (re)written.
 	AccessColumn(sc *trace.SpanColumns, at, done []clock.Time)
-}
-
-// ShardedColumn carries one pod-parallel worker's share of a wavefront
-// segment through a column accessor: the segment bounds, the worker's
-// pod-stride identity, the precomputed issue times and touch-filter
-// answers, and the worker-private plan to route through.
-type ShardedColumn struct {
-	Plan    *ColumnPlan
-	Reqs    []trace.Request
-	Dec     []trace.Decoded
-	At      []clock.Time
-	Touched []bool
-	Done    []clock.Time
-	Lo, Hi  int
-	Worker  int
-	Workers int
-}
-
-// PodShardedColumns is optionally implemented by pod-sharded mechanisms
-// that can service a worker's segment share through per-channel columns.
-// AccessShardedColumn must be bit-identical to calling AccessSharded for
-// each owned request (indices i in [Lo, Hi) with pod(i) % Workers ==
-// Worker) in order, writing each completion into Done[i]. Like
-// AccessSharded it may only touch state of the worker's pods — the
-// worker-private plan keeps the routed channel traffic inside them.
-type PodShardedColumns interface {
-	PodSharded
-	AccessShardedColumn(sc *ShardedColumn)
 }

@@ -50,51 +50,6 @@ func AccessDecoded(m Mechanism, r *trace.Request, d *trace.Decoded, at clock.Tim
 	return m.Access(r, at)
 }
 
-// TouchSharer is implemented by mechanisms whose activity tracking runs
-// behind a shared per-core TouchFilter. The pod-parallel engine's serial
-// prepass consults the filter through it (the filter is the one piece of
-// per-access state that crosses pods), and the differential tests use it
-// to assert filter-state equivalence across engine paths.
-type TouchSharer interface {
-	// SharedTouch returns the mechanism's touch filter. The engine owns
-	// all ordering: the filter must only be consulted in global request
-	// order, from one goroutine at a time.
-	SharedTouch() *TouchFilter
-}
-
-// PodSharded is implemented by mechanisms whose per-access mutable state
-// is partitioned by home pod, with cross-pod work confined to interval
-// boundaries — MemPod's defining property (§5: pods migrate independently;
-// only the epoch rollover walks all pods). The engine's pod-parallel path
-// drives such mechanisms with one worker per pod shard between
-// boundaries, joining at a deterministic barrier to run AdvanceBoundary,
-// and is bit-identical to the serial path by construction: AccessSharded
-// calls for different pods must not share any mutable state.
-//
-// Mechanisms that swap across arbitrary channel pairs mid-interval (HMA,
-// THM, CAMEO — everything routed through the global switch) cannot
-// implement this; the engine falls back to the serial batched path for
-// them, mirroring the paper's scalability argument for clustering.
-type PodSharded interface {
-	DecodedAccessor
-	TouchSharer
-	// Pods returns the number of independent shards (home pods).
-	Pods() int
-	// NextBoundary returns the next interval boundary: every AccessSharded
-	// call must carry an issue time strictly below it.
-	NextBoundary() clock.Time
-	// AdvanceBoundary runs every interval boundary at or before t, in
-	// fixed pod order, advancing NextBoundary past t. The caller must
-	// guarantee no AccessSharded call is in flight.
-	AdvanceBoundary(t clock.Time)
-	// AccessSharded is AccessDecoded with the cross-pod work hoisted out:
-	// the caller has already advanced boundaries (so no interval check)
-	// and consulted the shared touch filter (touched carries its answer).
-	// It may only read and write state of d's pod, and must equal
-	// AccessDecoded's result for the same request and mechanism state.
-	AccessSharded(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time
-}
-
 // Releaser is optionally implemented by mechanisms whose bookkeeping
 // tables recycle through internal/tab pools. Callers that construct many
 // mechanisms in sequence (the experiment matrix) call Release after the
@@ -126,22 +81,6 @@ type MigStats struct {
 	// zero for MemPod (intra-pod datapath), equal to LineMigrations for
 	// the mechanisms that swap across arbitrary channel pairs (§5.3).
 	GlobalMoveLines uint64
-}
-
-// Merge adds o's counters into s. Every field is a sum, so merging
-// per-pod shards in any fixed order reproduces the serially accumulated
-// totals exactly — the property the pod-parallel engine's per-pod stats
-// rely on.
-func (m *MigStats) Merge(o MigStats) {
-	m.Intervals += o.Intervals
-	m.PageMigrations += o.PageMigrations
-	m.LineMigrations += o.LineMigrations
-	m.BytesMoved += o.BytesMoved
-	m.CacheHits += o.CacheHits
-	m.CacheMisses += o.CacheMisses
-	m.LockStalls += o.LockStalls
-	m.DroppedMigrations += o.DroppedMigrations
-	m.GlobalMoveLines += o.GlobalMoveLines
 }
 
 // BytesMovedPerPod returns average migration traffic per pod.

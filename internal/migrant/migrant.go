@@ -173,11 +173,6 @@ func (m *Migrant) Name() string { return "Migrant" }
 // Stats implements mech.Mechanism.
 func (m *Migrant) Stats() mech.MigStats { return m.stats }
 
-// SharedTouch implements mech.TouchSharer. Migrant is not pod-sharded —
-// its promotions cross pods through the global switch — so the engine
-// only uses this for differential state checks.
-func (m *Migrant) SharedTouch() *mech.TouchFilter { return &m.touch }
-
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (m *Migrant) Release() {
 	m.counters.Release()
@@ -443,7 +438,6 @@ func (m *Migrant) FrameOfPage(p addr.Page) addr.Page { return addr.Page(m.remap.
 var (
 	_ mech.Mechanism       = (*Migrant)(nil)
 	_ mech.DecodedAccessor = (*Migrant)(nil)
-	_ mech.TouchSharer     = (*Migrant)(nil)
 	_ mech.Releaser        = (*Migrant)(nil)
 	_ mech.ColumnAccessor  = (*Migrant)(nil)
 )

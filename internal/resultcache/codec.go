@@ -71,11 +71,13 @@ func DecodeResult(b []byte) (stats.Result, error) {
 	r.FastRowHitRate = math.Float64frombits(words[7])
 	r.SlowRowHitRate = math.Float64frombits(words[8])
 	r.RowHitRate = math.Float64frombits(words[9])
-	if got, want := math.Float64frombits(words[10]), r.AMMAT(); got != want {
+	if got, want := words[10], math.Float64bits(r.AMMAT()); got != want {
 		// Cross-check: the stored headline metric must be derivable from
 		// the stored fields, so a torn write that survives the checksum
 		// math (it cannot, but defense in depth is one compare) regenerates.
-		return r, fmt.Errorf("%w: stored AMMAT %g != derived %g", ErrBadFile, got, want)
+		// Bits, not values: a stored -0 must not pass for the encoder's +0.
+		return r, fmt.Errorf("%w: stored AMMAT %g != derived %g", ErrBadFile,
+			math.Float64frombits(got), math.Float64frombits(want))
 	}
 	if words[11] != 0 {
 		return r, fmt.Errorf("%w: reserved word %016x non-zero", ErrBadFile, words[11])
@@ -103,7 +105,9 @@ func appendString(out []byte, s string) []byte {
 
 func cutString(b []byte) (string, []byte, error) {
 	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
+	// A zero final byte after the first marks an overlong varint, which
+	// would re-encode shorter.
+	if w <= 0 || (w > 1 && b[w-1] == 0) || n > uint64(len(b)-w) {
 		return "", nil, fmt.Errorf("bad string length")
 	}
 	return string(b[w : w+int(n)]), b[w+int(n):], nil

@@ -2,7 +2,11 @@ package resultcache
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // FuzzCellKeyDecode throws arbitrary bytes at the MPR1 frame and key
@@ -34,6 +38,32 @@ func FuzzCellKeyDecode(f *testing.F) {
 			if canon := key.Canonical(); canon != string(b) {
 				t.Fatalf("accepted key does not round-trip:\nin  %q\nout %q", b, canon)
 			}
+		}
+	})
+}
+
+// FuzzResultDecode throws arbitrary bytes at the KindResult payload
+// decoder: DecodeResult never panics, every rejection wraps ErrBadFile,
+// and every payload it accepts re-encodes byte-identically through
+// EncodeResult, so no two payloads decode to the same result.
+func FuzzResultDecode(f *testing.F) {
+	good := EncodeResult(testResult())
+	f.Add([]byte(nil))
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(EncodeResult(stats.Result{}))
+	f.Add(EncodeResult(stats.Result{Workload: "a b%20c/d\xffe", Mechanism: strings.Repeat("m", 200)}))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeResult(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadFile) {
+				t.Fatalf("rejection does not wrap ErrBadFile: %v", err)
+			}
+			return
+		}
+		if again := EncodeResult(r); !bytes.Equal(again, b) {
+			t.Fatalf("accepted payload does not re-encode identically:\nin  %x\nout %x", b, again)
 		}
 	})
 }

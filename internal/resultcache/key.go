@@ -23,7 +23,7 @@ const (
 // results (the engine is deterministic), which is what makes results
 // content-addressable.
 //
-// Execution-shape knobs — worker counts, pod shards, batch sizes, mapped
+// Execution-shape knobs — worker counts, batch sizes, mapped
 // vs copied replay — are deliberately absent: the differential suites
 // prove them bit-identical, so they must not fragment the key space.
 type CellKey struct {

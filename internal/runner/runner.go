@@ -120,31 +120,6 @@ func Run[T any](tasks []Task[T], opts Options) ([]Result[T], error) {
 	return results, errors.Join(errs...)
 }
 
-// PerTaskParallelism returns how many goroutines each task of a batch may
-// use internally without oversubscribing the machine: GOMAXPROCS divided
-// by the worker count Run would use for `tasks` tasks at the given
-// Parallelism option (at least 1). Callers running nested-parallel work —
-// matrix cells whose engines can shard by pod (sim.Engine.Shards) — plumb
-// this through so batch-level × intra-task parallelism stays within the
-// machine's budget: a saturated cell pool gets serial cells, a single
-// task gets the whole machine, and anything between splits evenly.
-func PerTaskParallelism(parallelism, tasks int) int {
-	if tasks <= 0 {
-		return 1
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	if budget := runtime.GOMAXPROCS(0) / workers; budget > 1 {
-		return budget
-	}
-	return 1
-}
-
 // runOne invokes a task, converting a panic into an error. Tasks carrying
 // Labels run under pprof.Do so profile samples taken during Run carry them.
 func runOne[T any](t Task[T]) (v T, err error) {

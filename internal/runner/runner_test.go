@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -223,48 +222,5 @@ func TestTaskLabelsPropagateErrors(t *testing.T) {
 	}
 	if results[2].Err == nil || !strings.Contains(results[2].Err.Error(), "kaboom") {
 		t.Errorf("labeled panic not recovered: %v", results[2].Err)
-	}
-}
-
-func TestPerTaskParallelism(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		name               string
-		parallelism, tasks int
-		want               int
-	}{
-		{"no tasks", 4, 0, 1},
-		{"single task gets the machine", 0, 1, max(procs, 1)},
-		{"saturated pool leaves nothing", procs, procs, 1},
-		{"explicit serial pool", 1, 10, max(procs, 1)},
-	}
-	if procs >= 4 {
-		cases = append(cases, struct {
-			name               string
-			parallelism, tasks int
-			want               int
-		}{"even split", 2, 10, procs / 2})
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := PerTaskParallelism(tc.parallelism, tc.tasks); got != tc.want {
-				t.Errorf("PerTaskParallelism(%d, %d) = %d, want %d (GOMAXPROCS %d)",
-					tc.parallelism, tc.tasks, got, tc.want, procs)
-			}
-		})
-	}
-	// The invariant the callers rely on: pool workers × per-task budget
-	// never exceeds the machine (when the pool itself fits).
-	for par := 1; par <= procs; par++ {
-		for tasks := 1; tasks <= 2*procs; tasks++ {
-			workers := par
-			if workers > tasks {
-				workers = tasks
-			}
-			if got := PerTaskParallelism(par, tasks); got*workers > procs && got > 1 {
-				t.Fatalf("PerTaskParallelism(%d, %d) = %d oversubscribes: %d workers × %d > %d procs",
-					par, tasks, got, workers, got, procs)
-			}
-		}
 	}
 }

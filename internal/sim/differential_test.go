@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,12 +19,15 @@ import (
 	"repro/internal/workload"
 )
 
-// mechanisms is the full set under test, each built fresh over its own
-// backend so runs share nothing.
-var mechanisms = []struct {
+// mechCase names a mechanism and builds it fresh over a backend.
+type mechCase struct {
 	name  string
 	build func(b *mech.Backend) mech.Mechanism
-}{
+}
+
+// mechanisms is the full set under test, each built fresh over its own
+// backend so runs share nothing.
+var mechanisms = []mechCase{
 	{"MemPod", func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) }},
 	{"MemPod-FC", func(b *mech.Backend) mech.Mechanism {
 		cfg := core.DefaultConfig()
@@ -36,6 +40,16 @@ var mechanisms = []struct {
 	{"Migrant", func(b *mech.Backend) mech.Mechanism { return migrant.MustNew(migrant.DefaultConfig(), b) }},
 	{"Static", func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) }},
 }
+
+// memPodCache is MemPod with the bookkeeping cache on, which the
+// paper-default config leaves off. Its AccessColumn takes the per-request
+// branch (a cache miss chains a read into the demand's issue time), so it
+// is the one MemPod shape whose column path is not channel columns.
+var memPodCache = mechCase{"MemPod-cache", func(b *mech.Backend) mech.Mechanism {
+	cfg := core.DefaultConfig()
+	cfg.CacheBytes = 1 << 16
+	return core.MustNew(cfg, b)
+}}
 
 // diffResults compares two Results field-by-field via reflection so a
 // divergence names the exact field, not just "structs differ".
@@ -50,13 +64,16 @@ func diffResults(t *testing.T, label string, got, want stats.Result) {
 	}
 }
 
-// TestBatchedEngineBitIdentical drives every mechanism over a mixed
-// workload three ways — the per-request serial path (plain SliceStream),
-// the batched path without a predecode plane (snapshot cursor), and the
-// fully fused batched path with the plane bound (DecodedStream +
-// AccessDecoded) — and requires field-identical Results. This is the
-// tentpole's differential guarantee: batching, the shared plane, and the
-// mechanisms' decoded fast paths are pure restructurings.
+// TestBatchedEngineBitIdentical drives every mechanism (plus the
+// bookkeeping-cache MemPod variant) over a mixed workload five ways — the
+// per-request serial path (plain SliceStream), the batched path without a
+// predecode plane (snapshot cursor), the batched path with the plane bound
+// through channel columns and through per-request AccessDecoded, and a
+// replay of the on-disk snapshot — and requires field-identical Results.
+// Each runs at the default window, at window 32 (short spans, so interval
+// boundaries land mid-span) and unlimited (no gating, maximal spans).
+// Batching, the shared plane, the column kernel and the mechanisms'
+// decoded fast paths are pure restructurings of the per-request path.
 func TestBatchedEngineBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -85,42 +102,47 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 	}
 	defer msnap.Release()
 
-	for _, mc := range mechanisms {
-		runWith := func(s trace.Stream, noColumns bool) (stats.Result, *Engine) {
-			b := newBackend()
-			m := mc.build(b)
-			e := New(b, m)
-			e.noColumns = noColumns
-			res, err := e.Run(w.Name, s)
-			if err != nil {
-				t.Fatalf("%s: %v", mc.name, err)
-			}
-			return res, e
-		}
-		serial, _ := runWith(trace.NewSliceStream(reqs), false)
-		batchedNoPlane, _ := runWith(snap.Stream(), false)
-		geomBackend := newBackend()
-		batchedPlane, planeEng := runWith(snap.DecodedStream(&geomBackend.Geom), false)
-		perReqBackend := newBackend()
-		batchedPerReq, perReqEng := runWith(snap.DecodedStream(&perReqBackend.Geom), true)
-		mappedBackend := newBackend()
-		mappedRes, _ := runWith(msnap.DecodedStream(&mappedBackend.Geom), false)
+	for _, mc := range append(mechanisms[:len(mechanisms):len(mechanisms)], memPodCache) {
+		for _, window := range []int{0, 32, -1} {
+			mc, window := mc, window
+			t.Run(fmt.Sprintf("%s/window=%d", mc.name, window), func(t *testing.T) {
+				runWith := func(s trace.Stream, noColumns bool) (stats.Result, *Engine) {
+					b := newBackend()
+					e := New(b, mc.build(b))
+					e.Window = window
+					e.noColumns = noColumns
+					res, err := e.Run(w.Name, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, e
+				}
+				serial, _ := runWith(trace.NewSliceStream(reqs), false)
+				batchedNoPlane, _ := runWith(snap.Stream(), false)
+				geomBackend := newBackend()
+				batchedPlane, planeEng := runWith(snap.DecodedStream(&geomBackend.Geom), false)
+				perReqBackend := newBackend()
+				batchedPerReq, perReqEng := runWith(snap.DecodedStream(&perReqBackend.Geom), true)
+				mappedBackend := newBackend()
+				mappedRes, _ := runWith(msnap.DecodedStream(&mappedBackend.Geom), false)
 
-		if serial.Requests != n {
-			t.Fatalf("%s: serial replayed %d requests, want %d", mc.name, serial.Requests, n)
+				if serial.Requests != n {
+					t.Fatalf("serial replayed %d requests, want %d", serial.Requests, n)
+				}
+				// The planed run must have gone through the column path; the
+				// noColumns run pins the per-request reference it diffs against.
+				if planeEng.ColumnSpans() == 0 {
+					t.Errorf("batched(plane) run never took the column path")
+				}
+				if perReqEng.ColumnSpans() != 0 {
+					t.Errorf("noColumns run took the column path (%d spans)", perReqEng.ColumnSpans())
+				}
+				diffResults(t, "batched(no plane) vs serial", batchedNoPlane, serial)
+				diffResults(t, "batched(plane, columns) vs serial", batchedPlane, serial)
+				diffResults(t, "batched(plane, per-request) vs serial", batchedPerReq, serial)
+				diffResults(t, "mapped replay vs serial", mappedRes, serial)
+			})
 		}
-		// The planed run must have gone through the channel-column kernel;
-		// the noColumns run pins the per-request reference it diffs against.
-		if planeEng.ColumnSpans() == 0 {
-			t.Errorf("%s: batched(plane) run never took the column path", mc.name)
-		}
-		if perReqEng.ColumnSpans() != 0 {
-			t.Errorf("%s: noColumns run took the column path (%d spans)", mc.name, perReqEng.ColumnSpans())
-		}
-		diffResults(t, mc.name+" batched(no plane) vs serial", batchedNoPlane, serial)
-		diffResults(t, mc.name+" batched(plane, columns) vs serial", batchedPlane, serial)
-		diffResults(t, mc.name+" batched(plane, per-request) vs serial", batchedPerReq, serial)
-		diffResults(t, mc.name+" mapped replay vs serial", mappedRes, serial)
 	}
 }
 

@@ -33,12 +33,10 @@ type Engine struct {
 	// Window caps outstanding requests; 0 means DefaultWindow, negative
 	// means unlimited.
 	Window int
-	// Shards selects the pod-parallel path for mechanisms that support it
-	// (mech.PodSharded) on streams with a predecode plane: 0 is auto
-	// (GOMAXPROCS workers, capped at the mechanism's pod count, off when
-	// that leaves fewer than two), 1 or negative forces serial, and >= 2
-	// forces that worker count (still capped at the pod count). Results
-	// are bit-identical for every value; see parallel.go.
+	// Shards is ignored: every run takes the serial path.
+	//
+	// Deprecated: the pod-parallel engine it selected was slower than the
+	// serial column path and has been removed.
 	Shards int
 
 	// ring is the outstanding-request window, kept across runs so repeated
@@ -58,11 +56,6 @@ type Engine struct {
 	atBuf   []clock.Time
 	doneBuf []clock.Time
 	spanBuf *trace.SpanColumns
-	// pp holds the pod-parallel path's block buffers, reused across runs.
-	pp *podParallel
-	// parallelBlocks counts request blocks processed by the pod-parallel
-	// path, for tests and diagnostics.
-	parallelBlocks uint64
 	// columnSpans counts request spans serviced through the mechanism's
 	// column path (mech.ColumnAccessor), for tests and diagnostics.
 	columnSpans uint64
@@ -83,10 +76,9 @@ func New(b *mech.Backend, m mech.Mechanism) *Engine {
 // driven through a batched loop that fuses window gating, order checking
 // and stall accounting over BatchSize-request chunks; when the stream also
 // carries a predecode plane and the mechanism implements
-// mech.DecodedAccessor, requests dispatch through AccessDecoded. When the
-// mechanism is additionally pod-sharded (mech.PodSharded) and Shards
-// selects more than one worker, the run takes the pod-parallel path
-// (parallel.go). All paths are bit-identical to the per-request fallback.
+// mech.DecodedAccessor, requests dispatch through AccessDecoded (or, for
+// column-capable mechanisms on column streams, through AccessColumn). All
+// paths are bit-identical to the per-request fallback.
 func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 	window := e.Window
 	if window == 0 {
@@ -108,11 +100,7 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
 	var err error
 	if bs, ok := s.(trace.BatchStream); ok {
-		if ps, workers := e.shardPlan(bs); workers > 1 {
-			err = e.runPodParallel(bs, ps, workers, ring, window, &res)
-		} else {
-			err = e.runBatched(bs, ring, window, &res)
-		}
+		err = e.runBatched(bs, ring, window, &res)
 	} else {
 		err = e.runSerial(s, ring, window, &res)
 	}
@@ -272,13 +260,18 @@ func (e *Engine) runBatched(bs trace.BatchStream, ring []clock.Time, window int,
 // stream means the run used per-request dispatch.
 func (e *Engine) ColumnSpans() uint64 { return e.columnSpans }
 
+// ParallelBlocks always returns 0.
+//
+// Deprecated: it counted blocks of the removed pod-parallel engine.
+func (e *Engine) ParallelBlocks() uint64 { return 0 }
+
 // runBatchedColumns replays a ColumnStream through the mechanism's
 // column path (mech.ColumnAccessor) in wavefront spans of at most one
-// window. The argument is the same as parallel.go's one-window blocks:
-// every window gate of a span is a completion from at least `window`
-// requests back — an earlier span — so a serial prepass fixes all of the
-// span's issue times before any of it is simulated, and the mechanism is
-// free to gather the span's demand accesses into per-channel columns.
+// window. Every window gate of a span is a completion from at least
+// `window` requests back — an earlier span — so a prepass fixes all of
+// the span's issue times before any of it is simulated, and the
+// mechanism is free to gather the span's demand accesses into
+// per-channel columns.
 // Spans come straight off the stream's decoded columns (trace.SpanColumns)
 // with no Request materialization; the span's own time column doubles as
 // the arrival column for stats. Order checking runs in the prepass

@@ -55,6 +55,47 @@ func TestRunRejectsUnorderedTrace(t *testing.T) {
 	}
 }
 
+// TestColumnsRejectUnorderedTrace holds the column path to the
+// per-request path's order-violation contract: the run fails with the
+// same error text, and the requests before the violation are still
+// accounted (the span truncates exactly at the offending request), so the
+// partial Results are identical.
+func TestColumnsRejectUnorderedTrace(t *testing.T) {
+	w, err := workload.Mix(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := trace.Collect(w.MustStream(1000, 11))
+	// Corrupt one timestamp mid-stream so the violation lands inside a
+	// span, after several complete spans.
+	reqs[700].Time = reqs[699].Time - 1
+	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
+	defer snap.Release()
+
+	runWith := func(noColumns bool) (stats.Result, *Engine, error) {
+		b := newBackend()
+		e := New(b, core.MustNew(core.DefaultConfig(), b))
+		e.noColumns = noColumns
+		res, err := e.Run(w.Name, snap.DecodedStream(&b.Geom))
+		return res, e, err
+	}
+	refRes, _, refErr := runWith(true)
+	colRes, colEng, colErr := runWith(false)
+	if refErr == nil || colErr == nil {
+		t.Fatalf("unordered trace accepted (per-request err %v, columns err %v)", refErr, colErr)
+	}
+	if colEng.ColumnSpans() == 0 {
+		t.Fatal("columns run never took the column path")
+	}
+	if colErr.Error() != refErr.Error() {
+		t.Errorf("error diverged:\nper-request: %v\ncolumns:     %v", refErr, colErr)
+	}
+	if refRes.Requests != 700 {
+		t.Errorf("per-request run accounted %d requests before the violation, want 700", refRes.Requests)
+	}
+	diffResults(t, "partial result columns vs per-request", colRes, refRes)
+}
+
 func TestWindowGatesIssue(t *testing.T) {
 	// With a window of 1, back-to-back requests serialize even when their
 	// trace timestamps coincide.

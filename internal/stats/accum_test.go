@@ -63,32 +63,6 @@ func TestNoteColumnChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestMergePartitionInvariance pins the pod-parallel contract: scatter
-// the sequence across k shard Accums in any assignment, merge the shards
-// in any order, and the totals match serial accumulation bit for bit.
-func TestMergePartitionInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(400)
-		k := 1 + rng.Intn(8)
-		arrivals, done := randPairs(rng, n)
-		want := noteAll(arrivals, done)
-
-		shards := make([]Accum, k)
-		for i := range arrivals {
-			s := &shards[rng.Intn(k)]
-			s.Note(arrivals[i], done[i])
-		}
-		var got Accum
-		for _, i := range rng.Perm(k) {
-			got.Merge(shards[i])
-		}
-		if got != want {
-			t.Fatalf("trial %d (n=%d, k=%d): merged %+v, want %+v", trial, n, k, got, want)
-		}
-	}
-}
-
 // TestFlushToWritesWithoutReset checks that FlushTo copies the tallies
 // into the Result without consuming the Accum: accumulation can continue
 // and a later flush reflects the extra requests.

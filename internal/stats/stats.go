@@ -36,12 +36,11 @@ type Result struct {
 	Mig mech.MigStats
 }
 
-// Accum is one shard's share of the engine-side per-request tallies: the
-// request count, the stall sum and the completion-time high-water mark.
-// The pod-parallel engine gives each worker its own Accum and merges them
-// in fixed worker order at the end of the run; sums and maxima are
-// order-independent, so the merged totals are bit-identical to serial
-// accumulation whatever the interleaving was.
+// Accum holds the engine-side per-request tallies of a run: the request
+// count, the stall sum and the completion-time high-water mark. The
+// engine's column path accumulates into it span by span and flushes it
+// into the Result once; sums and maxima do not depend on the grouping, so
+// the totals are bit-identical to per-request accumulation.
 type Accum struct {
 	Requests   uint64
 	TotalStall clock.Duration
@@ -74,15 +73,6 @@ func (a *Accum) NoteColumn(arrivals, done []clock.Time) {
 	}
 	a.Requests += uint64(len(done))
 	a.TotalStall, a.Span = stall, span
-}
-
-// Merge folds another shard's tallies into a.
-func (a *Accum) Merge(b Accum) {
-	a.Requests += b.Requests
-	a.TotalStall += b.TotalStall
-	if b.Span > a.Span {
-		a.Span = b.Span
-	}
 }
 
 // FlushTo writes the accumulated tallies into a run result.

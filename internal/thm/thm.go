@@ -301,11 +301,6 @@ func (t *THM) Name() string { return "THM" }
 // Stats implements mech.Mechanism.
 func (t *THM) Stats() mech.MigStats { return t.stats }
 
-// SharedTouch implements mech.TouchSharer. THM is still not pod-sharded —
-// its segment swaps remap across the whole address space — so the engine
-// only uses this for differential state checks, never concurrently.
-func (t *THM) SharedTouch() *mech.TouchFilter { return &t.touch }
-
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (t *THM) Release() {
 	releaseSegs(t.arena)

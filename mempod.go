@@ -113,11 +113,10 @@ type Options struct {
 	// Window caps outstanding requests (default sim.DefaultWindow;
 	// negative = unlimited).
 	Window int
-	// PodShards selects the pod-parallel simulation path for mechanisms
-	// that support it (MemPod): 0 is auto (one worker per spare CPU, off
-	// below two), 1 or negative forces the serial path, >= 2 forces that
-	// worker count (capped at the pod count). Results are bit-identical
-	// for every value.
+	// PodShards is ignored: every run takes the serial path.
+	//
+	// Deprecated: the pod-parallel engine it selected was slower than the
+	// serial column path and has been removed.
 	PodShards int
 	// Results, when non-nil, memoizes the run: if the cache holds this
 	// exact cell (same mechanism config, specs, layout, window and trace
@@ -223,7 +222,6 @@ func runStream(name string, s trace.Stream, o Options) (Result, error) {
 	defer mech.Release(m)
 	engine := sim.New(backend, m)
 	engine.Window = o.Window
-	engine.Shards = o.PodShards
 	if ss, ok := s.(*trace.SnapshotStream); ok {
 		// Snapshot replays (RunTrace, -compare) take the engine's batched
 		// path; binding the snapshot's predecode plane for this layout lets

@@ -10,8 +10,8 @@ import (
 func geomTestLayouts() []Layout {
 	return []Layout{
 		DefaultLayout(),
-		{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4},               // HBM-only
-		{SlowBytes: 9 << 30, SlowChannels: 4, NumPods: 4},               // DDR-only
+		{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4}, // HBM-only
+		{SlowBytes: 9 << 30, SlowChannels: 4, NumPods: 4}, // DDR-only
 		{FastBytes: 1 << 28, SlowBytes: 1 << 30, FastChannels: 4, SlowChannels: 2, NumPods: 2},
 		{FastBytes: 3 * PageBytes * 3 * 64, SlowBytes: 9 * PageBytes * 3 * 64, FastChannels: 9, SlowChannels: 3, NumPods: 3}, // non-pow2 everything
 		{FastBytes: 6 * PageBytes * 256, SlowBytes: 12 * PageBytes * 256, FastChannels: 6, SlowChannels: 6, NumPods: 6},

@@ -38,7 +38,7 @@ func BenchmarkMemPodAccess(b *testing.B) {
 	// Warm up past the first interval boundaries so steady state includes
 	// a populated remap table and live migration queues.
 	at := clock.Time(0)
-	for i := range reqs[:1 << 14] {
+	for i := range reqs[:1<<14] {
 		m.Access(&reqs[i], clock.Max(at, reqs[i].Time))
 	}
 

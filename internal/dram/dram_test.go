@@ -334,4 +334,3 @@ func TestRefreshCatchUpMatchesWindowLoop(t *testing.T) {
 		}
 	}
 }
-

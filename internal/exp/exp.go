@@ -289,25 +289,45 @@ func (c Config) resultCache() *resultcache.Cache {
 	return r
 }
 
-// cellKey is the complete causal identity of the (workload, builder)
-// simulation cell under this config: engine version, canonical mechanism
-// config, both memory-spec fingerprints, layout geometry, and the exact
-// generated trace (workload recipe name + length + seed). Anything that
-// could change the cell's numbers is in here; execution shape
-// (Parallelism) deliberately is not — the differential suites prove it
-// bit-identical.
-func (c Config) cellKey(w workload.Workload, b builder) resultcache.CellKey {
-	return resultcache.CellKey{
-		SimVersion: sim.Version,
-		Kind:       resultcache.KindResult,
-		Mech:       b.ckey,
-		FastFP:     b.fast.Fingerprint(),
-		SlowFP:     b.slow.Fingerprint(),
-		Layout:     fmt.Sprintf("%+v", b.layout),
-		Workload:   w.Name,
-		Requests:   c.Requests,
-		Seed:       c.Seed,
+// cellKeys returns the complete causal identity of every (workload,
+// builder) simulation cell under this config, in matrix submission order
+// (workload-major: keys[wi*len(builders)+bi]). A key holds the engine
+// version, canonical mechanism config, both memory-spec fingerprints,
+// layout geometry, and the exact generated trace (workload recipe name +
+// length + seed). Anything that could change the cell's numbers is in
+// here; execution shape (Parallelism) deliberately is not — the
+// differential suites prove it bit-identical.
+//
+// Only the workload varies within a builder's column, so the rest — the
+// spec fingerprints and the printed layout above all — is computed once
+// per builder.
+func (c Config) cellKeys(builders []builder) []resultcache.CellKey {
+	bases := make([]resultcache.CellKey, len(builders))
+	for i, b := range builders {
+		k := resultcache.CellKey{
+			SimVersion: sim.Version,
+			Kind:       resultcache.KindResult,
+			Mech:       b.ckey,
+			Requests:   c.Requests,
+			Seed:       c.Seed,
+		}
+		// An experiment's builders mostly share one spec pair and layout,
+		// so reuse the previous builder's rendering of them when it can.
+		if prev := i - 1; prev >= 0 && b.fast == builders[prev].fast && b.slow == builders[prev].slow && b.layout == builders[prev].layout {
+			k.FastFP, k.SlowFP, k.Layout = bases[prev].FastFP, bases[prev].SlowFP, bases[prev].Layout
+		} else {
+			k.FastFP, k.SlowFP, k.Layout = b.fast.Fingerprint(), b.slow.Fingerprint(), fmt.Sprintf("%+v", b.layout)
+		}
+		bases[i] = k
 	}
+	keys := make([]resultcache.CellKey, 0, len(c.Workloads)*len(builders))
+	for _, w := range c.Workloads {
+		for _, k := range bases {
+			k.Workload = w.Name
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 // traceKey identifies w's generated trace under this config. Workload
@@ -336,14 +356,14 @@ func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses
 // matrix's probe pass); the display name is applied after the cache
 // consult, because one cached cell can serve under different labels
 // (Fig6's "MemPod#7" and Fig7's "MemPod#3" may be the same design point).
-func (c Config) run(w workload.Workload, b builder, traces *tracecache.Cache, uses int, results *resultcache.Cache) (stats.Result, error) {
+func (c Config) run(w workload.Workload, b builder, key resultcache.CellKey, traces *tracecache.Cache, uses int, results *resultcache.Cache) (stats.Result, error) {
 	simulate := func() (stats.Result, error) {
 		return c.simulate(w, b, traces, uses)
 	}
 	var res stats.Result
 	var err error
 	if results != nil {
-		res, err = results.ResultCell(c.cellKey(w, b), simulate)
+		res, err = results.ResultCell(key, simulate)
 	} else {
 		res, err = simulate()
 	}
@@ -412,27 +432,27 @@ func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, 
 	// trace use per distinct missing cell key. Duplicate keys inside one
 	// matrix collapse to a single use — the cache runs them single-flight,
 	// so only the first acquires the trace.
+	keys := c.cellKeys(builders)
 	uses := make(map[tracecache.Key]int, len(c.Workloads))
-	probing := make(map[string]bool)
-	for _, w := range c.Workloads {
-		for _, b := range builders {
+	probing := make(map[resultcache.CellKey]bool)
+	for wi, w := range c.Workloads {
+		for bi := range builders {
 			if results == nil {
 				uses[c.traceKey(w)]++
 				continue
 			}
-			key := c.cellKey(w, b)
-			canon := key.Canonical()
-			if probing[canon] || results.Probe(key) {
+			key := keys[wi*len(builders)+bi]
+			if probing[key] || results.Probe(key) {
 				continue
 			}
-			probing[canon] = true
+			probing[key] = true
 			uses[c.traceKey(w)]++
 		}
 	}
 	tasks := make([]runner.Task[stats.Result], 0, len(builders)*len(c.Workloads))
 	for _, w := range c.Workloads {
 		for _, b := range builders {
-			b, w := b, w
+			b, w, key := b, w, keys[len(tasks)]
 			tasks = append(tasks, runner.Task[stats.Result]{
 				Key: b.name + "/" + w.Name,
 				// CPU profiles of a sweep attribute samples per cell:
@@ -440,7 +460,7 @@ func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, 
 				// workload=mix3) isolates one cell's share.
 				Labels: []string{"mechanism", b.name, "workload", w.Name},
 				Run: func() (stats.Result, error) {
-					return c.run(w, b, traces, uses[c.traceKey(w)], results)
+					return c.run(w, b, key, traces, uses[c.traceKey(w)], results)
 				},
 			})
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/mea"
 	"repro/internal/report"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/tracecache"
@@ -54,21 +55,23 @@ func (c Config) OracleStudy() ([]OracleResult, error) {
 	rcache := c.resultCache()
 	// Like matrix: probe the result cache first so trace use counts cover
 	// exactly the workloads whose oracle pass will actually replay.
+	keys := make([]resultcache.CellKey, len(c.Workloads))
 	uses := make(map[tracecache.Key]int, len(c.Workloads))
-	for _, w := range c.Workloads {
-		if rcache != nil && rcache.Probe(c.oracleKey(w)) {
+	for i, w := range c.Workloads {
+		keys[i] = c.oracleKey(w)
+		if rcache != nil && rcache.Probe(keys[i]) {
 			continue
 		}
 		uses[c.traceKey(w)]++
 	}
 	tasks := make([]runner.Task[OracleResult], len(c.Workloads))
 	for i, w := range c.Workloads {
-		w := w
+		w, key := w, keys[i]
 		tasks[i] = runner.Task[OracleResult]{
 			Key:    "oracle/" + w.Name,
 			Labels: []string{"mechanism", "oracle", "workload", w.Name},
 			Run: func() (OracleResult, error) {
-				return c.oracleCell(w, traces, uses[c.traceKey(w)], rcache)
+				return c.oracleCell(w, key, traces, uses[c.traceKey(w)], rcache)
 			},
 		}
 	}

@@ -87,11 +87,11 @@ func decodeOracle(b []byte) (OracleResult, error) {
 
 // oracleCell runs one workload's oracle pass through the result cache
 // when one is configured, mirroring Config.run for simulation cells.
-func (c Config) oracleCell(w workload.Workload, traces *tracecache.Cache, traceUses int, results *resultcache.Cache) (OracleResult, error) {
+func (c Config) oracleCell(w workload.Workload, key resultcache.CellKey, traces *tracecache.Cache, traceUses int, results *resultcache.Cache) (OracleResult, error) {
 	if results == nil {
 		return c.oracleOne(w, traces, traceUses)
 	}
-	payload, err := results.GetOrRun(c.oracleKey(w), func() ([]byte, error) {
+	payload, err := results.GetOrRun(key, func() ([]byte, error) {
 		r, err := c.oracleOne(w, traces, traceUses)
 		if err != nil {
 			return nil, err

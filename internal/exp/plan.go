@@ -110,7 +110,7 @@ type Plan struct {
 // cache would dedupe them at run time.
 func BuildPlan(jobs []Job) (*Plan, error) {
 	p := &Plan{jobs: jobs}
-	seen := make(map[string]bool)
+	seen := make(map[resultcache.CellKey]bool)
 	for _, job := range jobs {
 		cfg, err := job.Params.Config()
 		if err != nil {
@@ -121,11 +121,10 @@ func BuildPlan(jobs []Job) (*Plan, error) {
 			return nil, fmt.Errorf("exp: plan %s: %w", job.Experiment, err)
 		}
 		for _, cell := range cells {
-			canon := cell.key.Canonical()
-			if seen[canon] {
+			if seen[cell.key] {
 				continue
 			}
-			seen[canon] = true
+			seen[cell.key] = true
 			p.cells = append(p.cells, cell)
 		}
 	}
@@ -186,12 +185,13 @@ func (c Config) planCells(id string) ([]planCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]planCell, 0, len(c.Workloads)*len(builders))
+	keys := c.cellKeys(builders)
+	cells := make([]planCell, 0, len(keys))
 	for _, w := range c.Workloads {
 		for _, b := range builders {
 			w, b := w, b
 			cells = append(cells, planCell{
-				key:  c.cellKey(w, b),
+				key:  keys[len(cells)],
 				tkey: c.traceKey(w),
 				compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
 					r, err := c.simulate(w, b, traces, uses)
@@ -279,18 +279,17 @@ func (p *Plan) RunCells(indices []int, opts RunCellsOptions) []CellRun {
 	results := opts.Results
 
 	uses := make(map[tracecache.Key]int)
-	probing := make(map[string]bool)
+	probing := make(map[resultcache.CellKey]bool)
 	for _, i := range indices {
 		if i < 0 || i >= len(p.cells) {
 			continue
 		}
 		cell := p.cells[i]
 		if results != nil {
-			canon := cell.key.Canonical()
-			if probing[canon] || results.Probe(cell.key) {
+			if probing[cell.key] || results.Probe(cell.key) {
 				continue
 			}
-			probing[canon] = true
+			probing[cell.key] = true
 		}
 		uses[cell.tkey]++
 	}

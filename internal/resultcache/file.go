@@ -37,7 +37,11 @@ var ErrBadFile = errors.New("resultcache: malformed result file")
 
 // EncodeFile frames a canonical key and its payload as an MPR1 file.
 func EncodeFile(key CellKey, payload []byte) []byte {
-	canon := key.Canonical()
+	return encodeFrame(key.Canonical(), payload)
+}
+
+// encodeFrame frames an already rendered canonical key line.
+func encodeFrame(canon string, payload []byte) []byte {
 	out := make([]byte, 0, len(fileMagic)+2+len(canon)+4+len(payload)+8)
 	out = append(out, fileMagic...)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(canon)))
@@ -52,8 +56,26 @@ func EncodeFile(key CellKey, payload []byte) []byte {
 
 // DecodeFile parses an MPR1 file into its key and payload. The returned
 // payload aliases b. Errors wrap ErrBadFile and name the offset that
-// failed, like the trace readers.
+// failed, like the trace readers. It is the strict path for frames from
+// untrusted sources: the embedded key must pass ParseKey, which accepts
+// only a key's exact canonical rendering.
 func DecodeFile(b []byte) (CellKey, []byte, error) {
+	canon, payload, err := decodeFrame(b)
+	if err != nil {
+		return CellKey{}, nil, err
+	}
+	key, err := ParseKey(string(canon))
+	if err != nil {
+		return CellKey{}, nil, fmt.Errorf("%w: %w", ErrBadFile, err)
+	}
+	return key, payload, nil
+}
+
+// decodeFrame checks an MPR1 file's framing and checksum and returns the
+// embedded key line and payload, both aliasing b, without interpreting
+// the key. The store read path compares the key line byte-for-byte with
+// the requested key's rendering, which implies it is canonical.
+func decodeFrame(b []byte) (canon, payload []byte, err error) {
 	off := 0
 	need := func(n int, what string) error {
 		if len(b)-off < n {
@@ -63,58 +85,51 @@ func DecodeFile(b []byte) (CellKey, []byte, error) {
 		return nil
 	}
 	if err := need(len(fileMagic), "magic"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	if string(b[:len(fileMagic)]) != fileMagic {
-		return CellKey{}, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrBadFile, b[:len(fileMagic)], fileMagic)
+		return nil, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrBadFile, b[:len(fileMagic)], fileMagic)
 	}
 	off = len(fileMagic)
 	if err := need(2, "key length"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	keyLen := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if keyLen > maxKeyLen {
-		return CellKey{}, nil, fmt.Errorf("%w: key length %d exceeds %d", ErrBadFile, keyLen, maxKeyLen)
+		return nil, nil, fmt.Errorf("%w: key length %d exceeds %d", ErrBadFile, keyLen, maxKeyLen)
 	}
 	if err := need(keyLen, "key"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
-	canon := string(b[off : off+keyLen])
+	canon = b[off : off+keyLen]
 	off += keyLen
 	if err := need(4, "payload length"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	payLen := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if payLen > maxPayloadLen {
-		return CellKey{}, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFile, payLen, maxPayloadLen)
+		return nil, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFile, payLen, maxPayloadLen)
 	}
 	if err := need(payLen, "payload"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
-	payload := b[off : off+payLen]
+	payload = b[off : off+payLen]
 	off += payLen
 	if err := need(8, "checksum"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	sum := binary.LittleEndian.Uint64(b[off:])
 	off += 8
 	if off != len(b) {
-		return CellKey{}, nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrBadFile, len(b)-off, off)
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrBadFile, len(b)-off, off)
 	}
 	h := fnv.New64a()
-	h.Write([]byte(canon))
+	h.Write(canon)
 	h.Write(payload)
 	if got := h.Sum64(); got != sum {
-		return CellKey{}, nil, fmt.Errorf("%w: checksum %016x, want %016x", ErrBadFile, got, sum)
+		return nil, nil, fmt.Errorf("%w: checksum %016x, want %016x", ErrBadFile, got, sum)
 	}
-	key, err := ParseKey(canon)
-	if err != nil {
-		return CellKey{}, nil, fmt.Errorf("%w: %w", ErrBadFile, err)
-	}
-	if key.Canonical() != canon {
-		return CellKey{}, nil, fmt.Errorf("%w: key round-trip mismatch", ErrBadFile)
-	}
-	return key, payload, nil
+	return canon, payload, nil
 }

@@ -17,6 +17,8 @@ import (
 //     key with the parsed payload must reproduce the input).
 //   - ParseKey never panics, and any accepted key round-trips exactly
 //     through Canonical.
+//   - Every accepted key's Canonical line and Fingerprint equal the
+//     reference fmt + url.PathEscape rendering's.
 func FuzzCellKeyDecode(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(fileMagic))
@@ -30,11 +32,13 @@ func FuzzCellKeyDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if key, payload, err := DecodeFile(b); err == nil {
+			checkReference(t, key)
 			if reframed := EncodeFile(key, payload); !bytes.Equal(reframed, b) {
 				t.Fatalf("accepted file does not re-encode identically:\nin  %x\nout %x", b, reframed)
 			}
 		}
 		if key, err := ParseKey(string(b)); err == nil {
+			checkReference(t, key)
 			if canon := key.Canonical(); canon != string(b) {
 				t.Fatalf("accepted key does not round-trip:\nin  %q\nout %q", b, canon)
 			}

@@ -2,7 +2,6 @@ package resultcache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/url"
 	"strconv"
 	"strings"
@@ -66,19 +65,63 @@ const keyFormat = "k1"
 // never contain a space or newline. Equal keys have equal canonical forms
 // and vice versa; the canonical form is what files store and fingerprints
 // hash.
+//
+// The bytes must equal the fmt + url.PathEscape rendering the tests keep
+// as referenceCanonical: they name and authenticate every store file
+// already written. Canonical is built from strconv appends and an escape
+// table instead because it runs on every cache probe and lookup.
 func (k CellKey) Canonical() string {
-	var b strings.Builder
-	b.Grow(128 + len(k.Mech) + len(k.Layout) + len(k.Workload))
-	b.WriteString(keyFormat)
-	fmt.Fprintf(&b, " sim=%d", k.SimVersion)
-	b.WriteString(" kind=" + url.PathEscape(k.Kind))
-	b.WriteString(" mech=" + url.PathEscape(k.Mech))
-	fmt.Fprintf(&b, " fast=%016x slow=%016x", k.FastFP, k.SlowFP)
-	b.WriteString(" layout=" + url.PathEscape(k.Layout))
-	b.WriteString(" wl=" + url.PathEscape(k.Workload))
-	fmt.Fprintf(&b, " req=%d seed=%d trace=%016x win=%d",
-		k.Requests, k.Seed, k.TraceFP, k.Window)
-	return b.String()
+	// The fixed part (format tag, field names, three 16-digit fingerprints,
+	// four decimal integers) is at most 194 bytes, and escaping at most
+	// triples a value, so b never regrows.
+	b := make([]byte, 0, 194+3*(len(k.Kind)+len(k.Mech)+len(k.Layout)+len(k.Workload)))
+	b = append(b, keyFormat+" sim="...)
+	b = strconv.AppendInt(b, int64(k.SimVersion), 10)
+	b = appendEscaped(append(b, " kind="...), k.Kind)
+	b = appendEscaped(append(b, " mech="...), k.Mech)
+	b = appendHex16(append(b, " fast="...), k.FastFP)
+	b = appendHex16(append(b, " slow="...), k.SlowFP)
+	b = appendEscaped(append(b, " layout="...), k.Layout)
+	b = appendEscaped(append(b, " wl="...), k.Workload)
+	b = strconv.AppendInt(append(b, " req="...), int64(k.Requests), 10)
+	b = strconv.AppendInt(append(b, " seed="...), k.Seed, 10)
+	b = appendHex16(append(b, " trace="...), k.TraceFP)
+	b = strconv.AppendInt(append(b, " win="...), int64(k.Window), 10)
+	return string(b)
+}
+
+// pathSafe marks the bytes url.PathEscape leaves as they are; it is
+// derived from url.PathEscape itself, so appendEscaped cannot drift from
+// the escaping ParseKey reverses.
+var pathSafe = func() (safe [256]bool) {
+	for c := range safe {
+		s := string([]byte{byte(c)})
+		safe[c] = url.PathEscape(s) == s
+	}
+	return safe
+}()
+
+// appendEscaped appends url.PathEscape(s) to b, copying runs of safe
+// bytes whole.
+func appendEscaped(b []byte, s string) []byte {
+	const upperHex = "0123456789ABCDEF"
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !pathSafe[c] {
+			b = append(append(b, s[start:i]...), '%', upperHex[c>>4], upperHex[c&0xf])
+			start = i + 1
+		}
+	}
+	return append(b, s[start:]...)
+}
+
+// appendHex16 appends v as 16 zero-padded lowercase hex digits (%016x).
+func appendHex16(b []byte, v uint64) []byte {
+	const lowerHex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, lowerHex[v>>uint(shift)&0xf])
+	}
+	return b
 }
 
 // Fingerprint returns the FNV-1a hash of the canonical form. It names the
@@ -86,17 +129,31 @@ func (k CellKey) Canonical() string {
 // is what authenticates an entry, so a fingerprint collision degrades to
 // two keys alternately overwriting one file, never to a wrong hit.
 func (k CellKey) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k.Canonical()))
-	return h.Sum64()
+	return fingerprint(k.Canonical())
+}
+
+// fingerprint is 64-bit FNV-1a (hash/fnv's New64a) over a rendered
+// canonical line.
+func fingerprint(canon string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(canon); i++ {
+		h ^= uint64(canon[i])
+		h *= prime64
+	}
+	return h
 }
 
 // keyFields are the canonical field names in canonical order.
 var keyFields = []string{"sim", "kind", "mech", "fast", "slow", "layout", "wl", "req", "seed", "trace", "win"}
 
 // ParseKey decodes a canonical key line back into a CellKey. It is strict:
-// the format tag, the field set, and the field order must match exactly,
-// so ParseKey(k.Canonical()) == k for every key and anything else errors.
+// the format tag, the field set, the field order and every value's
+// spelling must match exactly, so ParseKey(k.Canonical()) == k for every
+// key and anything else errors.
 func ParseKey(s string) (CellKey, error) {
 	parts := strings.Split(s, " ")
 	if len(parts) != len(keyFields)+1 {
@@ -117,17 +174,17 @@ func ParseKey(s string) (CellKey, error) {
 		case "sim":
 			k.SimVersion, err = parseInt(val)
 		case "kind":
-			k.Kind, err = parseEscaped(val)
+			k.Kind, err = url.PathUnescape(val)
 		case "mech":
-			k.Mech, err = parseEscaped(val)
+			k.Mech, err = url.PathUnescape(val)
 		case "fast":
 			k.FastFP, err = parseHex(val)
 		case "slow":
 			k.SlowFP, err = parseHex(val)
 		case "layout":
-			k.Layout, err = parseEscaped(val)
+			k.Layout, err = url.PathUnescape(val)
 		case "wl":
-			k.Workload, err = parseEscaped(val)
+			k.Workload, err = url.PathUnescape(val)
 		case "req":
 			k.Requests, err = parseInt(val)
 		case "seed":
@@ -140,6 +197,12 @@ func ParseKey(s string) (CellKey, error) {
 		if err != nil {
 			return CellKey{}, fmt.Errorf("resultcache: key field %s=%q: %w", field, val, err)
 		}
+	}
+	// The field parsers accept spellings Canonical never writes — leading
+	// zeros, a plus sign, uppercase hex, lowercase or needless escapes —
+	// so the line must also be exactly k's own rendering.
+	if k.Canonical() != s {
+		return CellKey{}, fmt.Errorf("resultcache: key is not in canonical form")
 	}
 	return k, nil
 }
@@ -154,17 +217,4 @@ func parseHex(v string) (uint64, error) {
 		return 0, fmt.Errorf("want 16 hex digits, have %d", len(v))
 	}
 	return strconv.ParseUint(v, 16, 64)
-}
-
-// parseEscaped reverses url.PathEscape and rejects values that would not
-// re-escape to the input, keeping Canonical∘ParseKey the identity.
-func parseEscaped(v string) (string, error) {
-	s, err := url.PathUnescape(v)
-	if err != nil {
-		return "", err
-	}
-	if url.PathEscape(s) != v {
-		return "", fmt.Errorf("non-canonical escaping %q", v)
-	}
-	return s, nil
 }

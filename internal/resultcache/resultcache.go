@@ -78,39 +78,36 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// storePath is the store filename for a key. Distinct keys can collide on
-// a fingerprint in principle; the embedded canonical key disambiguates at
+// Every entry point renders its key's canonical line once and hands that
+// line to the store helpers below, which never re-render it.
+
+// storePath is the store filename for a canonical key line: its
+// fingerprint as 16 hex digits. Distinct keys can collide on a
+// fingerprint in principle; the embedded canonical key disambiguates at
 // read time (a mismatch is a stale miss, never a wrong hit).
-func (c *Cache) storePath(dir string, key CellKey) string {
-	return filepath.Join(dir, filepathName(key))
+func storePath(dir, canon string) string {
+	name := appendHex16(make([]byte, 0, 16+len(".mpr1")), fingerprint(canon))
+	return filepath.Join(dir, string(append(name, ".mpr1"...)))
 }
 
-func filepathName(key CellKey) string {
-	const hex = "0123456789abcdef"
-	fp := key.Fingerprint()
-	name := make([]byte, 16, 16+5)
-	for i := 15; i >= 0; i-- {
-		name[i] = hex[fp&0xf]
-		fp >>= 4
-	}
-	return string(append(name, ".mpr1"...))
-}
-
-// loadStored tries the store file for key. It returns the payload and
-// true only for a complete, checksummed file whose embedded canonical key
-// matches exactly — anything else (absent, truncated, corrupt, different
-// sim version, fingerprint-colliding neighbor) counts Stale when file
-// bytes existed and reports a miss.
-func (c *Cache) loadStored(dir string, key CellKey) ([]byte, bool) {
-	b, err := os.ReadFile(c.storePath(dir, key))
+// loadStored tries the store file for a canonical key line. It returns
+// the payload and true only for a complete, checksummed file whose
+// embedded key line is byte-equal to canon — anything else (absent,
+// truncated, corrupt, different sim version, fingerprint-colliding
+// neighbor, non-canonical spelling of the same key) counts Stale when
+// file bytes existed and reports a miss. DecodeFile would accept exactly
+// the same key line for this key (ParseKey admits only canonical
+// renderings), so the store path skips ParseKey.
+func (c *Cache) loadStored(dir, canon string) ([]byte, bool) {
+	b, err := os.ReadFile(storePath(dir, canon))
 	if err != nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	c.stats.BytesRead += int64(len(b))
 	c.mu.Unlock()
-	stored, payload, err := DecodeFile(b)
-	if err != nil || stored != key {
+	stored, payload, err := decodeFrame(b)
+	if err != nil || string(stored) != canon {
 		c.mu.Lock()
 		c.stats.Stale++
 		c.mu.Unlock()
@@ -123,9 +120,9 @@ func (c *Cache) loadStored(dir string, key CellKey) ([]byte, bool) {
 }
 
 // persist writes the framed entry atomically next to its final name.
-func (c *Cache) persist(dir string, key CellKey, payload []byte) {
-	framed := EncodeFile(key, payload)
-	path := c.storePath(dir, key)
+func (c *Cache) persist(dir, canon string, payload []byte) {
+	framed := encodeFrame(canon, payload)
+	path := storePath(dir, canon)
 	tmp, err := os.CreateTemp(dir, ".mpr-*")
 	if err != nil {
 		return
@@ -165,7 +162,7 @@ func (c *Cache) Probe(key CellKey) bool {
 	if dir == "" {
 		return false
 	}
-	payload, ok := c.loadStored(dir, key)
+	payload, ok := c.loadStored(dir, canon)
 	if !ok {
 		return false
 	}
@@ -187,7 +184,11 @@ func (c *Cache) Probe(key CellKey) bool {
 // run fails, every waiter receives the error and the entry is forgotten,
 // so a later call retries.
 func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error) {
-	canon := key.Canonical()
+	return c.getOrRun(key.Canonical(), run)
+}
+
+// getOrRun is GetOrRun for a rendered canonical key line.
+func (c *Cache) getOrRun(canon string, run func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[canon]; ok {
 		c.stats.Hits++
@@ -202,7 +203,7 @@ func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error
 
 	payload, fromDisk := []byte(nil), false
 	if dir != "" {
-		payload, fromDisk = c.loadStored(dir, key)
+		payload, fromDisk = c.loadStored(dir, canon)
 	}
 	var err error
 	if !fromDisk {
@@ -224,7 +225,7 @@ func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error
 		return nil, err
 	}
 	if !fromDisk && dir != "" {
-		c.persist(dir, key, payload)
+		c.persist(dir, canon, payload)
 	}
 	return payload, nil
 }
@@ -236,7 +237,8 @@ func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error
 // mid-run) recomputes rather than erroring, preserving the
 // cache-never-fails-a-run stance.
 func (c *Cache) ResultCell(key CellKey, run func() (stats.Result, error)) (stats.Result, error) {
-	payload, err := c.GetOrRun(key, func() ([]byte, error) {
+	canon := key.Canonical()
+	payload, err := c.getOrRun(canon, func() ([]byte, error) {
 		r, err := run()
 		if err != nil {
 			return nil, err
@@ -253,13 +255,13 @@ func (c *Cache) ResultCell(key CellKey, run func() (stats.Result, error)) (stats
 	// Undecodable resident entry: evict and recompute once, bypassing the
 	// poisoned bytes, and heal the store with the fresh result.
 	c.mu.Lock()
-	delete(c.entries, key.Canonical())
+	delete(c.entries, canon)
 	c.stats.Stale++
 	dir := c.dir
 	c.mu.Unlock()
 	r, err = run()
 	if err == nil && dir != "" {
-		c.persist(dir, key, EncodeResult(r))
+		c.persist(dir, canon, EncodeResult(r))
 	}
 	return r, err
 }
@@ -284,7 +286,7 @@ func (c *Cache) Put(key CellKey, payload []byte) {
 	dir := c.dir
 	c.mu.Unlock()
 	if dir != "" {
-		c.persist(dir, key, payload)
+		c.persist(dir, canon, payload)
 	}
 }
 
@@ -313,7 +315,7 @@ func (c *Cache) Lookup(key CellKey) ([]byte, bool) {
 	if dir == "" {
 		return nil, false
 	}
-	payload, ok := c.loadStored(dir, key)
+	payload, ok := c.loadStored(dir, canon)
 	if !ok {
 		return nil, false
 	}

@@ -74,6 +74,12 @@ func TestKeyParseRejects(t *testing.T) {
 		good + " extra=1",
 		strings.Replace(good, "sim=", "sum=", 1),
 		strings.Replace(good, "fast=", "fast=zz", 1),
+		// Spellings the field parsers accept but Canonical never writes.
+		strings.Replace(good, "req=", "req=0", 1),
+		strings.Replace(good, "seed=", "seed=+", 1),
+		strings.Replace(good, "fast=0123456789abcdef", "fast=0123456789ABCDEF", 1),
+		strings.Replace(good, "%7B", "%7b", 1),
+		strings.Replace(good, "wl=mix5", "wl=mi%785", 1),
 	}
 	for _, s := range bad {
 		if _, err := ParseKey(s); err == nil {
@@ -324,7 +330,7 @@ func TestCacheStaleness(t *testing.T) {
 	// embedded key mismatch must reject it (counted Stale).
 	victim := base
 	victim.Workload = "mix6"
-	if err := os.Rename(c.storePath(dir, base), c.storePath(dir, victim)); err != nil {
+	if err := os.Rename(storePath(dir, base.Canonical()), storePath(dir, victim.Canonical())); err != nil {
 		t.Fatal(err)
 	}
 	c2 := New()
@@ -358,7 +364,7 @@ func TestCacheCorruptionRegenerates(t *testing.T) {
 			if _, err := seed.ResultCell(key, func() (stats.Result, error) { return testResult(), nil }); err != nil {
 				t.Fatal(err)
 			}
-			path := seed.storePath(dir, key)
+			path := storePath(dir, key.Canonical())
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -413,7 +419,7 @@ func TestCacheProbePinsDiskEntries(t *testing.T) {
 	}
 	// Deleting the file after a successful probe must not matter: the
 	// probe pinned the entry, so GetOrRun is guaranteed to hit.
-	if err := os.Remove(c.storePath(dir, key)); err != nil {
+	if err := os.Remove(storePath(dir, key.Canonical())); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.ResultCell(key, func() (stats.Result, error) {
@@ -445,12 +451,99 @@ func TestCacheReadOnlyStoreStillWorks(t *testing.T) {
 	}
 }
 
+// TestStorePathNames pins the store filename: the key fingerprint as 16
+// lowercase hex digits plus ".mpr1", for testKey() byte-for-byte.
 func TestStorePathNames(t *testing.T) {
-	c := New()
 	key := testKey()
-	path := c.storePath("store", key)
+	path := storePath("store", key.Canonical())
 	want := filepath.Join("store", fmt.Sprintf("%016x.mpr1", key.Fingerprint()))
 	if path != want {
 		t.Fatalf("storePath = %q, want %q", path, want)
+	}
+	if golden := filepath.Join("store", "e2f80b1af1814018.mpr1"); path != golden {
+		t.Fatalf("storePath = %q, want golden %q", path, golden)
+	}
+}
+
+// TestCacheRejectsMismatchedFrames keeps the store read path strict: a
+// frame at the requested key's path with a valid checksum is still a
+// stale miss — never a hit — when its embedded key line is not the
+// requested key's canonical line, whether it differs by non-canonical
+// escaping of the same key or by one field.
+func TestCacheRejectsMismatchedFrames(t *testing.T) {
+	key := testKey()
+	canon := key.Canonical()
+	other := key
+	other.Seed++
+	for _, tc := range []struct {
+		name, line string
+	}{
+		{"lowercase escape", strings.Replace(canon, "%7B", "%7b", 1)},
+		{"one field differs", other.Canonical()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.line == canon {
+				t.Fatal("test frame key equals the requested key")
+			}
+			frame := encodeFrame(tc.line, EncodeResult(testResult()))
+			if _, _, err := decodeFrame(frame); err != nil {
+				t.Fatalf("test frame has bad framing: %v", err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(storePath(dir, canon), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			probe := New()
+			probe.SetDir(dir)
+			if probe.Probe(key) {
+				t.Fatal("Probe accepted a mismatched frame")
+			}
+			if _, ok := probe.Lookup(key); ok {
+				t.Fatal("Lookup accepted a mismatched frame")
+			}
+			if s := probe.Stats(); s.Stale != 2 || s.DiskLoads != 0 {
+				t.Fatalf("probe stats %+v, want 2 stale and no disk loads", s)
+			}
+
+			c := New()
+			c.SetDir(dir)
+			fresh := stats.Result{Workload: "mix5", Requests: 1}
+			got, err := c.ResultCell(key, func() (stats.Result, error) { return fresh, nil })
+			if err != nil || !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("mismatched frame served: %+v, %v", got, err)
+			}
+			if s := c.Stats(); s.Stale != 1 || s.Misses != 1 || s.Hits != 0 {
+				t.Fatalf("stats %+v, want 1 stale + 1 miss, no hit", s)
+			}
+		})
+	}
+}
+
+// TestCacheServesEncodeFileStore writes a store through the public
+// EncodeFile and Fingerprint alone and checks a fresh handle serves every
+// entry from disk with zero misses.
+func TestCacheServesEncodeFileStore(t *testing.T) {
+	dir := t.TempDir()
+	keys := []CellKey{testKey(), {Kind: "oracle/v1", Workload: "a b%20c/d\xffe", Seed: -1, Window: -1}}
+	for _, key := range keys {
+		name := filepath.Join(dir, fmt.Sprintf("%016x.mpr1", key.Fingerprint()))
+		if err := os.WriteFile(name, EncodeFile(key, EncodeResult(testResult())), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New()
+	c.SetDir(dir)
+	for _, key := range keys {
+		got, err := c.ResultCell(key, func() (stats.Result, error) {
+			t.Errorf("key %q recomputed", key.Canonical())
+			return stats.Result{}, nil
+		})
+		if err != nil || !reflect.DeepEqual(got, testResult()) {
+			t.Fatalf("EncodeFile store entry: %+v, %v", got, err)
+		}
+	}
+	if s := c.Stats(); s.Misses != 0 || s.Hits != len(keys) || s.DiskLoads != len(keys) || s.Stale != 0 {
+		t.Fatalf("stats %+v, want %d disk hits and zero misses", s, len(keys))
 	}
 }

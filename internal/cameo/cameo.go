@@ -159,7 +159,7 @@ func (c *CAMEO) Access(r *trace.Request, at clock.Time) clock.Time {
 	return c.access(r, addr.LineOf(addr.Addr(r.Addr)), at)
 }
 
-// AccessDecoded implements mech.DecodedAccessor. CAMEO manages lines, not
+// AccessDecoded implements mech.Mechanism. CAMEO manages lines, not
 // frames: the global line index reassembles exactly from the plane's page
 // and line-in-page (addresses are line-aligned by construction).
 func (c *CAMEO) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
@@ -206,7 +206,7 @@ func (c *CAMEO) access(r *trace.Request, ln addr.Line, at clock.Time) clock.Time
 // swapIntoFast performs CAMEO's event-triggered swap of the accessed
 // line (currently in `slot` of its group) with the group's fast slot:
 // the copy traffic, the permutation update, the locks on both moving
-// lines, and the counters. Shared by the per-request and column paths.
+// lines, and the counters.
 func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line, start clock.Time) {
 	fastLine := c.lineOf(grp, 0)
 	end := c.backend.SwapLines(
@@ -226,49 +226,6 @@ func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line,
 	c.stats.LineMigrations += 2
 	c.stats.GlobalMoveLines += 2 // MC-to-MC swaps cross the switch (§4.4)
 	c.stats.BytesMoved += 2 * addr.LineBytes
-}
-
-// AccessColumn implements mech.ColumnAccessor. CAMEO has no queues or
-// intervals; its only immediate channel traffic is the event-triggered
-// swap, which flushes the plan right after routing the triggering demand
-// access — preserving the per-request order (demand, then copy traffic,
-// both issued at the same request time). The LLP configuration chains a
-// misprediction probe into the demand's issue time and keeps the
-// per-request path.
-func (c *CAMEO) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if c.pred != nil {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = c.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := c.backend.Plan()
-	plan.Begin(done)
-	for i := range dec {
-		write := sc.Write(i)
-		ti := at[i]
-		c.locks.MaybeCompact(sc.Times[i])
-		ln := addr.Line(dec[i].Page*addr.LinesPerPage + uint64(dec[i].Line))
-		grp, member := c.groupOf(ln)
-		perm := c.perm(grp)
-		slot := slotOf(perm, member, c.members)
-		var lockEnd clock.Time
-		if end := c.locks.GetActive(uint64(ln), ti); end != 0 {
-			lockEnd = end
-			c.stats.LockStalls++
-		}
-		done[i] = lockEnd
-		slotLine := c.lineOf(grp, slot)
-		loc := c.geom.HomeLocation(slotLine)
-		plan.Route(loc.Channel, loc.Row, write, ti, int32(i))
-		if slot != 0 && (c.cfg.SwapOnWrite || !write) {
-			plan.Flush()
-			c.swapIntoFast(grp, perm, slot, ln, slotLine, ti)
-		}
-	}
-	plan.Flush()
 }
 
 // CheckInvariants verifies that every touched group's slot assignment is a
@@ -304,8 +261,6 @@ func (c *CAMEO) SlotOfLine(ln addr.Line) int {
 }
 
 var (
-	_ mech.Mechanism       = (*CAMEO)(nil)
-	_ mech.DecodedAccessor = (*CAMEO)(nil)
-	_ mech.Releaser        = (*CAMEO)(nil)
-	_ mech.ColumnAccessor  = (*CAMEO)(nil)
+	_ mech.Mechanism = (*CAMEO)(nil)
+	_ mech.Releaser  = (*CAMEO)(nil)
 )

@@ -231,7 +231,7 @@ func (m *MemPod) Access(r *trace.Request, at clock.Time) clock.Time {
 	return m.access(r, uint64(page), podID, uint32(home), li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor: the home decomposition
+// AccessDecoded implements mech.Mechanism: the home decomposition
 // comes from the trace's predecode plane instead of being re-derived, and
 // un-migrated pages (the identity remap, i.e. most of the trace) are
 // serviced at the plane's precomputed home channel/row.
@@ -289,65 +289,6 @@ func (m *MemPod) access(r *trace.Request, page uint64, podID int, local uint32, 
 		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
 	}
 	return clock.Max(m.backend.Line(podID, f, li, r.Write, start), lockEnd)
-}
-
-// AccessColumn implements mech.ColumnAccessor: the serial access path
-// with demand accesses gathered into per-channel columns. Flush points
-// mirror every place the per-request path injects immediate channel
-// traffic — interval boundaries (full flush: every pod drains) and due
-// swap drains (pod-scoped: a drain only touches its pod's channels, so
-// only those columns flush and the other pods' keep accumulating) — so
-// the columns' channels see exactly the per-request state. With the
-// bookkeeping cache enabled a miss chains a read into the demand's
-// issue time, which a column cannot express; that configuration keeps
-// the per-request path.
-func (m *MemPod) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if m.cfg.CacheBytes > 0 {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = m.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := m.backend.Plan()
-	plan.Begin(done)
-	for i := range dec {
-		d := &dec[i]
-		t := at[i]
-		if t >= m.next {
-			plan.Flush()
-			for t >= m.next {
-				m.runInterval(m.next)
-				m.next += m.cfg.Interval
-			}
-		}
-		p := &m.pods[d.Pod]
-		if p.qpos < len(p.queue) && p.queue[p.qpos].start <= t {
-			m.backend.FlushPodChannels(plan, int(d.Pod))
-			m.drainPod(p, t)
-		}
-		if m.touch.Touch(sc.Cores[i], d.Page) {
-			if p.mea != nil {
-				p.mea.Observe(uint64(d.Frame))
-			} else {
-				p.tracker.Observe(uint64(d.Frame))
-			}
-		}
-		var lockEnd clock.Time
-		if end := p.locks.GetActive(uint64(d.Frame), t); end != 0 {
-			lockEnd = end
-			m.stats.LockStalls++
-		}
-		done[i] = lockEnd
-		if f := p.remap.A[d.Frame]; f == d.Frame {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Write(i), t, int32(i))
-		} else {
-			ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
-			plan.Route(ch, row, sc.Write(i), t, int32(i))
-		}
-	}
-	plan.Flush()
 }
 
 // drainPod executes the pod's due swaps: every queue entry whose paced
@@ -583,8 +524,6 @@ func (m *MemPod) CheckInvariants() error {
 }
 
 var (
-	_ mech.Mechanism       = (*MemPod)(nil)
-	_ mech.DecodedAccessor = (*MemPod)(nil)
-	_ mech.Releaser        = (*MemPod)(nil)
-	_ mech.ColumnAccessor  = (*MemPod)(nil)
+	_ mech.Mechanism = (*MemPod)(nil)
+	_ mech.Releaser  = (*MemPod)(nil)
 )

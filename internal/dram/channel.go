@@ -243,8 +243,8 @@ func (c *Channel) Access(row uint64, write bool, at clock.Time) clock.Time {
 
 // BatchReq is one decoded request in a per-channel column: the row and
 // issue time of an access plus the caller's scatter index for the
-// completion. Columns are built by routing a span of requests to their
-// home channels (mech.ColumnPlan) and serviced densely by AccessBatch.
+// completion. Columns are serviced densely by AccessBatch (page-swap copy
+// traffic, mech.Backend's swapChunk).
 type BatchReq struct {
 	Row   uint64
 	At    clock.Time

@@ -109,10 +109,6 @@ type HMA struct {
 	lastSwapEnd clock.Time
 	stats       mech.MigStats
 
-	// plan is non-nil only while AccessColumn is mid-span: drained chunks
-	// flush the channels they touch through it before issuing.
-	plan *mech.ColumnPlan
-
 	// Boundary-pass scratch, reused across intervals.
 	hot     []pageCount
 	warm    []slotCount
@@ -209,7 +205,7 @@ func (h *HMA) Access(r *trace.Request, at clock.Time) clock.Time {
 	return h.access(r, page, li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor. The page and line come
+// AccessDecoded implements mech.Mechanism. The page and line come
 // from the plane; for un-remapped pages (the identity mapping, most of
 // the trace) the plane's precomputed home channel/row services the access
 // directly, and only migrated pages re-derive HomeFrame(slot) at runtime.
@@ -253,62 +249,6 @@ func (h *HMA) access(r *trace.Request, page uint32, li int, at clock.Time, d *tr
 	}
 	pod, f := h.geom.HomeFrame(slot)
 	return clock.Max(h.backend.Line(pod, f, li, r.Write, start), lockEnd)
-}
-
-// AccessColumn implements mech.ColumnAccessor: the access path with
-// demand accesses gathered into per-channel columns, flushed fully at
-// interval boundaries and channel-scoped at queue drains (a drained
-// chunk touches exactly two channels; see executeSwap) — the only
-// places HMA injects immediate channel traffic. The counter-cache
-// configuration chains bookkeeping reads into demand issue times, so it
-// keeps the per-request path.
-func (h *HMA) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if h.cache != nil {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = h.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := h.backend.Plan()
-	plan.Begin(done)
-	h.plan = plan
-	for i := range dec {
-		d := &dec[i]
-		t := at[i]
-		if t >= h.next {
-			plan.Flush()
-			for t >= h.next {
-				h.runInterval(h.next)
-				h.next += h.cfg.Interval
-			}
-		}
-		if h.qpos < len(h.queue) && h.queue[h.qpos].start <= t {
-			h.drain(t)
-		}
-		page := uint32(d.Page)
-		if h.touch.Touch(sc.Cores[i], uint64(page)) {
-			if c := h.counters.A[page]; c < h.counterMax {
-				h.counters.Set(page, c, c+1)
-			}
-		}
-		var lockEnd clock.Time
-		if end := h.locks.GetActive(uint64(page), t); end != 0 {
-			lockEnd = end
-			h.stats.LockStalls++
-		}
-		done[i] = lockEnd
-		if slot := addr.Page(h.remap.A[page]); uint64(slot) == uint64(page) {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Write(i), t, int32(i))
-		} else {
-			pod, f := h.geom.HomeFrame(slot)
-			ch, row := h.backend.LineLoc(pod, f)
-			plan.Route(ch, row, sc.Write(i), t, int32(i))
-		}
-	}
-	h.plan = nil
-	plan.Flush()
 }
 
 // pageCount pairs a page with its interval count for sorting.
@@ -443,11 +383,9 @@ func (h *HMA) executeSwap(sw queuedSwap) {
 	if h.swapSkip {
 		return
 	}
-	// Chunks issue at their paced schedule (see core.executeSwap). On the
-	// column path (h.plan non-nil) the chunk flushes just the two channels
-	// it touches before issuing.
+	// Chunks issue at their paced schedule (see core.executeSwap).
 	lo := int(sw.chunk) * linesPerChunk
-	end := h.backend.SwapGlobalChunkPlanned(h.plan, addr.Page(h.swapOld), addr.Page(sw.victim),
+	end := h.backend.SwapGlobalChunk(addr.Page(h.swapOld), addr.Page(sw.victim),
 		lo, lo+linesPerChunk, sw.start)
 	h.stats.LineMigrations += 2 * linesPerChunk
 	h.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
@@ -548,8 +486,6 @@ func (h *HMA) CheckInvariants() error {
 func (h *HMA) FrameOfPage(p addr.Page) addr.Page { return addr.Page(h.remap.A[uint32(p)]) }
 
 var (
-	_ mech.Mechanism       = (*HMA)(nil)
-	_ mech.DecodedAccessor = (*HMA)(nil)
-	_ mech.Releaser        = (*HMA)(nil)
-	_ mech.ColumnAccessor  = (*HMA)(nil)
+	_ mech.Mechanism = (*HMA)(nil)
+	_ mech.Releaser  = (*HMA)(nil)
 )

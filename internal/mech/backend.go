@@ -35,12 +35,6 @@ type Backend struct {
 	// FastRowBytes/SlowRowBytes).
 	dFastRowPg addr.Divisor
 	dSlowRowPg addr.Divisor
-	// Plain channels-per-pod counts, for pod-scoped column flushes.
-	fastCPP int
-	slowCPP int
-
-	// plan is the backend's column plan (Plan).
-	plan *ColumnPlan
 }
 
 // NewBackend wraps a memory system.
@@ -57,7 +51,6 @@ func NewBackend(sys *memsys.System) *Backend {
 	b.dSlowCPP = addr.NewDivisor(uint64(slowCPP))
 	b.dFastRowPg = addr.NewDivisor(l.FastPagesPerRow())
 	b.dSlowRowPg = addr.NewDivisor(l.SlowPagesPerRow())
-	b.fastCPP, b.slowCPP = fastCPP, slowCPP
 	b.fastBase = make([]int32, l.NumPods)
 	b.slowBase = make([]int32, l.NumPods)
 	for pod := 0; pod < l.NumPods; pod++ {
@@ -82,37 +75,16 @@ func (b *Backend) Line(pod int, f addr.Frame, li int, write bool, at clock.Time)
 	return b.Sys.AccessChannel(ch, b.dSlowRowPg.Div(b.dSlowCPP.Div(sf)), write, at)
 }
 
-// LineLoc resolves frame f of pod `pod` to its channel and row without
-// issuing the access — the routing half of Line, for mechanisms that
-// gather requests into per-channel columns before servicing them.
-func (b *Backend) LineLoc(pod int, f addr.Frame) (ch int, row uint64) {
+// lineLoc resolves frame f of pod `pod` to its channel and row without
+// issuing the access — the routing half of Line, for swap copies that
+// resolve both slots before issuing any traffic.
+func (b *Backend) lineLoc(pod int, f addr.Frame) (ch int, row uint64) {
 	if uint32(f) < b.fastPerPod {
 		fv := uint64(uint32(f))
 		return int(b.fastBase[pod]) + int(b.dFastCPP.Mod(fv)), b.dFastRowPg.Div(b.dFastCPP.Div(fv))
 	}
 	sf := uint64(uint32(f) - b.fastPerPod)
 	return int(b.slowBase[pod]) + int(b.dSlowCPP.Mod(sf)), b.dSlowRowPg.Div(b.dSlowCPP.Div(sf))
-}
-
-// Plan returns the backend's column plan, creating it on first use. It
-// must never be used from more than one goroutine.
-func (b *Backend) Plan() *ColumnPlan {
-	if b.plan == nil {
-		b.plan = newColumnPlan(b.Sys)
-	}
-	return b.plan
-}
-
-// FlushPodChannels flushes the plan's pending columns on pod's own
-// channels — its fast range and its slow range — leaving other pods'
-// columns accumulating. This covers every channel a pod-local event
-// (migration drain, bookkeeping read) can touch: demand, copy and
-// bookkeeping traffic for a pod all route inside its channel ranges.
-func (b *Backend) FlushPodChannels(p *ColumnPlan, pod int) {
-	lo := int(b.fastBase[pod])
-	p.FlushRange(lo, lo+b.fastCPP)
-	lo = int(b.slowBase[pod])
-	p.FlushRange(lo, lo+b.slowCPP)
 }
 
 // LineAt services one line access at an already-resolved channel/row —
@@ -145,10 +117,17 @@ func (b *Backend) SwapPages(pod int, fa, fb addr.Frame, at clock.Time) clock.Tim
 // demand at the memory controllers instead of monopolizing a channel in
 // one burst.
 func (b *Backend) SwapPagesChunk(pod int, fa, fb addr.Frame, lo, hi int, at clock.Time) clock.Time {
-	chA, rowA := b.LineLoc(pod, fa)
-	chB, rowB := b.LineLoc(pod, fb)
+	chA, rowA := b.lineLoc(pod, fa)
+	chB, rowB := b.lineLoc(pod, fb)
 	return b.swapChunk(chA, rowA, chB, rowB, hi-lo, at)
 }
+
+// smallColumn selects swapChunk's kernel by chunk length, an input it
+// observes: a chunk whose per-channel column is shorter than this (the
+// paced common case) goes through the per-request channel path, because
+// the batch kernel's state hoisting costs more than it saves on a handful
+// of requests. Both paths are bit-identical by construction.
+const smallColumn = 8
 
 // swapChunk issues the copy traffic of an n-line swap chunk between two
 // resolved page slots through the channel batch kernel: n reads of each
@@ -160,10 +139,6 @@ func (b *Backend) SwapPagesChunk(pod int, fa, fb addr.Frame, lo, hi int, at cloc
 // the interleaved order is preserved explicitly, so the kernel's answer
 // is bit-identical either way.
 func (b *Backend) swapChunk(chA int, rowA uint64, chB int, rowB uint64, n int, at clock.Time) clock.Time {
-	// Short chunks (the paced common case) go through the per-request
-	// channel path for the same reason ColumnPlan.Flush does below
-	// smallColumn: the kernel's state hoisting costs more than it saves
-	// on a handful of requests. Identical results either way.
 	colLen := n
 	if chA == chB {
 		colLen = 2 * n
@@ -230,25 +205,10 @@ func (b *Backend) SwapGlobal(slotA, slotB addr.Page, at clock.Time) clock.Time {
 // SwapGlobalChunk performs the lines [lo, hi) of a global page swap; see
 // SwapPagesChunk for why swaps are chunked.
 func (b *Backend) SwapGlobalChunk(slotA, slotB addr.Page, lo, hi int, at clock.Time) clock.Time {
-	return b.SwapGlobalChunkPlanned(nil, slotA, slotB, lo, hi, at)
-}
-
-// SwapGlobalChunkPlanned is SwapGlobalChunk for a mechanism mid-span on
-// a column plan: before issuing the copy traffic it flushes only the two
-// slots' channels, so the pending demand there is serviced first (the
-// per-request interleaving) while every other channel's column keeps
-// accumulating. plan may be nil (per-request path).
-func (b *Backend) SwapGlobalChunkPlanned(plan *ColumnPlan, slotA, slotB addr.Page, lo, hi int, at clock.Time) clock.Time {
 	podA, fA := b.Geom.HomeFrame(slotA)
 	podB, fB := b.Geom.HomeFrame(slotB)
-	chA, rowA := b.LineLoc(podA, fA)
-	chB, rowB := b.LineLoc(podB, fB)
-	if plan != nil {
-		plan.FlushChannel(chA)
-		if chB != chA {
-			plan.FlushChannel(chB)
-		}
-	}
+	chA, rowA := b.lineLoc(podA, fA)
+	chB, rowB := b.lineLoc(podB, fB)
 	return b.swapChunk(chA, rowA, chB, rowB, hi-lo, at)
 }
 

@@ -3,9 +3,13 @@
 // Backend that issues physical requests into the memory system, and the
 // set-associative cache model used for bookkeeping state (§6.3.3).
 //
+// The engine calls one Mechanism method per trace request: AccessDecoded
+// when the stream carries a predecode plane, Access otherwise.
+//
 // The concrete mechanisms live in their own packages: internal/core
-// (MemPod), internal/hma, internal/thm and internal/cameo; this package
-// also provides the static (no-migration and single-level) references.
+// (MemPod), internal/hma, internal/thm, internal/cameo and
+// internal/migrant; this package also provides the static (no-migration
+// and single-level) references.
 package mech
 
 import (
@@ -14,40 +18,22 @@ import (
 )
 
 // Mechanism is a memory-management scheme under evaluation. The engine
-// calls Access once per trace request, in non-decreasing time order, and
-// the mechanism routes the request (after any translation, bookkeeping
-// traffic, interval processing or migration stalling it models) and
-// returns the completion time.
+// calls Access or AccessDecoded once per trace request, in non-decreasing
+// time order, and the mechanism routes the request (after any
+// translation, bookkeeping traffic, interval processing or migration
+// stalling it models) and returns the completion time.
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 	// Access services one demand request arriving at time `at` and
 	// returns its completion time (> at).
 	Access(r *trace.Request, at clock.Time) clock.Time
-	// Stats returns the mechanism's migration counters.
-	Stats() MigStats
-}
-
-// DecodedAccessor is optionally implemented by mechanisms that can skip
-// the flat-address decomposition when the trace comes with a predecode
-// plane (trace.Decoded: page, owning pod, home frame, line-in-page). The
-// engine's batched path dispatches through it when the stream has a plane
-// bound; AccessDecoded must be bit-identical to Access for the same
-// request.
-type DecodedAccessor interface {
-	Mechanism
 	// AccessDecoded is Access with the request's address decomposition
 	// already computed (d describes r.Addr under the backend's layout).
+	// It must be bit-identical to Access for the same request.
 	AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
-}
-
-// AccessDecoded services r through m's decoded entry point when it has
-// one, falling back to plain Access.
-func AccessDecoded(m Mechanism, r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	if dm, ok := m.(DecodedAccessor); ok {
-		return dm.AccessDecoded(r, d, at)
-	}
-	return m.Access(r, at)
+	// Stats returns the mechanism's migration counters.
+	Stats() MigStats
 }
 
 // Releaser is optionally implemented by mechanisms whose bookkeeping

@@ -119,10 +119,6 @@ type Migrant struct {
 	lastSwapEnd clock.Time
 	stats       mech.MigStats
 
-	// plan is non-nil only while AccessColumn is mid-span: drained chunks
-	// flush the channels they touch through it before issuing.
-	plan *mech.ColumnPlan
-
 	// In-flight swap state across its chunks.
 	swapSkip bool
 	swapOld  uint32 // slow slot being vacated
@@ -189,7 +185,7 @@ func (m *Migrant) Access(r *trace.Request, at clock.Time) clock.Time {
 	return m.access(r, page, li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor: identity-remapped pages
+// AccessDecoded implements mech.Mechanism: identity-remapped pages
 // (most of the trace) service at the plane's precomputed home location.
 func (m *Migrant) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
 	return m.access(r, uint32(d.Page), int(d.Line), at, d)
@@ -219,51 +215,6 @@ func (m *Migrant) access(r *trace.Request, page uint32, li int, at clock.Time, d
 	}
 	pod, f := m.geom.HomeFrame(slot)
 	return clock.Max(m.backend.Line(pod, f, li, r.Write, at), lockEnd)
-}
-
-// AccessColumn implements mech.ColumnAccessor: the access path with
-// demand accesses gathered into per-channel columns, flushed fully at
-// epoch boundaries and channel-scoped at queue drains (a drained chunk
-// touches exactly two channels; see executeSwap) — the only places the
-// policy injects immediate channel traffic.
-func (m *Migrant) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	plan := m.backend.Plan()
-	plan.Begin(done)
-	m.plan = plan
-	for i := range dec {
-		d := &dec[i]
-		t := at[i]
-		if t >= m.next {
-			plan.Flush()
-			for t >= m.next {
-				m.runEpoch(m.next)
-				m.next += m.cfg.Epoch
-			}
-		}
-		if m.qpos < len(m.queue) && m.queue[m.qpos].start <= t {
-			m.drain(t)
-		}
-		page := uint32(d.Page)
-		if m.touch.Touch(sc.Cores[i], uint64(page)) {
-			m.observe(page, t)
-		}
-		var lockEnd clock.Time
-		if end := m.locks.GetActive(uint64(page), t); end != 0 {
-			lockEnd = end
-			m.stats.LockStalls++
-		}
-		done[i] = lockEnd
-		if slot := addr.Page(m.remap.A[page]); uint64(slot) == uint64(page) {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Write(i), t, int32(i))
-		} else {
-			pod, f := m.geom.HomeFrame(slot)
-			ch, row := m.backend.LineLoc(pod, f)
-			plan.Route(ch, row, sc.Write(i), t, int32(i))
-		}
-	}
-	m.plan = nil
-	plan.Flush()
 }
 
 // observe bumps the page's epoch counter and, when a slow-resident page
@@ -394,10 +345,9 @@ func (m *Migrant) executeSwap(sw queuedSwap) {
 		return
 	}
 	// The OS copy crosses the global switch between the two slots'
-	// channels; on the column path (m.plan non-nil) the chunk flushes
-	// just the channels it touches before issuing.
+	// channels.
 	lo := int(sw.chunk) * linesPerChunk
-	end := m.backend.SwapGlobalChunkPlanned(m.plan, addr.Page(m.swapOld), addr.Page(sw.victim),
+	end := m.backend.SwapGlobalChunk(addr.Page(m.swapOld), addr.Page(sw.victim),
 		lo, lo+linesPerChunk, sw.start)
 	m.stats.LineMigrations += 2 * linesPerChunk
 	m.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
@@ -436,8 +386,6 @@ func (m *Migrant) CheckInvariants() error {
 func (m *Migrant) FrameOfPage(p addr.Page) addr.Page { return addr.Page(m.remap.A[uint32(p)]) }
 
 var (
-	_ mech.Mechanism       = (*Migrant)(nil)
-	_ mech.DecodedAccessor = (*Migrant)(nil)
-	_ mech.Releaser        = (*Migrant)(nil)
-	_ mech.ColumnAccessor  = (*Migrant)(nil)
+	_ mech.Mechanism = (*Migrant)(nil)
+	_ mech.Releaser  = (*Migrant)(nil)
 )

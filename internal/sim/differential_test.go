@@ -42,9 +42,9 @@ var mechanisms = []mechCase{
 }
 
 // memPodCache is MemPod with the bookkeeping cache on, which the
-// paper-default config leaves off. Its AccessColumn takes the per-request
-// branch (a cache miss chains a read into the demand's issue time), so it
-// is the one MemPod shape whose column path is not channel columns.
+// paper-default config leaves off: a cache miss chains a bookkeeping read
+// into the demand's issue time, the one MemPod shape whose decoded path
+// does more than skip the address decomposition.
 var memPodCache = mechCase{"MemPod-cache", func(b *mech.Backend) mech.Mechanism {
 	cfg := core.DefaultConfig()
 	cfg.CacheBytes = 1 << 16
@@ -65,15 +65,15 @@ func diffResults(t *testing.T, label string, got, want stats.Result) {
 }
 
 // TestBatchedEngineBitIdentical drives every mechanism (plus the
-// bookkeeping-cache MemPod variant) over a mixed workload five ways — the
-// per-request serial path (plain SliceStream), the batched path without a
-// predecode plane (snapshot cursor), the batched path with the plane bound
-// through channel columns and through per-request AccessDecoded, and a
+// bookkeeping-cache MemPod variant) over a mixed workload four ways — a
+// plain SliceStream (batches filled through Next, dispatched to Access),
+// the snapshot cursor without a predecode plane (lent batches, Access),
+// the cursor with the plane bound (lent batches, AccessDecoded), and a
 // replay of the on-disk snapshot — and requires field-identical Results.
-// Each runs at the default window, at window 32 (short spans, so interval
-// boundaries land mid-span) and unlimited (no gating, maximal spans).
-// Batching, the shared plane, the column kernel and the mechanisms'
-// decoded fast paths are pure restructurings of the per-request path.
+// Each runs at the default window, at window 32 (interval boundaries land
+// mid-batch with gating active) and unlimited (no gating). The batch
+// source and the mechanisms' decoded fast paths are pure restructurings
+// of per-request Access.
 func TestBatchedEngineBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -106,51 +106,93 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 		for _, window := range []int{0, 32, -1} {
 			mc, window := mc, window
 			t.Run(fmt.Sprintf("%s/window=%d", mc.name, window), func(t *testing.T) {
-				runWith := func(s trace.Stream, noColumns bool) (stats.Result, *Engine) {
+				// Each leg gets its own backend; stream binds it to the
+				// leg's geometry before the run.
+				runWith := func(stream func(b *mech.Backend) trace.Stream) stats.Result {
 					b := newBackend()
 					e := New(b, mc.build(b))
 					e.Window = window
-					e.noColumns = noColumns
-					res, err := e.Run(w.Name, s)
+					res, err := e.Run(w.Name, stream(b))
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res, e
+					return res
 				}
-				serial, _ := runWith(trace.NewSliceStream(reqs), false)
-				batchedNoPlane, _ := runWith(snap.Stream(), false)
-				geomBackend := newBackend()
-				batchedPlane, planeEng := runWith(snap.DecodedStream(&geomBackend.Geom), false)
-				perReqBackend := newBackend()
-				batchedPerReq, perReqEng := runWith(snap.DecodedStream(&perReqBackend.Geom), true)
-				mappedBackend := newBackend()
-				mappedRes, _ := runWith(msnap.DecodedStream(&mappedBackend.Geom), false)
+				serial := runWith(func(*mech.Backend) trace.Stream { return trace.NewSliceStream(reqs) })
+				batchedNoPlane := runWith(func(*mech.Backend) trace.Stream { return snap.Stream() })
+				batchedPlane := runWith(func(b *mech.Backend) trace.Stream { return snap.DecodedStream(&b.Geom) })
+				mappedRes := runWith(func(b *mech.Backend) trace.Stream { return msnap.DecodedStream(&b.Geom) })
 
 				if serial.Requests != n {
 					t.Fatalf("serial replayed %d requests, want %d", serial.Requests, n)
 				}
-				// The planed run must have gone through the column path; the
-				// noColumns run pins the per-request reference it diffs against.
-				if planeEng.ColumnSpans() == 0 {
-					t.Errorf("batched(plane) run never took the column path")
-				}
-				if perReqEng.ColumnSpans() != 0 {
-					t.Errorf("noColumns run took the column path (%d spans)", perReqEng.ColumnSpans())
-				}
 				diffResults(t, "batched(no plane) vs serial", batchedNoPlane, serial)
-				diffResults(t, "batched(plane, columns) vs serial", batchedPlane, serial)
-				diffResults(t, "batched(plane, per-request) vs serial", batchedPerReq, serial)
+				diffResults(t, "batched(plane) vs serial", batchedPlane, serial)
 				diffResults(t, "mapped replay vs serial", mappedRes, serial)
 			})
 		}
 	}
 }
 
-// BenchmarkEngineBatched tracks the fused batched replay cost per
-// mechanism. The trace is snapshotted once outside the timer; each
-// iteration replays it through a fresh cursor on a persistent
-// backend+mechanism pair, so the steady state must be allocation-free
-// (the acceptance criterion the tentpole carries).
+// TestEngineRunAllocFree pins the steady-state hot path allocation-free
+// for every mechanism, on both batch sources: a reset DecodedStream
+// (lent plane entries, AccessDecoded) and a reset SliceStream (batches
+// filled through Next, Access). Each Run replays the same trace on a
+// persistent backend+mechanism pair, as sweeps and benchmarks do. A few
+// warm-up runs let the mechanisms' tables reach their working size; after
+// that the only allocations left are the amortized doublings of the
+// pooled tables' undo journals (tab.U32), well under one per run, which
+// AllocsPerRun's whole-number average absorbs. Anything per batch or per
+// request (a run is 79 batches) fails.
+func TestEngineRunAllocFree(t *testing.T) {
+	const n = 20_000
+	w, err := workload.Mix(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := trace.Collect(w.MustStream(n, 11))
+	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
+	defer snap.Release()
+
+	for _, mc := range mechanisms {
+		mc := mc
+		t.Run(mc.name, func(t *testing.T) {
+			b := newBackend()
+			m := mc.build(b)
+			defer mech.Release(m)
+			e := New(b, m)
+			ds := snap.DecodedStream(&b.Geom)
+			ls := trace.NewSliceStream(reqs)
+			for _, leg := range []struct {
+				name  string
+				reset func()
+				s     trace.Stream
+			}{
+				{"DecodedStream", ds.Reset, ds},
+				{"SliceStream", ls.Reset, ls},
+			} {
+				run := func() {
+					leg.reset()
+					if _, err := e.Run(w.Name, leg.s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 4; i++ {
+					run()
+				}
+				allocs := testing.AllocsPerRun(10, run)
+				if allocs != 0 {
+					t.Errorf("%s: %.1f allocations per Run, want 0", leg.name, allocs)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineBatched tracks the batched replay cost per mechanism.
+// The trace is snapshotted once outside the timer; each iteration replays
+// it through a reset cursor on a persistent backend+mechanism pair
+// (TestEngineRunAllocFree pins that steady state allocation-free).
 func BenchmarkEngineBatched(b *testing.B) {
 	const n = 60_000
 	w, err := workload.Mix(5)

@@ -55,45 +55,44 @@ func TestRunRejectsUnorderedTrace(t *testing.T) {
 	}
 }
 
-// TestColumnsRejectUnorderedTrace holds the column path to the
-// per-request path's order-violation contract: the run fails with the
-// same error text, and the requests before the violation are still
-// accounted (the span truncates exactly at the offending request), so the
-// partial Results are identical.
-func TestColumnsRejectUnorderedTrace(t *testing.T) {
+// TestBatchedRejectsUnorderedTrace holds both batch sources to the same
+// order-violation contract: a run over a plane-bound snapshot cursor and
+// a run over a plain SliceStream fail with the same error text, and the
+// requests before the violation are still accounted, so the partial
+// Results are identical.
+func TestBatchedRejectsUnorderedTrace(t *testing.T) {
 	w, err := workload.Mix(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := trace.Collect(w.MustStream(1000, 11))
 	// Corrupt one timestamp mid-stream so the violation lands inside a
-	// span, after several complete spans.
+	// batch, after two complete ones.
 	reqs[700].Time = reqs[699].Time - 1
 	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
 
-	runWith := func(noColumns bool) (stats.Result, *Engine, error) {
+	runWith := func(decoded bool) (stats.Result, error) {
 		b := newBackend()
 		e := New(b, core.MustNew(core.DefaultConfig(), b))
-		e.noColumns = noColumns
-		res, err := e.Run(w.Name, snap.DecodedStream(&b.Geom))
-		return res, e, err
+		var s trace.Stream = trace.NewSliceStream(reqs)
+		if decoded {
+			s = snap.DecodedStream(&b.Geom)
+		}
+		return e.Run(w.Name, s)
 	}
-	refRes, _, refErr := runWith(true)
-	colRes, colEng, colErr := runWith(false)
-	if refErr == nil || colErr == nil {
-		t.Fatalf("unordered trace accepted (per-request err %v, columns err %v)", refErr, colErr)
+	sliceRes, sliceErr := runWith(false)
+	decRes, decErr := runWith(true)
+	if sliceErr == nil || decErr == nil {
+		t.Fatalf("unordered trace accepted (SliceStream err %v, DecodedStream err %v)", sliceErr, decErr)
 	}
-	if colEng.ColumnSpans() == 0 {
-		t.Fatal("columns run never took the column path")
+	if decErr.Error() != sliceErr.Error() {
+		t.Errorf("error diverged:\nSliceStream:   %v\nDecodedStream: %v", sliceErr, decErr)
 	}
-	if colErr.Error() != refErr.Error() {
-		t.Errorf("error diverged:\nper-request: %v\ncolumns:     %v", refErr, colErr)
+	if sliceRes.Requests != 700 {
+		t.Errorf("SliceStream run accounted %d requests before the violation, want 700", sliceRes.Requests)
 	}
-	if refRes.Requests != 700 {
-		t.Errorf("per-request run accounted %d requests before the violation, want 700", refRes.Requests)
-	}
-	diffResults(t, "partial result columns vs per-request", colRes, refRes)
+	diffResults(t, "partial result DecodedStream vs SliceStream", decRes, sliceRes)
 }
 
 func TestWindowGatesIssue(t *testing.T) {

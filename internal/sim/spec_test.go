@@ -78,8 +78,8 @@ func TestSpecPresetBitIdentical(t *testing.T) {
 
 // TestMigrantBatchedBitIdenticalAcrossSpecs holds the new mechanism to the
 // engine's differential bar on every preset spec: for each preset the
-// registry ships, serial replay, the fused batched column path and the
-// per-request decoded path must agree field-for-field — including the
+// registry ships, a plain SliceStream run (Access) and a plane-bound
+// snapshot run (AccessDecoded) must agree field-for-field — including the
 // presets with non-default row geometry (LPDDR5, NVM), write asymmetry
 // (NVM) and link latency (CXL).
 func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {
@@ -100,29 +100,25 @@ func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {
 		if strings.HasPrefix(preset, "HBM") {
 			fast, slow = dram.MustPreset(preset), dram.MustPreset("DDR4-1600")
 		}
-		runWith := func(s trace.Stream, noColumns bool) stats.Result {
+		runWith := func(s trace.Stream) stats.Result {
 			b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
 			m := mi.build(b)
 			defer mech.Release(m)
 			e := New(b, m)
-			e.noColumns = noColumns
 			res, err := e.Run(w.Name, s)
 			if err != nil {
 				t.Fatalf("%s: %v", preset, err)
 			}
 			return res
 		}
-		serial := runWith(trace.NewSliceStream(reqs), false)
+		serial := runWith(trace.NewSliceStream(reqs))
 		planeBackend := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-		columns := runWith(snap.DecodedStream(&planeBackend.Geom), false)
-		perReqBackend := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-		perReq := runWith(snap.DecodedStream(&perReqBackend.Geom), true)
+		decoded := runWith(snap.DecodedStream(&planeBackend.Geom))
 
 		if serial.Requests != n {
 			t.Fatalf("%s: serial replayed %d requests, want %d", preset, serial.Requests, n)
 		}
-		diffResults(t, "Migrant "+preset+" columns vs serial", columns, serial)
-		diffResults(t, "Migrant "+preset+" per-request vs serial", perReq, serial)
+		diffResults(t, "Migrant "+preset+" decoded vs serial", decoded, serial)
 	}
 }
 

@@ -11,7 +11,7 @@ package sim
 // result — timing formulas, migration policy behaviour, trace generation,
 // metric accounting — even when no config struct changed shape. Changes
 // that are proven bit-identical by the differential suites (batching,
-// channel columns, zero-copy replay) do NOT require a bump; that proof is
+// decoded dispatch, zero-copy replay) do NOT require a bump; that proof is
 // exactly what makes the cache safe across them. Mechanism- or
 // spec-parameter changes do not require a bump either: parameters are
 // fingerprinted into each cell key already. When in doubt, bump — a stale

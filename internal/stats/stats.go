@@ -36,52 +36,6 @@ type Result struct {
 	Mig mech.MigStats
 }
 
-// Accum holds the engine-side per-request tallies of a run: the request
-// count, the stall sum and the completion-time high-water mark. The
-// engine's column path accumulates into it span by span and flushes it
-// into the Result once; sums and maxima do not depend on the grouping, so
-// the totals are bit-identical to per-request accumulation.
-type Accum struct {
-	Requests   uint64
-	TotalStall clock.Duration
-	Span       clock.Duration
-}
-
-// Note records one serviced request: its trace arrival and completion.
-func (a *Accum) Note(arrival clock.Time, done clock.Time) {
-	a.Requests++
-	a.TotalStall += done - arrival
-	if done > a.Span {
-		a.Span = done
-	}
-}
-
-// NoteColumn records a dense column of serviced requests — arrivals[i]
-// paired with done[i] — in one pass, accumulating into locals so the
-// engine's batched paths pay the struct write once per column instead of
-// once per request. Equivalent to calling Note for each pair in order.
-func (a *Accum) NoteColumn(arrivals, done []clock.Time) {
-	if len(arrivals) != len(done) {
-		panic("stats: NoteColumn column length mismatch")
-	}
-	stall, span := a.TotalStall, a.Span
-	for i, d := range done {
-		stall += d - arrivals[i]
-		if d > span {
-			span = d
-		}
-	}
-	a.Requests += uint64(len(done))
-	a.TotalStall, a.Span = stall, span
-}
-
-// FlushTo writes the accumulated tallies into a run result.
-func (a Accum) FlushTo(r *Result) {
-	r.Requests = a.Requests
-	r.TotalStall = a.TotalStall
-	r.Span = a.Span
-}
-
 // AMMAT returns the average main-memory access time in nanoseconds.
 func (r Result) AMMAT() float64 {
 	if r.Requests == 0 {

@@ -239,10 +239,6 @@ type THM struct {
 	maxCount uint8
 
 	queue chunkQueue
-
-	// plan is non-nil only while AccessColumn is mid-span: drain flushes
-	// the affected channels through it before injecting copy traffic.
-	plan *mech.ColumnPlan
 }
 
 // New builds a THM over the backend's two-level memory. The slow capacity
@@ -340,7 +336,7 @@ func (t *THM) Access(r *trace.Request, at clock.Time) clock.Time {
 	return t.access(r, page, li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor. THM segments the flat
+// AccessDecoded implements mech.Mechanism. THM segments the flat
 // page space its own way, so the segment decomposition and the serviced
 // slot stay on the access path; but when the member still holds its home
 // slot (most of the trace), the plane's precomputed home channel/row
@@ -405,67 +401,6 @@ func (t *THM) access(r *trace.Request, page addr.Page, li int, at clock.Time, d 
 	return done
 }
 
-// AccessColumn implements mech.ColumnAccessor: the access path with
-// demand accesses gathered into per-channel columns. THM's immediate
-// channel traffic comes from queue drains and threshold-triggered swaps
-// (which drain inline); each drained chunk flushes just the two channels
-// it touches (see drain), so pending demand there — including a
-// triggering request's own access when it shares a channel — is serviced
-// first, matching the per-request order exactly, while other channels
-// keep building columns across drains. The SRT-cache configuration
-// chains bookkeeping reads into issue times and keeps the per-request
-// path.
-func (t *THM) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if t.cache != nil {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = t.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := t.backend.Plan()
-	plan.Begin(done)
-	t.plan = plan
-	for i := range dec {
-		d := &dec[i]
-		ti := at[i]
-		if len(t.queue) > 0 && t.queue[0].start <= ti {
-			t.drain(ti)
-		}
-		t.locks.MaybeCompact(sc.Times[i])
-		page := addr.Page(d.Page)
-		seg, member := t.segmentOf(page)
-		s := &t.segments[seg]
-		if s.gen != t.gen {
-			*s = segment{gen: t.gen}
-		}
-		var lockEnd clock.Time
-		if end := t.locks.GetActive(uint64(page), ti); end != 0 {
-			lockEnd = end
-			t.stats.LockStalls++
-		}
-		slot := slotOfMember(t.effSlots(s), member, t.members)
-		trigger := false
-		if t.touch.Touch(sc.Cores[i], uint64(page)) {
-			trigger = t.updateCounter(s, member, slot)
-		}
-		done[i] = lockEnd
-		if slotPage := t.pageOf(seg, slot); slotPage == page {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Write(i), ti, int32(i))
-		} else {
-			pod, f := t.geom.HomeFrame(slotPage)
-			ch, row := t.backend.LineLoc(pod, f)
-			plan.Route(ch, row, sc.Write(i), ti, int32(i))
-		}
-		if trigger {
-			t.swap(seg, s, slot, ti)
-		}
-	}
-	t.plan = nil
-	plan.Flush()
-}
-
 // updateCounter applies THM's competing-counter policy for an access by
 // `member` currently residing in `slot`, and reports whether the member
 // just won the fast slot.
@@ -526,15 +461,12 @@ func (t *THM) swap(seg uint64, s *segment, winnerSlot int, at clock.Time) {
 }
 
 // drain executes queued copy chunks whose start time has arrived, in
-// start order. Mid-span on the column path (t.plan non-nil) each chunk
-// flushes the two channels it is about to touch first, so its copy
-// traffic observes exactly the per-request channel state; every other
-// channel's demand column keeps accumulating.
+// start order.
 func (t *THM) drain(now clock.Time) {
 	for len(t.queue) > 0 && t.queue[0].start <= now {
 		c := t.queue.pop()
 		lo := int(c.chunk) * linesPerChunk
-		end := t.backend.SwapGlobalChunkPlanned(t.plan, c.slotA, c.slotB, lo, lo+linesPerChunk, c.start)
+		end := t.backend.SwapGlobalChunk(c.slotA, c.slotB, lo, lo+linesPerChunk, c.start)
 		t.stats.LineMigrations += 2 * linesPerChunk
 		t.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
 		t.stats.GlobalMoveLines += 2 * linesPerChunk
@@ -578,8 +510,6 @@ func (t *THM) SlotOfPage(p addr.Page) int {
 }
 
 var (
-	_ mech.Mechanism       = (*THM)(nil)
-	_ mech.DecodedAccessor = (*THM)(nil)
-	_ mech.Releaser        = (*THM)(nil)
-	_ mech.ColumnAccessor  = (*THM)(nil)
+	_ mech.Mechanism = (*THM)(nil)
+	_ mech.Releaser  = (*THM)(nil)
 )

@@ -392,16 +392,15 @@ func (ss *SnapshotStream) BindPlane(dec []Decoded) {
 	ss.dec = dec
 }
 
-// HasPlane implements BatchStream: it reports whether NextBatch fills
-// Decoded entries.
+// HasPlane reports whether a predecode plane is bound, i.e. whether
+// NextBatch fills Decoded entries.
 func (ss *SnapshotStream) HasPlane() bool { return ss.dec != nil }
 
-// NextBatch implements BatchStream: it fills dst with up to len(dst)
-// requests and returns how many were produced (0 at end of stream). When a
-// plane is bound and `plane` is non-nil, plane[i] receives the predecoded
-// form of dst[i]; plane must then be at least len(dst) long. The request
-// sequence is identical to repeated Next calls, and the two may be mixed
-// on one cursor.
+// NextBatch fills dst with up to len(dst) requests and returns how many
+// were produced (0 at end of stream). When a plane is bound and `plane` is
+// non-nil, plane[i] receives the predecoded form of dst[i]; plane must
+// then be at least len(dst) long. The request sequence is identical to
+// repeated Next calls, and the two may be mixed on one cursor.
 func (ss *SnapshotStream) NextBatch(dst []Request, plane []Decoded) int {
 	base := ss.pos
 	n := ss.fillBatch(dst)
@@ -411,9 +410,9 @@ func (ss *SnapshotStream) NextBatch(dst []Request, plane []Decoded) int {
 	return n
 }
 
-// NextBatchShared is NextBatch without the plane copy: the batch's decoded
-// entries come back as a read-only subslice of the bound plane (nil when no
-// plane is bound). The engine's batched loop uses this form.
+// NextBatchShared implements BatchStream: it is NextBatch without the
+// plane copy. The batch's decoded entries come back as a read-only
+// subslice of the bound plane (nil when no plane is bound).
 func (ss *SnapshotStream) NextBatchShared(dst []Request) (int, []Decoded) {
 	base := ss.pos
 	n := ss.fillBatch(dst)
@@ -421,84 +420,6 @@ func (ss *SnapshotStream) NextBatchShared(dst []Request) (int, []Decoded) {
 		return n, nil
 	}
 	return n, ss.dec[base : base+n]
-}
-
-// SpanColumns is a zero-copy columnar view of a contiguous run of
-// requests: the decoded arrival times and predecode plane sliced to the
-// span, plus accessors over the snapshot's packed write-bit and address
-// columns. It is what the engine's column path consumes instead of
-// materialized Request structs — every field a mechanism needs is already
-// a decoded column, so building 24-byte Requests per access is pure
-// overhead there.
-type SpanColumns struct {
-	Times []clock.Time // arrival times, len = span
-	Dec   []Decoded    // predecode plane entries, len = span
-	Cores []byte       // issuing cores, len = span
-
-	writes []byte // whole write bitset (LE word layout)
-	addrs  []byte // whole address column (LE u64s)
-	base   int    // global index of Times[0]
-}
-
-// Len returns the number of requests in the span.
-func (sc *SpanColumns) Len() int { return len(sc.Times) }
-
-// Write reports whether request i of the span is a write.
-func (sc *SpanColumns) Write(i int) bool {
-	p := sc.base + i
-	return sc.writes[p>>3]>>(uint(p)&7)&1 != 0
-}
-
-// Addr returns the address of request i of the span.
-func (sc *SpanColumns) Addr(i int) uint64 {
-	return binary.LittleEndian.Uint64(sc.addrs[8*(sc.base+i):])
-}
-
-// Request materializes request i of the span, for per-request fallback
-// paths inside column accessors (bookkeeping-cache configurations).
-func (sc *SpanColumns) Request(i int) Request {
-	return Request{
-		Time:  sc.Times[i],
-		Addr:  sc.Addr(i),
-		Write: sc.Write(i),
-		Core:  sc.Cores[i],
-	}
-}
-
-// ColumnStream is implemented by streams that can serve their requests as
-// zero-copy spans of decoded columns (SpanColumns). HasColumns reports
-// whether NextSpan can produce spans at all; NextSpan returns the next at
-// most max requests (max <= 0 for no cap) as a span, empty at end of
-// stream, advancing the same cursor Next and NextBatch use.
-type ColumnStream interface {
-	HasColumns() bool
-	NextSpan(max int) SpanColumns
-}
-
-// HasColumns implements ColumnStream: spans require both the predecode
-// plane and the decoded time column (DecodedStream binds both).
-func (ss *SnapshotStream) HasColumns() bool { return ss.dec != nil && ss.times != nil }
-
-// NextSpan implements ColumnStream.
-func (ss *SnapshotStream) NextSpan(max int) SpanColumns {
-	s := ss.snap
-	n := s.n - ss.pos
-	if n <= 0 || !ss.HasColumns() {
-		return SpanColumns{}
-	}
-	if max > 0 && n > max {
-		n = max
-	}
-	base := ss.pos
-	ss.pos = base + n
-	return SpanColumns{
-		Times:  ss.times[base : base+n],
-		Dec:    ss.dec[base : base+n],
-		Cores:  s.cores[base : base+n],
-		writes: s.writes,
-		addrs:  s.addrs,
-		base:   base,
-	}
 }
 
 // fillBatch advances the cursor by up to len(dst) requests, writing them

@@ -28,26 +28,16 @@ type Stream interface {
 }
 
 // BatchStream is a Stream that can additionally deliver requests in
-// batches, optionally accompanied by their predecoded address
-// decompositions. The simulation engine takes this path when offered
+// batches, lending their predecoded address decompositions without
+// copying. The simulation engine takes this path when offered
 // (SnapshotStream implements it); plain streams fall back to Next.
 type BatchStream interface {
 	Stream
-	// NextBatch fills dst with up to len(dst) requests — the same
+	// NextBatchShared fills dst with up to len(dst) requests — the same
 	// sequence Next would produce — and returns the count (0 when
-	// exhausted). If HasPlane reports true and plane is non-nil, plane[i]
-	// is filled with the decoded form of dst[i].
-	NextBatch(dst []Request, plane []Decoded) int
-	// HasPlane reports whether a predecode plane is bound.
-	HasPlane() bool
-}
-
-// SharedBatchStream is a BatchStream whose decoded entries can be borrowed
-// without copying: NextBatchShared returns the batch's Decoded entries as a
-// read-only subslice of the stream's own plane (nil when none is bound),
-// valid until the next cursor advance.
-type SharedBatchStream interface {
-	BatchStream
+	// exhausted) plus the batch's Decoded entries as a read-only
+	// subslice of the stream's own plane: nil when no plane is bound,
+	// valid until the next cursor advance.
 	NextBatchShared(dst []Request) (int, []Decoded)
 }
 

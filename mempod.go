@@ -116,7 +116,7 @@ type Options struct {
 	// PodShards is ignored: every run takes the serial path.
 	//
 	// Deprecated: the pod-parallel engine it selected was slower than the
-	// serial column path and has been removed.
+	// serial path and has been removed.
 	PodShards int
 	// Results, when non-nil, memoizes the run: if the cache holds this
 	// exact cell (same mechanism config, specs, layout, window and trace

@@ -154,19 +154,11 @@ func slotOf(perm uint64, member, members int) int {
 }
 
 // Access implements mech.Mechanism: serve the line from its current slot;
-// if that slot is slow, swap the line into the group's fast slot.
-func (c *CAMEO) Access(r *trace.Request, at clock.Time) clock.Time {
-	return c.access(r, addr.LineOf(addr.Addr(r.Addr)), at)
-}
-
-// AccessDecoded implements mech.Mechanism. CAMEO manages lines, not
-// frames: the global line index reassembles exactly from the plane's page
-// and line-in-page (addresses are line-aligned by construction).
-func (c *CAMEO) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return c.access(r, addr.Line(d.Page*addr.LinesPerPage+uint64(d.Line)), at)
-}
-
-func (c *CAMEO) access(r *trace.Request, ln addr.Line, at clock.Time) clock.Time {
+// if that slot is slow, swap the line into the group's fast slot. CAMEO
+// manages lines, not frames: the global line index reassembles exactly
+// from the decoded page and line-in-page.
+func (c *CAMEO) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+	ln := addr.Line(d.Page*addr.LinesPerPage + uint64(d.Line))
 	// CAMEO's locks only shed entries when their line is re-accessed;
 	// compact occasionally with the trace clock as the expiry floor.
 	c.locks.MaybeCompact(r.Time)

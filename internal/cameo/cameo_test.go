@@ -11,6 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
+// access drives one request through c the way the engine does: with its
+// address decoded under the backend's geometry.
+func access(c *CAMEO, r *trace.Request, at clock.Time) clock.Time {
+	d := trace.Decode(r.Addr, &c.backend.Geom)
+	return c.Access(r, &d, at)
+}
+
 func newCAMEO(t *testing.T) *CAMEO {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
@@ -45,7 +52,7 @@ func TestEverySlowAccessSwaps(t *testing.T) {
 	fast := uint64(c.layout.FastLines())
 	slow := addr.Line(fast + 100)
 	req := trace.Request{Addr: uint64(slow) * addr.LineBytes}
-	c.Access(&req, 0)
+	access(c, &req, 0)
 	if c.SlotOfLine(slow) != 0 {
 		t.Fatal("slow line not promoted on first access")
 	}
@@ -60,7 +67,7 @@ func TestEverySlowAccessSwaps(t *testing.T) {
 	req2 := trace.Request{Addr: uint64(c.lineOf(100, 0)) * addr.LineBytes}
 	_ = req2
 	reqEv := trace.Request{Addr: uint64(evicted) * addr.LineBytes}
-	c.Access(&reqEv, clock.Millisecond)
+	access(c, &reqEv, clock.Millisecond)
 	if c.SlotOfLine(evicted) != 0 {
 		t.Fatal("evicted line not swapped back on access")
 	}
@@ -72,7 +79,7 @@ func TestEverySlowAccessSwaps(t *testing.T) {
 func TestFastAccessDoesNotSwap(t *testing.T) {
 	c := newCAMEO(t)
 	req := trace.Request{Addr: 64 * 7}
-	c.Access(&req, 0)
+	access(c, &req, 0)
 	if c.Stats().PageMigrations != 0 {
 		t.Fatal("fast-resident access triggered a swap")
 	}
@@ -88,9 +95,9 @@ func TestThrashingTwoLinesOneGroup(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 10; i++ {
 		at += 10 * clock.Microsecond
-		c.Access(&a, at)
+		access(c, &a, at)
 		at += 10 * clock.Microsecond
-		c.Access(&b, at)
+		access(c, &b, at)
 	}
 	if got := c.Stats().PageMigrations; got != 20 {
 		t.Fatalf("swaps = %d, want 20 (every access migrates)", got)
@@ -103,9 +110,9 @@ func TestPermutationRoundTrip(t *testing.T) {
 	ln := addr.Line(fast + 33)
 	req := trace.Request{Addr: uint64(ln) * addr.LineBytes}
 	// Swap in, then access the evicted fast line to swap back.
-	c.Access(&req, 0)
+	access(c, &req, 0)
 	evictedReq := trace.Request{Addr: 33 * addr.LineBytes}
-	c.Access(&evictedReq, clock.Millisecond)
+	access(c, &evictedReq, clock.Millisecond)
 	if c.SlotOfLine(addr.Line(33)) != 0 {
 		t.Fatal("round trip did not restore fast line")
 	}
@@ -119,9 +126,9 @@ func TestLockStallDuringLineSwap(t *testing.T) {
 	fast := uint64(c.layout.FastLines())
 	ln := addr.Line(fast + 9)
 	req := trace.Request{Addr: uint64(ln) * addr.LineBytes}
-	c.Access(&req, 0)
+	access(c, &req, 0)
 	// Immediately re-access: the line is locked by its own swap.
-	done := c.Access(&req, clock.Nanosecond)
+	done := access(c, &req, clock.Nanosecond)
 	if done <= clock.Time(10*clock.Nanosecond) {
 		t.Fatalf("access during swap completed at %v", done)
 	}
@@ -153,7 +160,7 @@ func TestLLPPredictsStableGroups(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 20; i++ {
 		at += clock.Microsecond
-		c.Access(&req, at)
+		access(c, &req, at)
 	}
 	if got := c.Mispredictions(); got > 1 {
 		t.Errorf("stable line mispredicted %d times", got)
@@ -175,12 +182,12 @@ func TestLLPMispredictsAfterSwap(t *testing.T) {
 	// Train on the fast line, swap it out via the slow member, then
 	// re-access: its slot changed, so the predictor must miss once.
 	at += clock.Microsecond
-	c.Access(&evicted, at)
+	access(c, &evicted, at)
 	before := c.Mispredictions()
 	at += clock.Microsecond
-	c.Access(&slow, at) // triggers swap: line 77 evicted to slow slot
+	access(c, &slow, at) // triggers swap: line 77 evicted to slow slot
 	at += clock.Millisecond
-	c.Access(&evicted, at)
+	access(c, &evicted, at)
 	if c.Mispredictions() <= before {
 		t.Error("no misprediction after the group's permutation changed")
 	}
@@ -189,7 +196,7 @@ func TestLLPMispredictsAfterSwap(t *testing.T) {
 func TestLLPDisabledCountsNothing(t *testing.T) {
 	c := newCAMEO(t)
 	req := trace.Request{Addr: 64}
-	c.Access(&req, 0)
+	access(c, &req, 0)
 	if c.Mispredictions() != 0 {
 		t.Error("mispredictions counted with LLP disabled")
 	}

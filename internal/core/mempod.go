@@ -223,27 +223,14 @@ func (m *MemPod) Release() {
 // Access implements mech.Mechanism: observe the page in the pod's MEA
 // unit, consult the remap table (through the cache model if enabled),
 // stall behind any in-flight swap of the page, and forward the line to its
-// current frame.
-func (m *MemPod) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := addr.PageOf(addr.Addr(r.Addr))
-	podID, home := m.geom.HomeFrame(page)
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return m.access(r, uint64(page), podID, uint32(home), li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism: the home decomposition
-// comes from the trace's predecode plane instead of being re-derived, and
-// un-migrated pages (the identity remap, i.e. most of the trace) are
-// serviced at the plane's precomputed home channel/row.
-func (m *MemPod) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return m.access(r, d.Page, int(d.Pod), d.Frame, int(d.Line), at, d)
-}
-
-func (m *MemPod) access(r *trace.Request, page uint64, podID int, local uint32, li int, at clock.Time, d *trace.Decoded) clock.Time {
+// current frame. Un-migrated pages (the identity remap, i.e. most of the
+// trace) are serviced at the decoded home channel/row.
+func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
 	for at >= m.next {
 		m.runInterval(m.next)
 		m.next += m.cfg.Interval
 	}
+	podID, local := int(d.Pod), d.Frame
 	p := &m.pods[podID]
 	// Execute any queued swaps whose paced start time has arrived, so
 	// channel traffic stays in time order. The guard is inlined here:
@@ -252,7 +239,7 @@ func (m *MemPod) access(r *trace.Request, page uint64, podID int, local uint32, 
 		m.drainPod(p, at)
 	}
 
-	if m.touch.Touch(r.Core, page) {
+	if m.touch.Touch(r.Core, d.Page) {
 		// Direct dispatch for the common concrete tracker; the interface
 		// call is only paid by the Full Counters ablation.
 		if p.mea != nil {
@@ -283,12 +270,12 @@ func (m *MemPod) access(r *trace.Request, page uint64, podID int, local uint32, 
 	}
 
 	f := addr.Frame(p.remap.A[local])
-	if d != nil && uint32(f) == local {
+	if uint32(f) == local {
 		// Identity remap: the page still lives in its home frame, whose
-		// channel/row the predecode plane already resolved.
+		// channel/row the decode already resolved.
 		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
 	}
-	return clock.Max(m.backend.Line(podID, f, li, r.Write, start), lockEnd)
+	return clock.Max(m.backend.Line(podID, f, int(d.Line), r.Write, start), lockEnd)
 }
 
 // drainPod executes the pod's due swaps: every queue entry whose paced

@@ -12,6 +12,13 @@ import (
 	"repro/internal/workload"
 )
 
+// access drives one request through m the way the engine does: with its
+// address decoded under the backend's geometry.
+func access(m *MemPod, r *trace.Request, at clock.Time) clock.Time {
+	d := trace.Decode(r.Addr, &m.backend.Geom)
+	return m.Access(r, &d, at)
+}
+
 func newTestPod(t *testing.T, cfg Config) *MemPod {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
@@ -63,13 +70,13 @@ func TestHotSlowPageMigratesToFast(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 200; i++ {
 		at += 100 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: uint64(hot.Base())}, at)
+		access(m, &trace.Request{Addr: uint64(hot.Base())}, at)
 	}
 	if _, f := m.FrameOf(hot); l.IsFastFrame(f) {
 		t.Fatal("page migrated before any interval boundary")
 	}
 	// Cross the boundary.
-	m.Access(&trace.Request{Addr: uint64(hot.Base())}, 51*clock.Microsecond)
+	access(m, &trace.Request{Addr: uint64(hot.Base())}, 51*clock.Microsecond)
 	if _, f := m.FrameOf(hot); !l.IsFastFrame(f) {
 		t.Fatal("hot slow page was not migrated to fast memory")
 	}
@@ -97,9 +104,9 @@ func TestMigrationEvictsColdResident(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 100; i++ {
 		at += 100 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: uint64(hot.Base())}, at)
+		access(m, &trace.Request{Addr: uint64(hot.Base())}, at)
 	}
-	m.Access(&trace.Request{Addr: uint64(hot.Base())}, 51*clock.Microsecond)
+	access(m, &trace.Request{Addr: uint64(hot.Base())}, 51*clock.Microsecond)
 
 	_, f := m.FrameOf(hot)
 	if !l.IsFastFrame(f) {
@@ -136,9 +143,9 @@ func TestUpToKMigrationsPerInterval(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		at += 20 * clock.Nanosecond
 		pageIdx := i % 20
-		m.Access(&trace.Request{Addr: slowPageAddr(l, pageIdx)}, at)
+		access(m, &trace.Request{Addr: slowPageAddr(l, pageIdx)}, at)
 	}
-	m.Access(&trace.Request{Addr: slowPageAddr(l, 0)}, 51*clock.Microsecond)
+	access(m, &trace.Request{Addr: slowPageAddr(l, 0)}, 51*clock.Microsecond)
 	if st := m.Stats(); st.PageMigrations > 8 {
 		t.Fatalf("pod migrated %d pages in one interval, K=8", st.PageMigrations)
 	}
@@ -159,14 +166,14 @@ func TestVictimSkipsHotResidents(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 300; i++ {
 		at += 50 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: uint64(fastHot.Base())}, at)
+		access(m, &trace.Request{Addr: uint64(fastHot.Base())}, at)
 		at += 50 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: uint64(slowHot.Base())}, at)
+		access(m, &trace.Request{Addr: uint64(slowHot.Base())}, at)
 	}
 	// Swaps are paced across the epoch; keep accessing so the queue
 	// drains (never-started swaps are dropped at the next boundary).
 	for t := clock.Time(51 * clock.Microsecond); t < 100*clock.Microsecond; t += clock.Microsecond {
-		m.Access(&trace.Request{Addr: uint64(fastHot.Base())}, t)
+		access(m, &trace.Request{Addr: uint64(fastHot.Base())}, t)
 	}
 
 	// The hot fast page must not have been evicted.
@@ -185,12 +192,12 @@ func TestMigratedPageAccessStallsUntilSwapDone(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 100; i++ {
 		at += 100 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: uint64(hot.Base())}, at)
+		access(m, &trace.Request{Addr: uint64(hot.Base())}, at)
 	}
 	// First access right after the boundary: the swap is in flight, so the
 	// completion must be at least the swap's completion.
 	boundary := clock.Time(50 * clock.Microsecond)
-	done := m.Access(&trace.Request{Addr: uint64(hot.Base())}, boundary)
+	done := access(m, &trace.Request{Addr: uint64(hot.Base())}, boundary)
 	if done <= boundary+clock.Time(dram.HBM().RowHitLatency()) {
 		t.Fatalf("access during swap completed too fast: %v", done)
 	}
@@ -202,8 +209,8 @@ func TestMigratedPageAccessStallsUntilSwapDone(t *testing.T) {
 func TestMultipleIntervalsCatchUp(t *testing.T) {
 	// A large time jump must process all intervening boundaries.
 	m := newTestPod(t, DefaultConfig())
-	m.Access(&trace.Request{Addr: 0}, 0)
-	m.Access(&trace.Request{Addr: 0}, 501*clock.Microsecond)
+	access(m, &trace.Request{Addr: 0}, 0)
+	access(m, &trace.Request{Addr: 0}, 501*clock.Microsecond)
 	if got := m.Stats().Intervals; got != 10 {
 		t.Fatalf("intervals processed %d, want 10", got)
 	}
@@ -217,7 +224,7 @@ func TestCacheModelCountsMisses(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 4000; i++ {
 		at += 50 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: slowPageAddr(l, i%2000)}, at)
+		access(m, &trace.Request{Addr: slowPageAddr(l, i%2000)}, at)
 	}
 	st := m.Stats()
 	if st.CacheMisses == 0 {
@@ -232,13 +239,13 @@ func TestCacheModelCountsMisses(t *testing.T) {
 	var sumCached, sumFree clock.Duration
 	for i := 0; i < 4000; i++ {
 		at += 50 * clock.Nanosecond
-		sumFree += m2.Access(&trace.Request{Addr: slowPageAddr(l, i%2000)}, at) - at
+		sumFree += access(m2, &trace.Request{Addr: slowPageAddr(l, i%2000)}, at) - at
 	}
 	m3 := newTestPod(t, cfg)
 	at = 0
 	for i := 0; i < 4000; i++ {
 		at += 50 * clock.Nanosecond
-		sumCached += m3.Access(&trace.Request{Addr: slowPageAddr(l, i%2000)}, at) - at
+		sumCached += access(m3, &trace.Request{Addr: slowPageAddr(l, i%2000)}, at) - at
 	}
 	if sumCached <= sumFree {
 		t.Errorf("cache-modelled run (%v) not slower than free-bookkeeping run (%v)",
@@ -255,7 +262,7 @@ func TestRemapPermutationUnderRealWorkload(t *testing.T) {
 	s := w.MustStream(60000, 17)
 	var r trace.Request
 	for s.Next(&r) {
-		m.Access(&r, r.Time)
+		access(m, &r, r.Time)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -272,7 +279,7 @@ func TestAccessCompletionAfterArrival(t *testing.T) {
 	s := w.MustStream(20000, 3)
 	var r trace.Request
 	for s.Next(&r) {
-		if done := m.Access(&r, r.Time); done <= r.Time {
+		if done := access(m, &r, r.Time); done <= r.Time {
 			t.Fatalf("completion %v <= arrival %v", done, r.Time)
 		}
 	}

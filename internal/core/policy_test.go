@@ -19,7 +19,7 @@ func TestAggressiveConfigDropsMigrations(t *testing.T) {
 	s := w.MustStream(120_000, 5)
 	var r trace.Request
 	for s.Next(&r) {
-		m.Access(&r, r.Time)
+		access(m, &r, r.Time)
 	}
 	st := m.Stats()
 	if st.DroppedMigrations == 0 {
@@ -38,7 +38,7 @@ func TestDesignPointNotThrottled(t *testing.T) {
 	s := w.MustStream(120_000, 5)
 	var r trace.Request
 	for s.Next(&r) {
-		m.Access(&r, r.Time)
+		access(m, &r, r.Time)
 	}
 	if st := m.Stats(); st.DroppedMigrations > st.PageMigrations/4 {
 		t.Fatalf("design point heavily throttled: %+v", st)
@@ -54,7 +54,7 @@ func TestMigrationStaysIntraPod(t *testing.T) {
 	var r trace.Request
 	touched := map[addr.Page]bool{}
 	for s.Next(&r) {
-		m.Access(&r, r.Time)
+		access(m, &r, r.Time)
 		touched[addr.PageOf(addr.Addr(r.Addr))] = true
 	}
 	l := m.layout
@@ -81,10 +81,10 @@ func TestFullCountersRespectsK(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 3000; i++ {
 		at += 15 * clock.Nanosecond
-		m.Access(&trace.Request{Addr: slowPageAddr(l, i%40)}, at)
+		access(m, &trace.Request{Addr: slowPageAddr(l, i%40)}, at)
 	}
 	// One interval processed: at most K swaps per pod may have happened.
-	m.Access(&trace.Request{Addr: slowPageAddr(l, 0)}, 99*clock.Microsecond)
+	access(m, &trace.Request{Addr: slowPageAddr(l, 0)}, 99*clock.Microsecond)
 	if st := m.Stats(); st.PageMigrations > 4*uint64(l.NumPods) {
 		t.Fatalf("FC ablation migrated %d pages with K=4", st.PageMigrations)
 	}

@@ -125,7 +125,9 @@ func (co *Coordinator) restoreCheckpoint(path string) int {
 	}
 
 	off := len(checkpointMagic)
-	need := func(n int) bool { return len(body)-off >= n }
+	// Lengths and indices compare as uint64: a uvarint can exceed
+	// MaxInt, and converting it first would wrap negative past the checks.
+	need := func(n uint64) bool { return uint64(len(body)-off) >= n }
 	u32 := func() (uint32, bool) {
 		if !need(4) {
 			return 0, false
@@ -152,7 +154,7 @@ func (co *Coordinator) restoreCheckpoint(path string) int {
 	}
 
 	specLen, ok := u32()
-	if !ok || !need(int(specLen)) {
+	if !ok || !need(uint64(specLen)) {
 		return 0
 	}
 	off += int(specLen) // the plan fingerprint subsumes the spec
@@ -173,11 +175,13 @@ func (co *Coordinator) restoreCheckpoint(path string) int {
 		index int
 		frame []byte
 	}
-	cells := make([]restored, 0, done)
+	// No capacity hints from the file's counts: a forged count must cost
+	// nothing before the entries it promises fail to parse.
+	var cells []restored
 	for n := uint32(0); n < done; n++ {
 		idx, ok1 := uv()
 		frameLen, ok2 := uv()
-		if !ok1 || !ok2 || !need(int(frameLen)) || int(idx) >= co.plan.Len() {
+		if !ok1 || !ok2 || !need(frameLen) || idx >= uint64(co.plan.Len()) {
 			return 0
 		}
 		frame := body[off : off+int(frameLen)]
@@ -194,16 +198,16 @@ func (co *Coordinator) restoreCheckpoint(path string) int {
 	if !ok {
 		return 0
 	}
-	leases := make([]restoredLease, 0, leaseCount)
+	var leases []restoredLease
 	for n := uint32(0); n < leaseCount; n++ {
 		idLen, ok1 := uv()
-		if !ok1 || !need(int(idLen)) {
+		if !ok1 || !need(idLen) {
 			return 0
 		}
 		id := string(body[off : off+int(idLen)])
 		off += int(idLen)
 		workerLen, ok2 := uv()
-		if !ok2 || !need(int(workerLen)) {
+		if !ok2 || !need(workerLen) {
 			return 0
 		}
 		worker := string(body[off : off+int(workerLen)])
@@ -213,10 +217,10 @@ func (co *Coordinator) restoreCheckpoint(path string) int {
 		if !ok3 || !ok4 {
 			return 0
 		}
-		indices := make([]int, 0, ni)
+		var indices []int
 		for k := uint32(0); k < ni; k++ {
 			idx, ok := uv()
-			if !ok || int(idx) >= co.plan.Len() {
+			if !ok || idx >= uint64(co.plan.Len()) {
 				return 0
 			}
 			indices = append(indices, int(idx))

@@ -78,7 +78,7 @@ func renderMerged(t *testing.T, co *Coordinator) string {
 
 // runCells computes a granted batch directly (bypassing Worker) so
 // protocol tests can hand-craft Complete calls.
-func runCells(t *testing.T, co *Coordinator, grant LeaseResponse, cache *resultcache.Cache) []CellResult {
+func runCells(t testing.TB, co *Coordinator, grant LeaseResponse, cache *resultcache.Cache) []CellResult {
 	t.Helper()
 	runs := co.Plan().RunCells(grant.Indices, exp.RunCellsOptions{Results: cache})
 	cells := make([]CellResult, len(runs))

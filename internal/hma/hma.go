@@ -198,22 +198,11 @@ func (h *HMA) Release() {
 	h.counters, h.remap, h.inverted, h.warmSet = nil, nil, nil, nil
 }
 
-// Access implements mech.Mechanism.
-func (h *HMA) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := uint32(addr.PageOf(addr.Addr(r.Addr)))
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return h.access(r, page, li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism. The page and line come
-// from the plane; for un-remapped pages (the identity mapping, most of
-// the trace) the plane's precomputed home channel/row services the access
-// directly, and only migrated pages re-derive HomeFrame(slot) at runtime.
-func (h *HMA) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return h.access(r, uint32(d.Page), int(d.Line), at, d)
-}
-
-func (h *HMA) access(r *trace.Request, page uint32, li int, at clock.Time, d *trace.Decoded) clock.Time {
+// Access implements mech.Mechanism. For un-remapped pages (the identity
+// mapping, most of the trace) the decoded home channel/row services the
+// access directly; only migrated pages re-derive HomeFrame(slot).
+func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+	page := uint32(d.Page)
 	for at >= h.next {
 		h.runInterval(h.next)
 		h.next += h.cfg.Interval
@@ -243,12 +232,12 @@ func (h *HMA) access(r *trace.Request, page uint32, li int, at clock.Time, d *tr
 		h.stats.LockStalls++
 	}
 	slot := addr.Page(h.remap.A[page])
-	if d != nil && uint64(slot) == uint64(page) {
-		// Identity remap: the plane already resolved the home location.
+	if uint64(slot) == uint64(page) {
+		// Identity remap: the decode already resolved the home location.
 		return clock.Max(h.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
 	}
 	pod, f := h.geom.HomeFrame(slot)
-	return clock.Max(h.backend.Line(pod, f, li, r.Write, start), lockEnd)
+	return clock.Max(h.backend.Line(pod, f, int(d.Line), r.Write, start), lockEnd)
 }
 
 // pageCount pairs a page with its interval count for sorting.

@@ -11,6 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
+// access drives one request through h the way the engine does: with its
+// address decoded under the backend's geometry.
+func access(h *HMA, r *trace.Request, at clock.Time) clock.Time {
+	d := trace.Decode(r.Addr, &h.backend.Geom)
+	return h.Access(r, &d, at)
+}
+
 // testConfig shrinks the interval so tests cross boundaries quickly.
 func testConfig() Config {
 	c := DefaultConfig()
@@ -57,16 +64,16 @@ func TestHotPageMigratesAtBoundary(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 100; i++ {
 		at += clock.Microsecond
-		h.Access(&req, at)
+		access(h, &req, at)
 		at += clock.Microsecond
-		h.Access(&other, at)
+		access(h, &other, at)
 	}
 	if h.FrameOfPage(hot) != hot {
 		t.Fatal("page moved before boundary")
 	}
 	// Migrations are queued at the boundary and execute once the OS sort
 	// completes (boundary + SortStall); drive time past that point.
-	h.Access(&req, 540*clock.Microsecond)
+	access(h, &req, 540*clock.Microsecond)
 	if got := h.FrameOfPage(hot); got >= h.layout.FastPages() {
 		t.Fatalf("hot page still in slow slot %d after sort completed", got)
 	}
@@ -83,18 +90,18 @@ func TestMigrationsWaitForSort(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 50; i++ {
 		at += clock.Microsecond
-		h.Access(&req, at)
+		access(h, &req, at)
 		at += clock.Microsecond
-		h.Access(&other, at)
+		access(h, &other, at)
 	}
 	// Just after the boundary the sort is still running: nothing migrated.
 	boundary := clock.Time(500 * clock.Microsecond)
-	h.Access(&req, boundary+clock.Nanosecond)
+	access(h, &req, boundary+clock.Nanosecond)
 	if h.Stats().PageMigrations != 0 {
 		t.Fatal("migration executed before the sort completed")
 	}
 	// After the sort finishes the queue drains.
-	h.Access(&req, boundary+36*clock.Microsecond)
+	access(h, &req, boundary+36*clock.Microsecond)
 	if h.Stats().PageMigrations == 0 {
 		t.Fatal("migration did not execute after the sort completed")
 	}
@@ -110,11 +117,11 @@ func TestThresholdGatesMigration(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 10; i++ {
 		at += clock.Microsecond
-		h.Access(&req, at)
+		access(h, &req, at)
 		at += clock.Microsecond
-		h.Access(&other, at)
+		access(h, &other, at)
 	}
-	h.Access(&req, 501*clock.Microsecond)
+	access(h, &req, 501*clock.Microsecond)
 	if h.Stats().PageMigrations != 0 {
 		t.Fatal("below-threshold page migrated")
 	}
@@ -128,9 +135,9 @@ func TestMaxMigrationsCap(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		at += 200 * clock.Nanosecond
 		p := slowPage(h.layout, i%10)
-		h.Access(&trace.Request{Addr: uint64(p.Base())}, at)
+		access(h, &trace.Request{Addr: uint64(p.Base())}, at)
 	}
-	h.Access(&trace.Request{Addr: 0}, 501*clock.Microsecond)
+	access(h, &trace.Request{Addr: 0}, 501*clock.Microsecond)
 	if got := h.Stats().PageMigrations; got > 3 {
 		t.Fatalf("migrated %d pages, cap 3", got)
 	}
@@ -144,19 +151,19 @@ func TestCountersResetEachInterval(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 20; i++ {
 		at += clock.Microsecond
-		h.Access(&req, at)
+		access(h, &req, at)
 		at += clock.Microsecond
-		h.Access(&other, at)
+		access(h, &other, at)
 	}
 	// Let interval 1's queue drain completely (it is paced across the
 	// epoch), then cross idle boundaries: they must queue nothing new.
-	h.Access(&trace.Request{Addr: 0}, 995*clock.Microsecond)
+	access(h, &trace.Request{Addr: 0}, 995*clock.Microsecond)
 	first := h.Stats().PageMigrations
 	if first == 0 {
 		t.Fatal("setup: interval 1 queued no migrations")
 	}
-	h.Access(&trace.Request{Addr: 0}, 1495*clock.Microsecond)
-	h.Access(&trace.Request{Addr: 0}, 1995*clock.Microsecond)
+	access(h, &trace.Request{Addr: 0}, 1495*clock.Microsecond)
+	access(h, &trace.Request{Addr: 0}, 1995*clock.Microsecond)
 	if got := h.Stats().PageMigrations; got != first {
 		t.Fatalf("idle intervals migrated %d more pages", got-first)
 	}
@@ -169,7 +176,7 @@ func TestCacheModelInjectsMisses(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 5000; i++ {
 		at += 50 * clock.Nanosecond
-		h.Access(&trace.Request{Addr: uint64(slowPage(h.layout, i%4000).Base())}, at)
+		access(h, &trace.Request{Addr: uint64(slowPage(h.layout, i%4000).Base())}, at)
 	}
 	st := h.Stats()
 	if st.CacheMisses == 0 {

@@ -88,17 +88,11 @@ func (b *Backend) lineLoc(pod int, f addr.Frame) (ch int, row uint64) {
 }
 
 // LineAt services one line access at an already-resolved channel/row —
-// the fast path for the predecode plane's home location (trace.Decoded
-// carries FrameLocation's channel and row, which Line would re-derive).
+// the path for a request's decoded home location (trace.Decoded carries
+// FrameLocation's channel and row, which Line would re-derive).
 // The coordinates must come from this backend's own layout.
 func (b *Backend) LineAt(ch uint16, row uint32, write bool, at clock.Time) clock.Time {
 	return b.Sys.AccessChannel(int(ch), uint64(row), write, at)
-}
-
-// HomeLine services a line at its home (pre-migration) location.
-func (b *Backend) HomeLine(ln addr.Line, write bool, at clock.Time) clock.Time {
-	pod, f := b.Geom.HomeFrame(addr.PageOfLine(ln))
-	return b.Line(pod, f, int(uint64(ln)%addr.LinesPerPage), write, at)
 }
 
 // SwapPages performs the full datapath of one page swap between frames a

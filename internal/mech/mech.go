@@ -3,8 +3,10 @@
 // Backend that issues physical requests into the memory system, and the
 // set-associative cache model used for bookkeeping state (§6.3.3).
 //
-// The engine calls one Mechanism method per trace request: AccessDecoded
-// when the stream carries a predecode plane, Access otherwise.
+// The engine calls one Mechanism method per trace request, Access, with
+// the request's address already decomposed (trace.Decode) under the
+// backend's layout: snapshot cursors lend their predecode plane, and the
+// engine decodes every other batch itself.
 //
 // The concrete mechanisms live in their own packages: internal/core
 // (MemPod), internal/hma, internal/thm, internal/cameo and
@@ -18,20 +20,17 @@ import (
 )
 
 // Mechanism is a memory-management scheme under evaluation. The engine
-// calls Access or AccessDecoded once per trace request, in non-decreasing
-// time order, and the mechanism routes the request (after any
-// translation, bookkeeping traffic, interval processing or migration
-// stalling it models) and returns the completion time.
+// calls Access once per trace request, in non-decreasing time order, and
+// the mechanism routes the request (after any translation, bookkeeping
+// traffic, interval processing or migration stalling it models) and
+// returns the completion time.
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 	// Access services one demand request arriving at time `at` and
-	// returns its completion time (> at).
-	Access(r *trace.Request, at clock.Time) clock.Time
-	// AccessDecoded is Access with the request's address decomposition
-	// already computed (d describes r.Addr under the backend's layout).
-	// It must be bit-identical to Access for the same request.
-	AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
+	// returns its completion time (> at). d is r.Addr decomposed under
+	// the backend's layout (trace.Decode(r.Addr, &backend.Geom)).
+	Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
 	// Stats returns the mechanism's migration counters.
 	Stats() MigStats
 }

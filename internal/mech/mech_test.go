@@ -11,6 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
+// access drives one request through s the way the engine does: with its
+// address decoded under the backend's geometry.
+func access(s *Static, r *trace.Request, at clock.Time) clock.Time {
+	d := trace.Decode(r.Addr, &s.backend.Geom)
+	return s.Access(r, &d, at)
+}
+
 func testBackend(t *testing.T) *Backend {
 	t.Helper()
 	return NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
@@ -24,8 +31,8 @@ func TestStaticRoutesHome(t *testing.T) {
 	}
 	fast := &trace.Request{Addr: 0}
 	slow := &trace.Request{Addr: 2 << 30}
-	f := s.Access(fast, 0)
-	sl := s.Access(slow, 0)
+	f := access(s, fast, 0)
+	sl := access(s, slow, 0)
 	if f >= sl {
 		t.Errorf("fast home access %v not faster than slow %v", f, sl)
 	}

@@ -1,7 +1,6 @@
 package mech
 
 import (
-	"repro/internal/addr"
 	"repro/internal/clock"
 	"repro/internal/trace"
 )
@@ -23,15 +22,9 @@ func NewStatic(name string, b *Backend) *Static {
 // Name implements Mechanism.
 func (s *Static) Name() string { return s.name }
 
-// Access implements Mechanism.
-func (s *Static) Access(r *trace.Request, at clock.Time) clock.Time {
-	return s.backend.HomeLine(addr.LineOf(addr.Addr(r.Addr)), r.Write, at)
-}
-
-// AccessDecoded implements Mechanism: with no migration, the home
-// location in the plane is the final location — the access needs no
-// address math at all.
-func (s *Static) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+// Access implements Mechanism: with no migration, the decoded home
+// location is the final location — the access needs no address math.
+func (s *Static) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
 	return s.backend.LineAt(d.Chan, d.Row, r.Write, at)
 }
 

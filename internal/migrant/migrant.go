@@ -178,20 +178,10 @@ func (m *Migrant) Release() {
 	m.counters, m.remap, m.inverted, m.targeted = nil, nil, nil, nil
 }
 
-// Access implements mech.Mechanism.
-func (m *Migrant) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := uint32(addr.PageOf(addr.Addr(r.Addr)))
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return m.access(r, page, li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism: identity-remapped pages
-// (most of the trace) service at the plane's precomputed home location.
-func (m *Migrant) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return m.access(r, uint32(d.Page), int(d.Line), at, d)
-}
-
-func (m *Migrant) access(r *trace.Request, page uint32, li int, at clock.Time, d *trace.Decoded) clock.Time {
+// Access implements mech.Mechanism: identity-remapped pages (most of the
+// trace) service at the decoded home location.
+func (m *Migrant) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+	page := uint32(d.Page)
 	for at >= m.next {
 		m.runEpoch(m.next)
 		m.next += m.cfg.Epoch
@@ -209,12 +199,12 @@ func (m *Migrant) access(r *trace.Request, page uint32, li int, at clock.Time, d
 		m.stats.LockStalls++
 	}
 	slot := addr.Page(m.remap.A[page])
-	if d != nil && uint64(slot) == uint64(page) {
-		// Identity remap: the plane already resolved the home location.
+	if uint64(slot) == uint64(page) {
+		// Identity remap: the decode already resolved the home location.
 		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, at), lockEnd)
 	}
 	pod, f := m.geom.HomeFrame(slot)
-	return clock.Max(m.backend.Line(pod, f, li, r.Write, at), lockEnd)
+	return clock.Max(m.backend.Line(pod, f, int(d.Line), r.Write, at), lockEnd)
 }
 
 // observe bumps the page's epoch counter and, when a slow-resident page

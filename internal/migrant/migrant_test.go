@@ -12,6 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
+// access drives one request through m the way the engine does: with its
+// address decoded under the backend's geometry.
+func access(m *Migrant, r *trace.Request, at clock.Time) clock.Time {
+	d := trace.Decode(r.Addr, &m.backend.Geom)
+	return m.Access(r, &d, at)
+}
+
 func newMigrant(t *testing.T, cfg Config) *Migrant {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
@@ -65,15 +72,15 @@ func TestHotPageFaultsIn(t *testing.T) {
 	// Interleave two pages so the touch filter counts every access.
 	for i := 0; i < DefaultConfig().HotThreshold; i++ {
 		at += clock.Microsecond
-		m.Access(&req, at)
+		access(m, &req, at)
 		at += clock.Microsecond
-		m.Access(&other, at)
+		access(m, &other, at)
 	}
 	if m.FrameOfPage(hot) != hot {
 		t.Fatal("page moved before the fault cost elapsed")
 	}
 	// Well within the first epoch, but past the fault cost: promoted.
-	m.Access(&other, at+3*clock.Microsecond)
+	access(m, &other, at+3*clock.Microsecond)
 	if got := m.FrameOfPage(hot); got >= m.layout.FastPages() {
 		t.Fatalf("hot page still in slow slot %d after fault+copy window", got)
 	}
@@ -103,9 +110,9 @@ func TestBelowThresholdStays(t *testing.T) {
 		// resets the count so epochs never accumulate.
 		for i := 0; i < 30; i++ {
 			at += clock.Microsecond
-			m.Access(&req, at)
+			access(m, &req, at)
 			at += 200 * clock.Nanosecond
-			m.Access(&other, at)
+			access(m, &other, at)
 		}
 		at = clock.Time(cfg.Epoch) * clock.Time(epoch+1)
 	}
@@ -127,11 +134,11 @@ func TestVictimHandSkipsHotResidents(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			at += 300 * clock.Nanosecond
 			req := trace.Request{Addr: uint64(slowPage(m.layout, i).Base())}
-			m.Access(&req, at)
+			access(m, &req, at)
 		}
 	}
 	at += 50 * clock.Microsecond
-	m.Access(&trace.Request{Addr: 0}, at)
+	access(m, &trace.Request{Addr: 0}, at)
 	for i := 0; i < 10; i++ {
 		p := slowPage(m.layout, i)
 		if m.FrameOfPage(p) >= m.layout.FastPages() {
@@ -155,7 +162,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			p := slowPage(m.layout, (i*7)%64)
 			at += 150 * clock.Nanosecond
-			m.Access(&trace.Request{Addr: uint64(p.Base()), Write: i%3 == 0}, at)
+			access(m, &trace.Request{Addr: uint64(p.Base()), Write: i%3 == 0}, at)
 		}
 		return m.Stats(), m.FrameOfPage(slowPage(m.layout, 7))
 	}
@@ -180,7 +187,7 @@ func TestMaxPendingDrops(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 20; i++ {
 			at += 10 * clock.Nanosecond
-			m.Access(&trace.Request{Addr: uint64(slowPage(m.layout, i).Base())}, at)
+			access(m, &trace.Request{Addr: uint64(slowPage(m.layout, i).Base())}, at)
 		}
 	}
 	st := m.Stats()

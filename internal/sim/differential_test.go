@@ -66,14 +66,14 @@ func diffResults(t *testing.T, label string, got, want stats.Result) {
 
 // TestBatchedEngineBitIdentical drives every mechanism (plus the
 // bookkeeping-cache MemPod variant) over a mixed workload four ways — a
-// plain SliceStream (batches filled through Next, dispatched to Access),
-// the snapshot cursor without a predecode plane (lent batches, Access),
-// the cursor with the plane bound (lent batches, AccessDecoded), and a
-// replay of the on-disk snapshot — and requires field-identical Results.
-// Each runs at the default window, at window 32 (interval boundaries land
-// mid-batch with gating active) and unlimited (no gating). The batch
-// source and the mechanisms' decoded fast paths are pure restructurings
-// of per-request Access.
+// plain SliceStream (batches filled through Next, decoded by the engine),
+// the snapshot cursor without a predecode plane (lent batches, decoded by
+// the engine), the cursor with the plane bound (lent batches and plane
+// entries), and a replay of the on-disk snapshot — and requires
+// field-identical Results. Each runs at the default window, at window 32
+// (interval boundaries land mid-batch with gating active) and unlimited
+// (no gating). The batch sources differ only in where the decode comes
+// from, never in what the mechanism sees.
 func TestBatchedEngineBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -136,8 +136,8 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 
 // TestEngineRunAllocFree pins the steady-state hot path allocation-free
 // for every mechanism, on both batch sources: a reset DecodedStream
-// (lent plane entries, AccessDecoded) and a reset SliceStream (batches
-// filled through Next, Access). Each Run replays the same trace on a
+// (lent plane entries) and a reset SliceStream (batches filled through
+// Next and decoded into the engine's scratch plane). Each Run replays the same trace on a
 // persistent backend+mechanism pair, as sweeps and benchmarks do. A few
 // warm-up runs let the mechanisms' tables reach their working size; after
 // that the only allocations left are the amortized doublings of the

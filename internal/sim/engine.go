@@ -44,6 +44,9 @@ type Engine struct {
 	// batchBuf is Run's request batch, allocated on first use and reused:
 	// a stack array would escape through the stream interface call.
 	batchBuf []trace.Request
+	// decBuf is the scratch plane a batch is decoded into when its source
+	// lends no plane entries (plain streams, unbound snapshot cursors).
+	decBuf []trace.Decoded
 }
 
 // New returns an engine for the mechanism built over the backend.
@@ -55,11 +58,12 @@ func New(b *mech.Backend, m mech.Mechanism) *Engine {
 // The stream must be time-ordered (workload streams are).
 //
 // Every stream runs through one loop over BatchSize-request batches. A
-// trace.BatchStream fills each batch and lends its predecode plane
-// entries; any other stream fills it through Next. A request dispatches
-// to AccessDecoded when its batch came with plane entries and to Access
-// otherwise; the two are bit-identical. On error Run returns the partial
-// Result up to the failing request.
+// *trace.SnapshotStream fills each batch and lends its predecode plane
+// entries; any other stream fills it through Next. A batch that arrives
+// without plane entries is decoded (trace.Decode) into a scratch plane
+// under the backend's geometry, so every request reaches the mechanism's
+// one Access method with its decomposition. On error Run returns the
+// partial Result up to the failing request.
 func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 	window := e.Window
 	if window == 0 {
@@ -102,9 +106,20 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.Result) error {
 	if e.batchBuf == nil {
 		e.batchBuf = make([]trace.Request, BatchSize)
+		e.decBuf = make([]trace.Decoded, BatchSize)
 	}
-	buf := e.batchBuf
-	bs, _ := s.(trace.BatchStream)
+	buf, scratch := e.batchBuf, e.decBuf
+	geom := &e.backend.Geom
+	fill := func(dst []trace.Request) (int, []trace.Decoded) {
+		n := 0
+		for n < len(dst) && s.Next(&dst[n]) {
+			n++
+		}
+		return n, nil
+	}
+	if ss, ok := s.(*trace.SnapshotStream); ok {
+		fill = ss.NextBatchShared
+	}
 
 	var lastArrival clock.Time
 	var requests uint64
@@ -113,24 +128,20 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 	// the modulo would be two 64-bit divisions per request.
 	ringPos := 0
 	for {
-		n := 0
-		var dec []trace.Decoded
-		if bs != nil {
-			n, dec = bs.NextBatchShared(buf)
-		} else {
-			for n < len(buf) && s.Next(&buf[n]) {
-				n++
-			}
-		}
+		n, dec := fill(buf)
 		if n == 0 {
 			break
 		}
 		batch := buf[:n]
-		if dec != nil {
-			// Equal lengths let the compiler drop the dec[i] bounds check
-			// inside the loop.
-			dec = dec[:n]
+		if dec == nil {
+			dec = scratch[:n]
+			for i := range dec {
+				dec[i] = trace.Decode(batch[i].Addr, geom)
+			}
 		}
+		// Equal lengths let the compiler drop the dec[i] bounds check
+		// inside the loop.
+		dec = dec[:n]
 		for i := range batch {
 			r := &batch[i]
 			if r.Time < lastArrival {
@@ -148,12 +159,7 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 					at = gate
 				}
 			}
-			var done clock.Time
-			if dec != nil {
-				done = e.m.AccessDecoded(r, &dec[i], at)
-			} else {
-				done = e.m.Access(r, at)
-			}
+			done := e.m.Access(r, &dec[i], at)
 			if done <= at {
 				res.Requests, res.TotalStall, res.Span = requests, totalStall, span
 				return fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",

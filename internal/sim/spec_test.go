@@ -78,8 +78,8 @@ func TestSpecPresetBitIdentical(t *testing.T) {
 
 // TestMigrantBatchedBitIdenticalAcrossSpecs holds the new mechanism to the
 // engine's differential bar on every preset spec: for each preset the
-// registry ships, a plain SliceStream run (Access) and a plane-bound
-// snapshot run (AccessDecoded) must agree field-for-field — including the
+// registry ships, a plain SliceStream run (engine-side decode) and a
+// plane-bound snapshot run must agree field-for-field — including the
 // presets with non-default row geometry (LPDDR5, NVM), write asymmetry
 // (NVM) and link latency (CXL).
 func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {

@@ -329,23 +329,13 @@ func (t *THM) pageOf(seg uint64, member int) addr.Page {
 	return addr.Page(t.fast + seg + uint64(member-1)*t.fast)
 }
 
-// Access implements mech.Mechanism.
-func (t *THM) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := addr.PageOf(addr.Addr(r.Addr))
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return t.access(r, page, li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism. THM segments the flat
-// page space its own way, so the segment decomposition and the serviced
-// slot stay on the access path; but when the member still holds its home
-// slot (most of the trace), the plane's precomputed home channel/row
-// services the access without re-deriving HomeFrame.
-func (t *THM) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return t.access(r, addr.Page(d.Page), int(d.Line), at, d)
-}
-
-func (t *THM) access(r *trace.Request, page addr.Page, li int, at clock.Time, d *trace.Decoded) clock.Time {
+// Access implements mech.Mechanism. THM segments the flat page space its
+// own way, so the segment decomposition and the serviced slot stay on the
+// access path; but when the member still holds its home slot (most of the
+// trace), the decoded home channel/row services the access without
+// re-deriving HomeFrame.
+func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+	page := addr.Page(d.Page)
 	if len(t.queue) > 0 && t.queue[0].start <= at {
 		t.drain(at)
 	}
@@ -386,13 +376,13 @@ func (t *THM) access(r *trace.Request, page addr.Page, li int, at clock.Time, d 
 	// Service the request at the member's current slot.
 	slotPage := t.pageOf(seg, slot)
 	var done clock.Time
-	if d != nil && slotPage == page {
-		// The member sits in its home slot: the plane already resolved
+	if slotPage == page {
+		// The member sits in its home slot: the decode already resolved
 		// the home location.
 		done = clock.Max(t.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
 	} else {
 		pod, f := t.geom.HomeFrame(slotPage)
-		done = clock.Max(t.backend.Line(pod, f, li, r.Write, start), lockEnd)
+		done = clock.Max(t.backend.Line(pod, f, int(d.Line), r.Write, start), lockEnd)
 	}
 
 	if trigger {

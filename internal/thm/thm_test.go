@@ -11,6 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
+// access drives one request through m the way the engine does: with its
+// address decoded under the backend's geometry.
+func access(m *THM, r *trace.Request, at clock.Time) clock.Time {
+	d := trace.Decode(r.Addr, &m.backend.Geom)
+	return m.Access(r, &d, at)
+}
+
 func newTHM(t *testing.T, cfg Config) *THM {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
@@ -71,15 +78,15 @@ func TestCompetingCounterTriggersSwap(t *testing.T) {
 	// with an unrelated segment makes each access a fresh touch.
 	for i := 0; i < 3; i++ {
 		at += clock.Microsecond
-		m.Access(&req, at)
+		access(m, &req, at)
 		if m.SlotOfPage(slow) == 0 {
 			t.Fatalf("swap fired early at touch %d", i+1)
 		}
 		at += clock.Microsecond
-		m.Access(&other, at)
+		access(m, &other, at)
 	}
 	at += clock.Microsecond
-	m.Access(&req, at)
+	access(m, &req, at)
 	if m.SlotOfPage(slow) != 0 {
 		t.Fatal("swap did not fire at threshold")
 	}
@@ -104,9 +111,9 @@ func TestDefenderWearsChallengerDown(t *testing.T) {
 	// competing counters with).
 	for i := 0; i < 50; i++ {
 		at += clock.Microsecond
-		m.Access(&slowReq, at)
+		access(m, &slowReq, at)
 		at += clock.Microsecond
-		m.Access(&fastReq, at)
+		access(m, &fastReq, at)
 	}
 	if m.Stats().PageMigrations != 0 {
 		t.Fatal("alternating accesses triggered a swap")
@@ -123,9 +130,9 @@ func TestCompetingChallengersBlockEachOther(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 100; i++ {
 		at += clock.Microsecond
-		m.Access(&a, at)
+		access(m, &a, at)
 		at += clock.Microsecond
-		m.Access(&b, at)
+		access(m, &b, at)
 	}
 	if m.Stats().PageMigrations != 0 {
 		t.Fatal("competing challengers triggered a swap")
@@ -141,9 +148,9 @@ func TestSwappedPageServedFromFast(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 4; i++ {
 		at += 10 * clock.Microsecond
-		m.Access(&req, at)
+		access(m, &req, at)
 		at += 10 * clock.Microsecond
-		m.Access(&other, at)
+		access(m, &other, at)
 	}
 	if m.SlotOfPage(slow) != 0 {
 		t.Fatal("setup: page not swapped")
@@ -151,9 +158,9 @@ func TestSwappedPageServedFromFast(t *testing.T) {
 	// Well after the swap completes, accesses must be fast-memory fast.
 	// The first late access drains the remaining copy chunks; snapshot
 	// after it so only the demand access is counted.
-	m.Access(&other, 5*clock.Millisecond)
+	access(m, &other, 5*clock.Millisecond)
 	before := m.backend.Sys.FastStats().Accesses()
-	m.Access(&req, 10*clock.Millisecond)
+	access(m, &req, 10*clock.Millisecond)
 	if m.backend.Sys.FastStats().Accesses() != before+1 {
 		t.Fatal("access to swapped-in page did not hit fast memory")
 	}
@@ -168,16 +175,16 @@ func TestLockStallsDuringSwap(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 3; i++ {
 		at += clock.Microsecond
-		m.Access(&req, at)
+		access(m, &req, at)
 		at += clock.Microsecond
-		m.Access(&other, at)
+		access(m, &other, at)
 	}
 	at += clock.Microsecond
-	m.Access(&req, at) // fourth touch: triggers the swap
+	access(m, &req, at) // fourth touch: triggers the swap
 	// Immediately after the triggering access the page is locked by the
 	// in-flight copy chunks: the next access must record a lock stall and
 	// complete no earlier than the executed chunks.
-	done := m.Access(&req, at+clock.Nanosecond)
+	done := access(m, &req, at+clock.Nanosecond)
 	if done <= at+clock.Nanosecond {
 		t.Fatalf("access during swap completed instantly: %v", done)
 	}
@@ -195,7 +202,7 @@ func TestCacheModelCounts(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		at += 100 * clock.Nanosecond
 		p := addr.Page(fast + uint64(i%3000))
-		m.Access(&trace.Request{Addr: uint64(p.Base())}, at)
+		access(m, &trace.Request{Addr: uint64(p.Base())}, at)
 	}
 	st := m.Stats()
 	if st.CacheMisses == 0 || st.CacheHits+st.CacheMisses < 5000 {

@@ -117,9 +117,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 
 	for _, batch := range []int{1, 7, 64, 256, 2048} {
 		ss := snap.DecodedStream(&g)
-		if !ss.HasPlane() {
-			t.Fatal("DecodedStream cursor has no plane")
-		}
 		dst := make([]Request, batch)
 		dec := make([]Decoded, batch)
 		pos := 0

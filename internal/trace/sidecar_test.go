@@ -16,7 +16,7 @@ import (
 func planeWant(reqs []Request, g *addr.Geom) []Decoded {
 	want := make([]Decoded, len(reqs))
 	for i, r := range reqs {
-		want[i] = decodePlaneEntry(r.Addr, g)
+		want[i] = Decode(r.Addr, g)
 	}
 	return want
 }

@@ -165,7 +165,7 @@ func openPlaneSidecar(base string, g *addr.Geom, addrs []byte, n int) ([]Decoded
 	dec := unsafe.Slice((*Decoded)(unsafe.Pointer(&body[0])), n)
 	check := func(i int) bool {
 		a := binary.LittleEndian.Uint64(addrs[8*i:])
-		return dec[i] == decodePlaneEntry(a, g)
+		return dec[i] == Decode(a, g)
 	}
 	lo := 32
 	if lo > n {

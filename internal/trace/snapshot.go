@@ -75,12 +75,14 @@ type Snapshot struct {
 	timeMapped []byte
 }
 
-// Decoded is one entry of a snapshot's predecode plane: the page/pod/
-// home-frame/line decomposition of the request's address under one
-// addr.Layout — including the home frame's channel/row placement, so an
-// unmigrated access needs no address math at all — computed once per
-// snapshot instead of once per simulation cell. 24 bytes, so a 256-entry
-// batch (6 KB) stays L1-resident.
+// Decoded is the page/pod/home-frame/line decomposition of a request's
+// address under one addr.Layout (see Decode) — including the home frame's
+// channel/row placement, so an unmigrated access needs no address math at
+// all. A snapshot's predecode plane holds one per recorded request,
+// computed once per snapshot and layout instead of once per simulation
+// cell; the engine decodes the batches of plain streams and plane-less
+// cursors itself, into a scratch plane. 24 bytes, so a 256-entry batch
+// (6 KB) stays L1-resident.
 type Decoded struct {
 	Page  uint64 // global page index (addr.PageOf)
 	Frame uint32 // home frame within the owning pod (addr.Layout.HomeFrame)
@@ -199,9 +201,12 @@ func (s *Snapshot) Stream() *SnapshotStream {
 	return &SnapshotStream{snap: s}
 }
 
-// decodePlaneEntry is the per-address decode a plane is made of, shared
-// by Plane and the sidecar open's sample validation.
-func decodePlaneEntry(a uint64, g *addr.Geom) Decoded {
+// Decode is the per-address decomposition every mechanism access starts
+// from: the address's page, home pod/frame, line-in-page and the home
+// frame's channel/row under g's layout. Plane entries, the sidecar open's
+// sample validation and the engine's per-batch decode of plain streams
+// all call it, so the decomposition has one definition.
+func Decode(a uint64, g *addr.Geom) Decoded {
 	p := addr.PageOf(addr.Addr(a))
 	pod, f := g.HomeFrame(p)
 	loc := g.FrameLocation(pod, f, 0)
@@ -260,7 +265,7 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	}
 	for i := 0; i < s.n; i++ {
 		a := binary.LittleEndian.Uint64(s.addrs[8*i:])
-		dec[i] = decodePlaneEntry(a, g)
+		dec[i] = Decode(a, g)
 	}
 	*pl = plane{layout: g.Layout, valid: true, dec: dec}
 	if s.path != "" {
@@ -392,10 +397,6 @@ func (ss *SnapshotStream) BindPlane(dec []Decoded) {
 	ss.dec = dec
 }
 
-// HasPlane reports whether a predecode plane is bound, i.e. whether
-// NextBatch fills Decoded entries.
-func (ss *SnapshotStream) HasPlane() bool { return ss.dec != nil }
-
 // NextBatch fills dst with up to len(dst) requests and returns how many
 // were produced (0 at end of stream). When a plane is bound and `plane` is
 // non-nil, plane[i] receives the predecoded form of dst[i]; plane must
@@ -410,9 +411,10 @@ func (ss *SnapshotStream) NextBatch(dst []Request, plane []Decoded) int {
 	return n
 }
 
-// NextBatchShared implements BatchStream: it is NextBatch without the
-// plane copy. The batch's decoded entries come back as a read-only
-// subslice of the bound plane (nil when no plane is bound).
+// NextBatchShared is NextBatch without the plane copy, the simulation
+// engine's batch source for snapshot cursors. The batch's decoded entries
+// come back as a read-only subslice of the bound plane, valid until the
+// next cursor advance (nil when no plane is bound).
 func (ss *SnapshotStream) NextBatchShared(dst []Request) (int, []Decoded) {
 	base := ss.pos
 	n := ss.fillBatch(dst)

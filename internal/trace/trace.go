@@ -27,20 +27,6 @@ type Stream interface {
 	Next(r *Request) bool
 }
 
-// BatchStream is a Stream that can additionally deliver requests in
-// batches, lending their predecoded address decompositions without
-// copying. The simulation engine takes this path when offered
-// (SnapshotStream implements it); plain streams fall back to Next.
-type BatchStream interface {
-	Stream
-	// NextBatchShared fills dst with up to len(dst) requests — the same
-	// sequence Next would produce — and returns the count (0 when
-	// exhausted) plus the batch's Decoded entries as a read-only
-	// subslice of the stream's own plane: nil when no plane is bound,
-	// valid until the next cursor advance.
-	NextBatchShared(dst []Request) (int, []Decoded)
-}
-
 // SliceStream adapts an in-memory request slice to a Stream.
 type SliceStream struct {
 	reqs []Request

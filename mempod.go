@@ -223,9 +223,10 @@ func runStream(name string, s trace.Stream, o Options) (Result, error) {
 	engine := sim.New(backend, m)
 	engine.Window = o.Window
 	if ss, ok := s.(*trace.SnapshotStream); ok {
-		// Snapshot replays (RunTrace, -compare) take the engine's batched
-		// path; binding the snapshot's predecode plane for this layout lets
-		// the mechanism skip per-request address decomposition too.
+		// Snapshot replays (RunTrace, -compare) lend the engine their
+		// batches; binding the snapshot's predecode plane for this layout
+		// lends the address decompositions too, so the engine skips its
+		// per-batch decode.
 		ss.BindPlane(ss.Snapshot().Plane(&backend.Geom))
 	}
 	return engine.Run(name, s)

@@ -342,11 +342,7 @@ func (c Config) traceKey(w workload.Workload) tracecache.Key {
 // count the batch declared for this key.
 func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses int) (*trace.Snapshot, func(), error) {
 	return traces.Acquire(c.traceKey(w), uses, func() (*trace.Snapshot, error) {
-		s, err := w.Stream(c.Requests, c.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return trace.Record(s, c.Requests), nil
+		return w.Record(c.Requests, c.Seed)
 	})
 }
 

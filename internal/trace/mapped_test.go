@@ -162,8 +162,8 @@ func TestOpenMappedRejectsCorruptTimes(t *testing.T) {
 // still satisfies the addrs check, but the address column now extends
 // past its old region into the writes and cores regions while those
 // columns are appended in place. Release must drop shared snapshots
-// instead of pooling them; the Record right after the release (the
-// sync.Pool per-P slot makes reuse of a poisoned struct near-certain
+// instead of pooling them; the Record right after the release (which,
+// with the free list emptied, would reuse exactly the poisoned struct
 // without the fix) has to round-trip exactly.
 func TestReleasedSharedSnapshotDoesNotPoisonPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -171,13 +171,12 @@ func TestReleasedSharedSnapshotDoesNotPoisonPool(t *testing.T) {
 	bigger := randomOrderedReqs(rng, 130)
 	path := writeSnapFile(t, t.TempDir(), "wl", small)
 
-	// held keeps every pool struct this test pulls out alive and
-	// unreleased, so the pool's per-P private slot is empty when the
-	// shared snapshot is released — the next Record then reuses exactly
-	// that struct (or would, without the fix).
-	var held []*Snapshot
 	for trial := 0; trial < 8; trial++ {
-		held = append(held, Record(NewSliceStream(nil), 0))
+		// Empty the free list, so the Record right after the release
+		// takes exactly the released struct (or would, without the fix).
+		snapFree.mu.Lock()
+		snapFree.list = nil
+		snapFree.mu.Unlock()
 
 		f, err := os.Open(path)
 		if err != nil {
@@ -201,9 +200,7 @@ func TestReleasedSharedSnapshotDoesNotPoisonPool(t *testing.T) {
 					trial, i, got[i], bigger[i])
 			}
 		}
-		held = append(held, snap)
 	}
-	_ = held
 }
 
 // BenchmarkSnapshotReplayMapped measures the zero-copy replay loop over a

@@ -104,17 +104,51 @@ type plane struct {
 	mapped []byte
 }
 
-// snapPool recycles snapshot buffers across recordings, the same idiom as
-// internal/tab: a matrix run records one snapshot per workload, and the
-// next workload's Record appends into the previous one's released
-// capacity instead of growing fresh multi-MB slices.
-var snapPool = sync.Pool{New: func() any { return new(Snapshot) }}
+// maxFreeSnapshots bounds the recording free list. A matrix run holds at
+// most a few snapshots at once (one per worker, plus one), so a handful
+// of entries recycles every buffer it needs.
+const maxFreeSnapshots = 4
+
+// snapFree recycles snapshot buffers across recordings, the same idiom as
+// internal/tab's pools: a matrix run records one snapshot per workload,
+// and the next workload's Record appends into the previous one's released
+// capacity instead of growing fresh multi-MB slices. A mutex-guarded list
+// rather than a sync.Pool, because a sync.Pool entry sits in the
+// releasing P's private slot, which a Record running on another P cannot
+// take: it would allocate a fresh snapshot while the old one awaits GC.
+var snapFree struct {
+	mu   sync.Mutex
+	list []*Snapshot
+}
+
+// getSnapshot takes the most recently released snapshot from the free
+// list, or returns a new one when the list is empty.
+func getSnapshot() *Snapshot {
+	snapFree.mu.Lock()
+	defer snapFree.mu.Unlock()
+	l := snapFree.list
+	if len(l) == 0 {
+		return new(Snapshot)
+	}
+	snapFree.list = l[:len(l)-1]
+	return l[len(l)-1]
+}
+
+// putSnapshot returns a snapshot to the free list, or drops it for the GC
+// when the list is full.
+func putSnapshot(s *Snapshot) {
+	snapFree.mu.Lock()
+	defer snapFree.mu.Unlock()
+	if len(snapFree.list) < maxFreeSnapshots {
+		snapFree.list = append(snapFree.list, s)
+	}
+}
 
 // Record drains up to n requests from s into a packed Snapshot. It is the
 // capture half of the record/replay pair; Snapshot.Stream is the replay
 // half, and replaying yields the recorded requests bit-for-bit.
 func Record(s Stream, n int) *Snapshot {
-	snap := snapPool.Get().(*Snapshot)
+	snap := getSnapshot()
 	if cap(snap.addrs) < 8*n {
 		snap.addrs = make([]byte, 0, 8*n)
 		snap.writes = make([]byte, 0, 8*((n+63)/64))
@@ -192,7 +226,7 @@ func (s *Snapshot) Release() {
 		// corrupt the next Record if pooled; drop them to the GC.
 		return
 	}
-	snapPool.Put(s)
+	putSnapshot(s)
 }
 
 // Stream returns a fresh replay cursor over the snapshot. Cursors are

@@ -16,7 +16,10 @@
 // of at most Parallelism+1 distinct workloads at once.
 //
 // Generation is single-flight: concurrent Acquires of one key block on the
-// first caller's generator instead of generating duplicates.
+// first caller's generator instead of generating duplicates. The
+// experiment matrix's generator records on every core (workload.Record
+// runs each core's generator on its own goroutine), so a blocked waiter's
+// CPU runs the generation instead of idling.
 package tracecache
 
 import (

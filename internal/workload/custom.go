@@ -33,6 +33,11 @@ type ProfileJSON struct {
 
 // toProfile converts the JSON form and validates it.
 func (pj ProfileJSON) toProfile() (Profile, error) {
+	if pj.GapMeanNs > int64(maxGapMean/clock.Nanosecond) {
+		// Checked before the conversion, which could overflow into range.
+		return Profile{}, fmt.Errorf("workload %s: gap mean %d ns exceeds %d ns",
+			pj.Name, pj.GapMeanNs, maxGapMean/clock.Nanosecond)
+	}
 	p := Profile{
 		Name:           pj.Name,
 		FootprintPages: pj.FootprintPages,
@@ -65,7 +70,7 @@ type CustomWorkloadJSON struct {
 }
 
 // CustomWorkload is a workload over user-defined profiles. It provides
-// the same Stream interface as the built-in Workload.
+// the same Stream and Record methods as the built-in Workload.
 type CustomWorkload struct {
 	Name     string
 	profiles [8]Profile
@@ -118,13 +123,19 @@ func LoadCustom(r io.Reader) (*CustomWorkload, error) {
 
 // Stream builds the custom workload's merged trace, like Workload.Stream.
 func (w *CustomWorkload) Stream(n int, seed int64) (trace.Stream, error) {
-	srcs := make([]trace.Stream, 8)
-	for core, p := range w.profiles {
-		g, err := NewGenerator(p, core, seed*8+int64(core)+1)
-		if err != nil {
-			return nil, err
-		}
-		srcs[core] = g
+	srcs, err := newGenerators(&w.profiles, seed)
+	if err != nil {
+		return nil, err
 	}
-	return trace.NewLimitStream(trace.NewMergeStream(srcs...), n), nil
+	return merged(srcs, n), nil
+}
+
+// Record records the custom workload's trace on every core, like
+// Workload.Record.
+func (w *CustomWorkload) Record(n int, seed int64) (*trace.Snapshot, error) {
+	srcs, err := newGenerators(&w.profiles, seed)
+	if err != nil {
+		return nil, err
+	}
+	return record(srcs, n)
 }

@@ -88,11 +88,28 @@ func TestLoadCustomRejects(t *testing.T) {
 		`{"name":"w","profiles":[],"cores":["mcf","mcf"]}`, // 2 cores invalid
 		`{"name":"w","profiles":[{"name":"p","footprint_pages":0,"lines_per_touch":1,"write_frac":0,"gap_mean_ns":50}],"cores":["p"]}`,
 		`{"name":"w","unknown_field":1,"profiles":[],"cores":["mcf"]}`,
+		// A gap whose touch budget overflows, one whose conversion to
+		// femtoseconds overflows, and flash slots beyond the footprint.
+		`{"name":"w","profiles":[{"name":"p","footprint_pages":1024,"lines_per_touch":2,"write_frac":0,"gap_mean_ns":900000000000}],"cores":["p"]}`,
+		`{"name":"w","profiles":[{"name":"p","footprint_pages":1024,"lines_per_touch":2,"write_frac":0,"gap_mean_ns":18446744073789}],"cores":["p"]}`,
+		`{"name":"w","profiles":[{"name":"p","footprint_pages":1024,"flash_pages":2048,"flash_frac":0.5,"flash_period":10,"lines_per_touch":2,"write_frac":0,"gap_mean_ns":50}],"cores":["p"]}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadCustom(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestLoadCustomRejectsHotFracWithoutHotPages is the regression test for
+// a generator crash: a hot fraction with hot_pages omitted used to pass
+// validation and then index an empty hot-rank table on the first hot
+// touch.
+func TestLoadCustomRejectsHotFracWithoutHotPages(t *testing.T) {
+	def := `{"name":"w","profiles":[{"name":"p","footprint_pages":1024,"hot_frac":0.5,"zipf_s":1.2,` +
+		`"lines_per_touch":2,"write_frac":0.1,"gap_mean_ns":80}],"cores":["p"]}`
+	if _, err := LoadCustom(strings.NewReader(def)); err == nil || !strings.Contains(err.Error(), "hot pages") {
+		t.Fatalf("hot fraction without hot pages: got error %v", err)
 	}
 }
 

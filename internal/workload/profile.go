@@ -73,6 +73,11 @@ type Profile struct {
 	GapMean clock.Duration
 }
 
+// maxGapMean bounds Profile.GapMean. A core issuing one miss per
+// millisecond is idle for a memory simulation, and the bound keeps a
+// touch's gap budget (GapMean times up to 63 lines) far from overflow.
+const maxGapMean = clock.Millisecond
+
 // Validate checks that the profile is internally consistent.
 func (p Profile) Validate() error {
 	switch {
@@ -85,18 +90,20 @@ func (p Profile) Validate() error {
 	case p.HotFrac < 0 || p.StreamFrac < 0 || p.FlashFrac < 0 ||
 		p.HotFrac+p.StreamFrac+p.FlashFrac > 1:
 		return fmt.Errorf("workload %s: engine fractions invalid", p.Name)
-	case p.FlashFrac > 0 && (p.FlashPages <= 0 || p.FlashPeriod <= 0):
+	case p.FlashFrac > 0 && (p.FlashPages <= 0 || p.FlashPages > p.FootprintPages || p.FlashPeriod <= 0):
 		return fmt.Errorf("workload %s: flash parameters invalid", p.Name)
+	case p.HotFrac > 0 && p.HotPages < 1:
+		return fmt.Errorf("workload %s: hot fraction %g needs hot pages", p.Name, p.HotFrac)
 	case p.HotFrac > 0 && p.ZipfS <= 1:
 		return fmt.Errorf("workload %s: zipf s must exceed 1", p.Name)
-	case p.StreamFrac > 0 && (p.SweepWindow <= 0 || p.SweepAdvance <= 0):
+	case p.StreamFrac > 0 && (p.SweepWindow <= 0 || p.SweepWindow > p.FootprintPages || p.SweepAdvance <= 0):
 		return fmt.Errorf("workload %s: sweep parameters invalid", p.Name)
 	case p.LinesPerTouch <= 0 || p.LinesPerTouch > 32:
 		return fmt.Errorf("workload %s: lines per touch %d", p.Name, p.LinesPerTouch)
 	case p.WriteFrac < 0 || p.WriteFrac > 1:
 		return fmt.Errorf("workload %s: write fraction %f", p.Name, p.WriteFrac)
-	case p.GapMean <= 0:
-		return fmt.Errorf("workload %s: gap mean %d", p.Name, p.GapMean)
+	case p.GapMean <= 0 || p.GapMean > maxGapMean:
+		return fmt.Errorf("workload %s: gap mean %d out of (0, %d]", p.Name, p.GapMean, maxGapMean)
 	}
 	return nil
 }

@@ -16,20 +16,58 @@ type Workload struct {
 
 // Stream builds the workload's merged, timestamp-ordered trace with
 // exactly n requests. The same (n, seed) always yields the same trace.
+// The stream pulls every core's generator on the caller's goroutine;
+// Record yields the same requests with each core generating on its own.
 func (w Workload) Stream(n int, seed int64) (trace.Stream, error) {
-	srcs := make([]trace.Stream, 8)
+	srcs, err := w.generators(seed)
+	if err != nil {
+		return nil, err
+	}
+	return merged(srcs, n), nil
+}
+
+// Record records the workload's n-request trace with each core's
+// generator running on its own goroutine. The snapshot is byte-identical
+// to trace.Record(w.Stream(n, seed), n).
+func (w Workload) Record(n int, seed int64) (*trace.Snapshot, error) {
+	srcs, err := w.generators(seed)
+	if err != nil {
+		return nil, err
+	}
+	return record(srcs, n)
+}
+
+// generators resolves each core's benchmark and builds its generator.
+func (w Workload) generators(seed int64) ([]trace.Stream, error) {
+	var ps [8]Profile
 	for core, name := range w.Benchmarks {
 		p, ok := ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("workload %s: unknown benchmark %q", w.Name, name)
 		}
+		ps[core] = p
+	}
+	return newGenerators(&ps, seed)
+}
+
+// newGenerators builds the eight per-core generators of a workload: core c
+// runs ps[c] under seed*8+c+1. Stream and Record of both workload kinds
+// start here, so the serial and the parallel path merge the same streams.
+func newGenerators(ps *[8]Profile, seed int64) ([]trace.Stream, error) {
+	srcs := make([]trace.Stream, len(ps))
+	for core, p := range ps {
 		g, err := NewGenerator(p, core, seed*8+int64(core)+1)
 		if err != nil {
 			return nil, err
 		}
 		srcs[core] = g
 	}
-	return trace.NewLimitStream(trace.NewMergeStream(srcs...), n), nil
+	return srcs, nil
+}
+
+// merged is the time-ordered merge of the per-core streams, cut at n.
+func merged(srcs []trace.Stream, n int) trace.Stream {
+	return trace.NewLimitStream(trace.NewMergeStream(srcs...), n)
 }
 
 // MustStream is Stream for known-good workloads; it panics on error.

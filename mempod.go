@@ -299,24 +299,24 @@ func RecordCustomTrace(def io.Reader, requests int, seed int64) (*Trace, error) 
 	return recordTrace(w.Name, w, requests, seed)
 }
 
-// streamer abstracts the two workload kinds (built-in and custom) for
-// recording; both expose the same Stream method.
-type streamer interface {
-	Stream(n int, seed int64) (trace.Stream, error)
+// recorder abstracts the two workload kinds (built-in and custom) for
+// recording; both record their trace on every core.
+type recorder interface {
+	Record(n int, seed int64) (*trace.Snapshot, error)
 }
 
-func recordTrace(name string, w streamer, requests int, seed int64) (*Trace, error) {
+func recordTrace(name string, w recorder, requests int, seed int64) (*Trace, error) {
 	if requests <= 0 {
 		requests = 500_000
 	}
 	if seed == 0 {
 		seed = 42
 	}
-	s, err := w.Stream(requests, seed)
+	snap, err := w.Record(requests, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{name: name, snap: trace.Record(s, requests)}, nil
+	return &Trace{name: name, snap: snap}, nil
 }
 
 // Name returns the workload name the trace was recorded from.

@@ -1,6 +1,5 @@
 // Distributed mode: -serve shards the selected experiments' cell plan
-// across -join workers (the same protocol cmd/sweep speaks; the binaries
-// interoperate), then renders every table locally from the merged
+// across -join workers, then renders every table locally from the merged
 // results — byte-identical stdout to a serial run.
 package main
 
@@ -11,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -20,57 +18,25 @@ import (
 	"repro/internal/resultcache"
 )
 
-type serveOptions struct {
-	addr            string
-	full            bool
-	fastSpec        string
-	slowSpec        string
-	parallelism     int
-	cacheDir        string
-	csvdir          string
-	leaseTTL        time.Duration
-	maxBatch        int
-	checkpoint      string
-	checkpointEvery time.Duration
-	localWorker     bool
-}
-
-// expCfg is the configuration experiment id runs at in distributed mode:
-// the standard per-experiment config plus the command-line overrides that
-// affect cell identity.
-func expCfg(id string, o serveOptions) exp.Config {
-	cfg := exp.ConfigFor(id, o.full)
-	cfg.FastSpec, cfg.SlowSpec = o.fastSpec, o.slowSpec
-	return cfg
-}
-
-// serveSweep coordinates the experiments' cells across workers, then
-// renders the tables from the merged results in selection order.
-func serveSweep(ids []string, o serveOptions) error {
-	results := resultcache.New()
-	if o.cacheDir != "" {
-		if err := os.MkdirAll(o.cacheDir, 0o755); err != nil {
-			return err
-		}
-		results.SetDir(o.cacheDir)
-	}
-	jobs := make([]exp.Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, exp.Job{Experiment: id, Params: expCfg(id, o).Params()})
+// coordinate serves the selection's cells to workers, waits for every
+// cell (or SIGTERM, checkpointing either way), merges the returned cells
+// into results and renders the tables from them in selection order.
+func coordinate(sel []experiment, results *resultcache.Cache, o *options) error {
+	jobs := make([]exp.Job, len(sel))
+	for i, e := range sel {
+		jobs[i] = exp.Job{Experiment: e.id, Params: e.cfg.Params()}
 	}
 	co, err := distrib.New(distrib.Config{
-		Jobs: jobs, LeaseTTL: o.leaseTTL, MaxBatch: o.maxBatch,
-		CheckpointPath: o.checkpoint, CheckpointEvery: o.checkpointEvery,
+		Jobs: jobs, LeaseTTL: o.leaseTTL, MaxBatch: o.leaseBatch,
+		CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
 		Results: results,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:    logf,
 	})
 	if err != nil {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
+	ln, err := net.Listen("tcp", o.serve)
 	if err != nil {
 		return err
 	}
@@ -82,63 +48,48 @@ func serveSweep(ids []string, o serveOptions) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if o.localWorker {
+	if !o.noLocal {
 		w := &distrib.Worker{
 			Name:        "local",
 			Transport:   distrib.Loopback{Co: co},
-			Batch:       o.maxBatch,
-			Parallelism: o.parallelism,
+			Batch:       o.leaseBatch,
+			Parallelism: o.parallel,
 			Results:     results,
 		}
 		go w.Run(ctx)
 	}
 
+	// Periodic progress with per-worker throughput, mirroring /statusz.
+	progress := time.NewTicker(5 * time.Second)
+	defer progress.Stop()
+	go func() {
+		last := -1
+		for range progress.C {
+			if s := co.Status(); s.Done != last {
+				last = s.Done
+				fmt.Fprintln(os.Stderr, s.ProgressLine())
+			}
+		}
+	}()
+
 	if err := co.Wait(ctx); err != nil {
 		return fmt.Errorf("interrupted (%v); checkpoint %s holds %d done cells",
-			err, o.checkpoint, co.Status().Done)
+			err, o.ckptPath, co.Status().Done)
 	}
 	fmt.Fprintln(os.Stderr, co.Status().ProgressLine())
 	co.MergeInto(results)
-
-	var prev resultcache.Stats
-	for _, id := range ids {
-		cfg := expCfg(id, o)
-		cfg.Results = results
-		cfg.Parallelism = o.parallelism
-		start := time.Now()
-		t, err := cfg.Experiment(id)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Println(t)
-		cur := results.Stats()
-		fmt.Fprintf(os.Stderr, "%s: finished in %s cache %s\n",
-			id, time.Since(start).Round(time.Millisecond), cur.Sub(prev))
-		prev = cur
-		if o.csvdir != "" {
-			if err := os.MkdirAll(o.csvdir, 0o755); err != nil {
-				return err
-			}
-			if err := os.WriteFile(filepath.Join(o.csvdir, id+".csv"), []byte(t.CSV()), 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Fprintf(os.Stderr, "experiments: result cache total %s\n", results.Stats())
-	return nil
+	return render(sel, results, o)
 }
 
-// joinSweep serves whatever coordinator is at addr until its sweep is
-// done. The local experiment-selection flags are ignored: the plan comes
-// from the coordinator's spec.
-func joinSweep(addr, name string, batch, parallelism int, cacheDir string) error {
-	results := resultcache.New()
-	if cacheDir != "" {
-		if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-			return err
-		}
-		results.SetDir(cacheDir)
+// join serves whatever coordinator is at -join until its run is done. The
+// local experiment-selection flags are ignored: the plan comes from the
+// coordinator's spec.
+func join(o *options) error {
+	results, err := openResults(o.cacheDir)
+	if err != nil {
+		return err
 	}
+	name := o.workerName
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -147,13 +98,16 @@ func joinSweep(addr, name string, batch, parallelism int, cacheDir string) error
 	defer stop()
 	w := &distrib.Worker{
 		Name:        name,
-		Transport:   distrib.Dial(addr),
-		Batch:       batch,
-		Parallelism: parallelism,
+		Transport:   distrib.Dial(o.join),
+		Batch:       o.leaseBatch,
+		Parallelism: o.parallel,
 		Results:     results,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:        logf,
 	}
 	return w.Run(ctx)
+}
+
+// logf writes one distrib log line to stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }

@@ -6,6 +6,7 @@
 //	mempodsim -workload mix5 -mech MemPod -requests 1000000
 //	mempodsim -workload mix5 -trace-out mix5.snap   # record the trace too
 //	mempodsim -trace-in mix5.snap -mech HMA         # replay a saved trace
+//	mempodsim -workload lbm -analyze                # characterize the trace
 //	mempodsim -list
 //
 // -compare records the workload's trace once and replays the packed
@@ -14,11 +15,17 @@
 // per-mechanism results are also persisted, so re-running the same
 // comparison (same trace, specs and seed) replays nothing; the cache
 // summary is printed to stderr. -no-result-cache disables memoization.
+//
+// -analyze prints the selected trace's characterization (footprint,
+// write share, request rate, interval overlap, touch concentration)
+// instead of simulating it; a -trace-in snapshot analyzes identically to
+// the workload it was recorded from.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -100,6 +107,7 @@ func main() {
 		custom   = flag.String("custom", "", "JSON file defining a custom workload (overrides -workload)")
 		traceIn  = flag.String("trace-in", "", "replay a recorded trace snapshot (overrides -workload/-requests/-seed)")
 		traceOut = flag.String("trace-out", "", "record the generated trace to this snapshot file")
+		analyze  = flag.Bool("analyze", false, "characterize the selected trace and exit instead of simulating")
 		parallel = flag.Int("j", 0, "-compare: max concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir = flag.String("result-cache", "", "persist cell results in this directory (reused across runs)")
 		noCache  = flag.Bool("no-result-cache", false, "disable result memoization entirely")
@@ -143,12 +151,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Resolve a recorded trace when one is loaded, saved, or shared across
-	// a -compare run; tr == nil keeps the plain generate-and-run path.
-	tr, err := resolveTrace(*traceIn, *traceOut, *compare, *wl, *custom, *requests, *seed)
+	// Resolve a recorded trace when one is loaded, saved, analyzed or
+	// shared across a -compare run; tr == nil keeps the plain
+	// generate-and-run path.
+	tr, err := resolveTrace(*traceIn, *traceOut, *compare || *analyze, *wl, *custom, *requests, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mempodsim:", err)
 		os.Exit(1)
+	}
+	if *analyze {
+		if err := analyzeTrace(os.Stdout, tr); err != nil {
+			fmt.Fprintln(os.Stderr, "mempodsim:", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	var rcache *mempod.ResultCache
@@ -229,11 +245,23 @@ func runOne(wl, customPath string, o mempod.Options) (mempod.Result, error) {
 	return mempod.RunCustom(f, o)
 }
 
+// analyzeTrace prints tr's characterization under a "workload NAME"
+// header.
+func analyzeTrace(w io.Writer, tr *mempod.Trace) error {
+	sum, err := tr.Analyze()
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "workload %s\n%s", tr.Name(), sum)
+	return err
+}
+
 // resolveTrace loads, records and/or saves the run's trace snapshot.
 // A trace materializes when -trace-in names a file to replay, when
-// -trace-out asks for the generation to be captured, or for -compare,
-// which records once and replays the snapshot under every mechanism.
-func resolveTrace(traceIn, traceOut string, compare bool, wl, customPath string, requests int, seed int64) (*mempod.Trace, error) {
+// -trace-out asks for the generation to be captured, or when record is
+// set: -compare records once and replays the snapshot under every
+// mechanism, and -analyze characterizes the recording.
+func resolveTrace(traceIn, traceOut string, record bool, wl, customPath string, requests int, seed int64) (*mempod.Trace, error) {
 	var tr *mempod.Trace
 	switch {
 	case traceIn != "":
@@ -247,7 +275,7 @@ func resolveTrace(traceIn, traceOut string, compare bool, wl, customPath string,
 		}
 		fmt.Fprintf(os.Stderr, "mempodsim: replaying %s (%d requests, %.1f MB packed, %s) from %s\n",
 			tr.Name(), tr.Requests(), float64(tr.Size())/(1<<20), how, traceIn)
-	case traceOut != "" || compare:
+	case traceOut != "" || record:
 		var err error
 		if customPath != "" {
 			f, oerr := os.Open(customPath)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,5 +103,40 @@ func TestParseSpecPair(t *testing.T) {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not list valid preset %s", msg, name)
 		}
+	}
+}
+
+// TestAnalyzeSnapshotMatchesWorkload checks -analyze on both trace
+// sources: a -trace-in snapshot prints exactly the summary its workload
+// prints when generated, since replay is bit-identical to generation.
+func TestAnalyzeSnapshotMatchesWorkload(t *testing.T) {
+	analyze := func(tr *mempod.Trace) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := analyzeTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	gen, err := resolveTrace("", "", true, "lbm", "", 20_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := analyze(gen)
+	if !strings.HasPrefix(want, "workload lbm\nrequests            20000 ") {
+		t.Fatalf("unexpected summary:\n%s", want)
+	}
+
+	path := filepath.Join(t.TempDir(), "lbm.snap")
+	if _, err := resolveTrace("", path, true, "lbm", "", 20_000, 42); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := resolveTrace(path, "", true, "ignored", "", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if got := analyze(snap); got != want {
+		t.Errorf("snapshot summary differs from workload summary:\n%s\nwant:\n%s", got, want)
 	}
 }

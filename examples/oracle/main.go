@@ -21,5 +21,5 @@ func main() {
 		}
 		fmt.Println(tab.Text)
 	}
-	fmt.Println("Full-scale versions: go run ./cmd/meastudy -full")
+	fmt.Println("Full-scale versions: go run ./cmd/experiments -full -only fig1,fig2,fig3")
 }

@@ -134,7 +134,7 @@ func RunExperimentOpts(e Experiment, opts RunOptions) (*Table, error) {
 // SweepWorkloads is the representative subset the design-space sweeps run
 // on (one per behaviour class: stable hot set, drifting hot set, pointer
 // chasing, streaming, work front, mixed). It aliases the exp package's
-// list, which cmd/sweep also uses, so the three can never drift.
+// list, so the facade and the experiments can never drift.
 var SweepWorkloads = exp.SweepWorkloadNames
 
 // expConfig returns the standard configuration experiment e runs at.

@@ -136,6 +136,13 @@ func (c Config) WithWorkloads(names ...string) Config {
 	return c
 }
 
+// CheckWorkloads reports the first name in names that WithWorkloads
+// would panic on, so command-line input can be rejected with an error.
+func CheckWorkloads(names ...string) error {
+	_, err := resolveWorkloads(names)
+	return err
+}
+
 // selectWorkloads resolves workload names (benchmark names or "mixN").
 // It panics on unknown names; resolveWorkloads is the error-returning form
 // distributed workers use on untrusted specs.

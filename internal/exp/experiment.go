@@ -9,8 +9,8 @@ import (
 // SweepWorkloadNames is the representative workload subset the
 // design-space sweeps run on (one per behaviour class: stable hot set,
 // drifting hot set, pointer chasing, streaming, work front, mixed). The
-// facade's SweepWorkloads and cmd/sweep's default subset both alias this
-// slice, so the three can never drift.
+// facade's SweepWorkloads aliases this slice and ConfigFor selects it, so
+// the two can never drift.
 var SweepWorkloadNames = []string{"cactus", "xalanc", "mcf", "bwaves", "lbm", "mix5"}
 
 // ExperimentIDs lists every experiment id Experiment dispatches, in paper
@@ -24,9 +24,9 @@ func ExperimentIDs() []string {
 }
 
 // Experiment regenerates the named table or figure under this config. It
-// is the single dispatch point shared by the facade, cmd/sweep and the
-// distributed-sweep render pass, so an experiment renders identically
-// whichever path reached it.
+// is the single dispatch point shared by the facade, cmd/experiments and
+// distributed workers, so an experiment renders identically whichever
+// path reached it.
 func (c Config) Experiment(id string) (*report.Table, error) {
 	switch id {
 	case "fig1":

@@ -36,7 +36,7 @@ func TestWindowMonotonicity(t *testing.T) {
 }
 
 // The engine reports identical results whether the stream comes straight
-// from the generator or is round-tripped through the binary trace format —
+// from the generator or is round-tripped through the snapshot file format —
 // recorded traces are faithful replays.
 func TestGeneratorVsReplayEquivalence(t *testing.T) {
 	w, _ := workload.Mix(2)
@@ -45,15 +45,15 @@ func TestGeneratorVsReplayEquivalence(t *testing.T) {
 	live := New(b1, mech.NewStatic("TLM", b1)).MustRun("mix2", w.MustStream(20_000, 12))
 
 	var buf bytes.Buffer
-	if _, err := trace.Write(&buf, w.MustStream(20_000, 12)); err != nil {
+	if err := trace.WriteSnapshot(&buf, "mix2", trace.Record(w.MustStream(20_000, 12), 20_000)); err != nil {
 		t.Fatal(err)
 	}
-	replayStream, err := trace.Read(&buf)
+	snap, _, err := trace.ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := newBackend()
-	replay := New(b2, mech.NewStatic("TLM", b2)).MustRun("mix2", replayStream)
+	replay := New(b2, mech.NewStatic("TLM", b2)).MustRun("mix2", snap.Stream())
 
 	if live != replay {
 		t.Fatalf("live %+v != replay %+v", live, replay)

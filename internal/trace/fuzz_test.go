@@ -7,41 +7,6 @@ import (
 	"testing"
 )
 
-// FuzzRead hardens the binary trace parser: arbitrary input must either
-// parse into a well-formed stream or return an error — never panic, and
-// never allocate absurd amounts for a corrupt header.
-func FuzzRead(f *testing.F) {
-	// Seed with a valid two-record trace and a few corruptions.
-	var good bytes.Buffer
-	if _, err := Write(&good, NewSliceStream([]Request{
-		{Addr: 64, Time: 10, Write: true, Core: 1},
-		{Addr: 128, Time: 20},
-	})); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("MPT1"))
-	f.Add([]byte("MPT1\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add(good.Bytes()[:len(good.Bytes())-3])
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successful parse must yield exactly Len() well-formed records.
-		n := 0
-		var r Request
-		for s.Next(&r) {
-			n++
-		}
-		if n != s.Len() {
-			t.Fatalf("stream yielded %d records, Len() says %d", n, s.Len())
-		}
-	})
-}
-
 // FuzzSnapshotDecode hardens the packed snapshot reader (the
 // -trace-in/-trace-out persistence format): arbitrary input must either
 // decode into a well-formed snapshot or return an error — never panic,
@@ -64,7 +29,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(gb)
 	f.Add([]byte{})
 	f.Add([]byte("MPS1"))
-	f.Add([]byte("MPT1 wrong magic"))
+	f.Add([]byte("MPX1 wrong magic"))
 	f.Add(gb[:len(gb)-1])                 // truncated last column
 	f.Add(gb[:4+2+4+16])                  // header only, no columns
 	f.Add(append([]byte(nil), gb[:4]...)) // magic, no name length

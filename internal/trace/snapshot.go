@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -25,9 +26,9 @@ import (
 //   - cores: one byte per request.
 //
 // At the generators' timestamp distribution this is ~12 B/request versus
-// the 24 B in-memory Request (and the 18 B file record), and replaying it
-// costs a few ns/request with zero allocations — an order of magnitude
-// cheaper than regenerating the trace.
+// the 24 B in-memory Request, and replaying it costs a few ns/request
+// with zero allocations — an order of magnitude cheaper than regenerating
+// the trace.
 //
 // A Snapshot is read-only after Record: any number of Stream cursors may
 // replay it concurrently. Release returns its buffers to a pool for the
@@ -529,6 +530,10 @@ func (ss *SnapshotStream) fillBatch(dst []Request) int {
 //	         writes bitset (uint64 LE words), cores (raw bytes)
 const snapMagic = "MPS1"
 
+// ErrBadTrace reports a malformed snapshot file. Every decoder error for
+// corrupt input (ReadSnapshot, OpenMapped) wraps it.
+var ErrBadTrace = errors.New("trace: malformed trace file")
+
 // WriteSnapshot persists a snapshot, labelled with the workload name that
 // produced it, in the packed columnar format.
 func WriteSnapshot(w io.Writer, name string, s *Snapshot) error {
@@ -584,7 +589,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, string, error) {
 	s := &Snapshot{n: int(n), shared: true}
 	// Column bytes are buffered incrementally (bytes.Buffer grows as data
 	// arrives), so a corrupt header cannot demand an enormous up-front
-	// allocation — the same defense as the MPT1 reader.
+	// allocation.
 	var err error
 	if s.times, err = readColumn(r, int64(timesLen)); err != nil {
 		return nil, "", fmt.Errorf("%w: truncated times column: %v", ErrBadTrace, err)

@@ -1,12 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/clock"
 )
@@ -97,71 +94,5 @@ func TestMergeStreamEmpty(t *testing.T) {
 	var r Request
 	if m.Next(&r) {
 		t.Fatal("empty merge yielded a request")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	reqs := sample(1000, 6)
-	var buf bytes.Buffer
-	n, err := Write(&buf, NewSliceStream(reqs))
-	if err != nil || n != 1000 {
-		t.Fatalf("Write: n=%d err=%v", n, err)
-	}
-	if want := 12 + 18*1000; buf.Len() != want {
-		t.Fatalf("file size %d, want %d", buf.Len(), want)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(Collect(back), reqs) {
-		t.Fatal("round trip altered requests")
-	}
-}
-
-func TestFileRoundTripProperty(t *testing.T) {
-	prop := func(addrs []uint64, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		reqs := make([]Request, len(addrs))
-		for i, a := range addrs {
-			reqs[i] = Request{Addr: a, Time: clock.Time(i * 100), Write: rng.Intn(2) == 0, Core: uint8(i % 8)}
-		}
-		var buf bytes.Buffer
-		if _, err := Write(&buf, NewSliceStream(reqs)); err != nil {
-			return false
-		}
-		back, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		got := Collect(back)
-		if len(got) == 0 && len(reqs) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(got, reqs)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"XYZ",
-		"MPT9\x00\x00\x00\x00\x00\x00\x00\x00",
-		"MPT1\x05\x00\x00\x00\x00\x00\x00\x00trunc",
-	}
-	for i, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: Read accepted garbage", i)
-		}
-	}
-}
-
-func TestReadRejectsHugeCount(t *testing.T) {
-	hdr := []byte("MPT1\xff\xff\xff\xff\xff\xff\xff\xff")
-	if _, err := Read(bytes.NewReader(hdr)); err == nil {
-		t.Error("Read accepted absurd request count")
 	}
 }

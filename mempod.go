@@ -18,6 +18,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/thm"
 	"repro/internal/trace"
+	"repro/internal/tracestat"
 	"repro/internal/workload"
 )
 
@@ -360,6 +361,17 @@ func OpenTrace(path string) (*Trace, error) {
 // Mapped reports whether the trace replays directly from a file mapping
 // (OpenTrace on an mmap-capable platform) rather than heap buffers.
 func (t *Trace) Mapped() bool { return t.snap.Mapped() }
+
+// Analyze characterizes the trace — footprint, write share, request
+// rate, per-interval page overlap and touch concentration — and returns
+// the summary as printable lines (cmd/mempodsim's -analyze).
+func (t *Trace) Analyze() (string, error) {
+	sum, err := tracestat.Analyze(t.snap.Stream(), 0)
+	if err != nil {
+		return "", err
+	}
+	return sum.String(), nil
+}
 
 // Close releases the trace's snapshot — for a mapped trace (OpenTrace)
 // it unmaps the file. The trace and any replay derived from it must not

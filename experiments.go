@@ -106,10 +106,7 @@ func RunExperimentOpts(e Experiment, opts RunOptions) (*Table, error) {
 		cfg.Results = opts.Results.c
 	}
 	if opts.FastSpec != "" || opts.SlowSpec != "" {
-		if _, err := dram.Preset(firstNonEmpty(opts.FastSpec, "HBM")); err != nil {
-			return nil, err
-		}
-		if _, err := dram.Preset(firstNonEmpty(opts.SlowSpec, "DDR4-1600")); err != nil {
+		if _, _, err := dram.PresetPair(opts.FastSpec, opts.SlowSpec); err != nil {
 			return nil, err
 		}
 		cfg.FastSpec, cfg.SlowSpec = opts.FastSpec, opts.SlowSpec
@@ -142,13 +139,6 @@ var SweepWorkloads = exp.SweepWorkloadNames
 // counts by 30+), as documented in EXPERIMENTS.md.
 func expConfig(e Experiment, scale ExperimentScale) exp.Config {
 	return exp.ConfigFor(string(e), scale == Full)
-}
-
-func firstNonEmpty(s, fallback string) string {
-	if s != "" {
-		return s
-	}
-	return fallback
 }
 
 type errUnknownExperiment Experiment

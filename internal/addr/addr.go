@@ -84,6 +84,18 @@ func DefaultLayout() Layout {
 	}
 }
 
+// FastOnlyLayout and SlowOnlyLayout are the single-level reference
+// geometries of the paper's HBM-only and DDR-only baselines: the default
+// layout's 9 GB on one level's controllers, in four pods.
+func FastOnlyLayout() Layout {
+	return Layout{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4}
+}
+
+// SlowOnlyLayout is the DDR-only counterpart of FastOnlyLayout.
+func SlowOnlyLayout() Layout {
+	return Layout{SlowBytes: 9 << 30, SlowChannels: 4, NumPods: 4}
+}
+
 // Validate checks the structural constraints the simulator relies on. A
 // layout may be single-level (one of the capacities zero, with zero
 // channels on that level) to model the paper's HBM-only and DDR-only

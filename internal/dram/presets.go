@@ -160,6 +160,25 @@ func Preset(name string) (Spec, error) {
 	return presets[key](), nil
 }
 
+// PresetPair resolves a (fast, slow) pair of preset names; an empty name
+// selects that level of the paper pair, HBM over DDR4-1600 (Table 2).
+// The error names the level that failed, fast first.
+func PresetPair(fast, slow string) (f, s Spec, err error) {
+	if fast == "" {
+		fast = "HBM"
+	}
+	if slow == "" {
+		slow = "DDR4-1600"
+	}
+	if f, err = Preset(fast); err != nil {
+		return f, s, fmt.Errorf("fast spec: %w", err)
+	}
+	if s, err = Preset(slow); err != nil {
+		return f, s, fmt.Errorf("slow spec: %w", err)
+	}
+	return f, s, nil
+}
+
 // resolvePresetKey maps a user-supplied name to its canonical registry
 // key, or "" when unknown.
 func resolvePresetKey(name string) string {

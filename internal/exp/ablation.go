@@ -48,7 +48,7 @@ func (c Config) podSweepBuilders() ([]builder, error) {
 // More pods mean more parallel migration drivers and more total MEA
 // entries (K per pod), at zero communication between pods.
 func (c Config) PodSweep() (*report.Table, error) {
-	builders, err := c.podSweepBuilders()
+	builders, err := c.buildersFor("ablation-pods")
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func (c Config) trackerSweepBuilders() ([]builder, error) {
 // storage), both migrating at most K pages per pod per epoch. The paper's
 // claim is that MEA gives up little or nothing here.
 func (c Config) TrackerSweep() (*report.Table, error) {
-	builders, err := c.trackerSweepBuilders()
+	builders, err := c.buildersFor("ablation-tracker")
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/hma"
@@ -19,23 +20,23 @@ var fig8Order = []string{"MemPod", "HMA", "THM", "CAMEO", "HBM-only"}
 // normalized to the no-migration two-level memory (TLM), plus HG/MIX/ALL
 // averages and the migration volumes the paper discusses alongside it.
 func (c Config) Fig8() (*report.Table, error) {
-	fast, slow, err := c.specPair("fig8")
+	builders, err := c.buildersFor("fig8")
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.matrix(c.baselineBuilders(fast, slow))
+	res, err := c.matrix(builders)
 	if err != nil {
 		return nil, err
 	}
 	return c.renderComparison("fig8",
-		fmt.Sprintf("AMMAT normalized to no-migration TLM (1GB %s + 8GB %s)", fast.Name, slow.Name),
+		fmt.Sprintf("AMMAT normalized to no-migration TLM (1GB %s + 8GB %s)", builders[0].fast.Name, builders[0].slow.Name),
 		res, "TLM"), nil
 }
 
-// fig10Builders returns the future-technology configurations and the
-// derived config they were built under (the paper reduces HMA's sort
-// penalty by 40% for the faster future processor).
-func (c Config) fig10Builders() ([]builder, Config) {
+// fig10Builders returns the future-technology configurations, built under
+// a derived config: the paper reduces HMA's sort penalty by 40% for the
+// faster future processor.
+func (c Config) fig10Builders() []builder {
 	future := c
 	future.HMASortStall = c.HMASortStall * 6 / 10
 	fast, slow := dram.HBMOverclocked(), dram.DDR4_2400()
@@ -48,19 +49,21 @@ func (c Config) fig10Builders() ([]builder, Config) {
 			builders[i].name = "HBMoc"
 		}
 	}
-	builders = append(builders, builder{
+	return append(builders, builder{
 		name: "DDR-only", ckey: mechKey("static", nil),
-		layout: ddrOnlyLayout(), fast: fast, slow: slow,
+		layout: addr.SlowOnlyLayout(), fast: fast, slow: slow,
 		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("DDR-only", b) },
 	})
-	return builders, future
 }
 
 // Fig10 regenerates Figure 10, the future-technology scalability study:
 // 4 GHz HBM and DDR4-2400, results normalized to a DDR4-2400-only memory.
 func (c Config) Fig10() (*report.Table, error) {
-	builders, future := c.fig10Builders()
-	res, err := future.matrix(builders)
+	builders, err := c.buildersFor("fig10")
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.matrix(builders)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +217,7 @@ func (c Config) fig9Builders() ([]builder, error) {
 // bookkeeping caches, normalized to the no-migration TLM, plus each
 // mechanism's cache-disabled reference.
 func (c Config) Fig9() (*report.Table, error) {
-	builders, err := c.fig9Builders()
+	builders, err := c.buildersFor("fig9")
 	if err != nil {
 		return nil, err
 	}

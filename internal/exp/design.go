@@ -46,12 +46,12 @@ func (c Config) memPodGridBuilders(experiment string, cfgs []core.Config) ([]bui
 	return builders, nil
 }
 
-// runMemPodGrid evaluates several MemPod configurations as one flat
+// runMemPodGrid evaluates a MemPod grid's builders as one flat
 // (configuration × workload) matrix — so a whole design-space sweep fans
 // out to c.Parallelism workers at once — and returns one aggregated point
-// per configuration, in input order.
-func (c Config) runMemPodGrid(experiment string, cfgs []core.Config) ([]designPoint, error) {
-	builders, err := c.memPodGridBuilders(experiment, cfgs)
+// per configuration, in builder order. It takes a builder constructor's
+// results as they come: c.runMemPodGrid(c.buildersFor("fig6")).
+func (c Config) runMemPodGrid(builders []builder, err error) ([]designPoint, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func (c Config) runMemPodGrid(experiment string, cfgs []core.Config) ([]designPo
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]designPoint, len(cfgs))
+	pts := make([]designPoint, len(builders))
 	for i, b := range builders {
 		var p designPoint
 		for _, w := range c.Workloads {
@@ -82,7 +82,7 @@ func (c Config) runMemPodGrid(experiment string, cfgs []core.Config) ([]designPo
 // and returns the average AMMAT (ns) and average migrations per pod per
 // interval.
 func (c Config) runMemPod(mpCfg core.Config) (ammat, migsPerPodInterval float64, err error) {
-	pts, err := c.runMemPodGrid("mempod-run", []core.Config{mpCfg})
+	pts, err := c.runMemPodGrid(c.memPodGridBuilders("mempod-run", []core.Config{mpCfg}))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -111,7 +111,7 @@ func (c Config) Fig6() (*report.Table, error) {
 		cols = append(cols, fmt.Sprintf("%d ctrs", k))
 	}
 	t := report.New("fig6", "Average AMMAT (ns) vs epoch length and MEA counters", cols...)
-	pts, err := c.runMemPodGrid("fig6", fig6Configs())
+	pts, err := c.runMemPodGrid(c.buildersFor("fig6"))
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func (c Config) Fig7() (*report.Table, error) {
 	t := report.New("fig7", "Counter width vs normalized AMMAT and migrations/pod/interval",
 		"config", "bits", "AMMAT (ns)", "normalized to 2-bit", "migs/pod/interval")
 	variants := fig7Variants
-	all, err := c.runMemPodGrid("fig7", fig7Configs())
+	all, err := c.runMemPodGrid(c.buildersFor("fig7"))
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (c Config) Fig7() (*report.Table, error) {
 // minimum, for tests.
 func (c Config) BestConfigCheck() (chosen, best float64, err error) {
 	cfgs := fig6Configs()
-	pts, err := c.runMemPodGrid("best-config-check", cfgs)
+	pts, err := c.runMemPodGrid(c.memPodGridBuilders("best-config-check", cfgs))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -11,11 +11,11 @@ import (
 // data-movement energy, the migration-interconnect component, and data
 // moved, averaged over the config's workloads.
 func (c Config) EnergyTable() (*report.Table, error) {
-	fast, slow, err := c.specPair("energy")
+	builders, err := c.buildersFor("energy")
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.matrix(c.baselineBuilders(fast, slow))
+	res, err := c.matrix(builders)
 	if err != nil {
 		return nil, err
 	}

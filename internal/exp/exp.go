@@ -22,7 +22,6 @@ import (
 	"repro/internal/mech"
 	"repro/internal/memsys"
 	"repro/internal/resultcache"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/thm"
@@ -62,9 +61,9 @@ type Config struct {
 	// Parallelism bounds how many simulation cells run concurrently in
 	// matrix experiments (Figures 6–10, the ablations, the oracle study).
 	// Zero selects GOMAXPROCS; one forces serial execution. Results are
-	// identical for any value: cells are fully independent (Config.run
-	// builds a fresh memsys/backend/engine per cell) and are assembled in
-	// a fixed order by internal/runner.
+	// identical for any value: cells are fully independent
+	// (Config.simulate builds a fresh memsys/backend/engine per cell) and
+	// are assembled in a fixed order by internal/runner.
 	Parallelism int
 	// Progress, when non-nil, is invoked after each simulation cell of a
 	// matrix completes, with the count done so far and the matrix total.
@@ -181,20 +180,11 @@ func resolveWorkloads(names []string) ([]workload.Workload, error) {
 // error so a bad -fast/-slow name names the figure that tripped on it
 // (the registry error itself lists the valid options).
 func (c Config) specPair(experiment string) (fast, slow dram.Spec, err error) {
-	fastName, slowName := c.FastSpec, c.SlowSpec
-	if fastName == "" {
-		fastName = "HBM"
+	fast, slow, err = dram.PresetPair(c.FastSpec, c.SlowSpec)
+	if err != nil {
+		err = fmt.Errorf("exp: %s: %w", experiment, err)
 	}
-	if slowName == "" {
-		slowName = "DDR4-1600"
-	}
-	if fast, err = dram.Preset(fastName); err != nil {
-		return fast, slow, fmt.Errorf("exp: %s: fast spec: %w", experiment, err)
-	}
-	if slow, err = dram.Preset(slowName); err != nil {
-		return fast, slow, fmt.Errorf("exp: %s: slow spec: %w", experiment, err)
-	}
-	return fast, slow, nil
+	return fast, slow, err
 }
 
 // builder constructs a mechanism and the memory system it runs on.
@@ -214,26 +204,12 @@ type builder struct {
 	make   func(b *mech.Backend) mech.Mechanism
 }
 
-// mechKey renders a mechanism tag plus its printed config struct as the
-// builder's canonical cache identity. Config structs are flat value types
-// whose %+v form lists every design-space parameter.
-func mechKey(tag string, cfg any) string {
-	if cfg == nil {
-		return tag
-	}
-	return tag + ":" + fmt.Sprintf("%+v", cfg)
-}
+// mechKey is the builder's canonical cache identity: the mechanism tag
+// plus its printed config struct, as the facade keys its runs.
+var mechKey = resultcache.MechID
 
-// Standard layouts and specs of the evaluation.
+// Standard layouts of the evaluation.
 func stdLayout() addr.Layout { return addr.DefaultLayout() }
-
-func hbmOnlyLayout() addr.Layout {
-	return addr.Layout{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4}
-}
-
-func ddrOnlyLayout() addr.Layout {
-	return addr.Layout{SlowBytes: 9 << 30, SlowChannels: 4, NumPods: 4}
-}
 
 // baselineBuilders returns the Figure 8 configurations over the given
 // memory specs: no-migration TLM, the four mechanisms, and HBM-only.
@@ -254,7 +230,7 @@ func (c Config) baselineBuilders(fast, slow dram.Spec) []builder {
 		{"CAMEO", mechKey("cameo", cameo.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return cameo.MustNew(cameo.DefaultConfig(), b)
 		}},
-		{"HBM-only", mechKey("static", nil), hbmOnlyLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"HBM-only", mechKey("static", nil), addr.FastOnlyLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return mech.NewStatic("HBM-only", b)
 		}},
 	}
@@ -268,47 +244,36 @@ func (c Config) hmaConfig() hma.Config {
 	return cfg
 }
 
-// traceCache returns the config's shared snapshot cache, or a transient
-// one for this run.
-func (c Config) traceCache() *tracecache.Cache {
-	if c.Traces != nil {
-		return c.Traces
+// cellOptions is the cache and pool configuration this config's cells
+// run under: the shared caches when set, else transient ones over
+// TraceDir/ResultDir (runCells makes a plain transient snapshot cache
+// itself), and no result cache when neither Results nor ResultDir is set.
+func (c Config) cellOptions() RunCellsOptions {
+	opts := RunCellsOptions{Results: c.Results, Traces: c.Traces, Parallelism: c.Parallelism}
+	if opts.Traces == nil && c.TraceDir != "" {
+		opts.Traces = tracecache.New()
+		opts.Traces.SetDir(c.TraceDir)
 	}
-	t := tracecache.New()
-	if c.TraceDir != "" {
-		t.SetDir(c.TraceDir)
+	if opts.Results == nil && c.ResultDir != "" {
+		opts.Results = resultcache.New()
+		opts.Results.SetDir(c.ResultDir)
 	}
-	return t
+	return opts
 }
 
-// resultCache returns the config's shared result cache, a transient
-// disk-backed one when only ResultDir is set, or nil when result caching
-// is disabled.
-func (c Config) resultCache() *resultcache.Cache {
-	if c.Results != nil {
-		return c.Results
-	}
-	if c.ResultDir == "" {
-		return nil
-	}
-	r := resultcache.New()
-	r.SetDir(c.ResultDir)
-	return r
-}
-
-// cellKeys returns the complete causal identity of every (workload,
-// builder) simulation cell under this config, in matrix submission order
-// (workload-major: keys[wi*len(builders)+bi]). A key holds the engine
-// version, canonical mechanism config, both memory-spec fingerprints,
-// layout geometry, and the exact generated trace (workload recipe name +
-// length + seed). Anything that could change the cell's numbers is in
-// here; execution shape (Parallelism) deliberately is not — the
-// differential suites prove it bit-identical.
+// resultCells enumerates every (workload, builder) simulation cell in
+// matrix submission order: workload-major, cells[wi*len(builders)+bi].
+// A cell's key is its complete causal identity: the engine version,
+// canonical mechanism config, both memory-spec fingerprints, layout
+// geometry, and the exact generated trace (workload recipe name + length
+// + seed). Anything that could change the cell's numbers is in there;
+// execution shape (Parallelism) deliberately is not — the differential
+// suites prove it bit-identical.
 //
 // Only the workload varies within a builder's column, so the rest — the
 // spec fingerprints and the printed layout above all — is computed once
 // per builder.
-func (c Config) cellKeys(builders []builder) []resultcache.CellKey {
+func (c Config) resultCells(builders []builder) []planCell {
 	bases := make([]resultcache.CellKey, len(builders))
 	for i, b := range builders {
 		k := resultcache.CellKey{
@@ -327,14 +292,26 @@ func (c Config) cellKeys(builders []builder) []resultcache.CellKey {
 		}
 		bases[i] = k
 	}
-	keys := make([]resultcache.CellKey, 0, len(c.Workloads)*len(builders))
+	cells := make([]planCell, 0, len(c.Workloads)*len(builders))
 	for _, w := range c.Workloads {
-		for _, k := range bases {
-			k.Workload = w.Name
-			keys = append(keys, k)
+		for bi, b := range builders {
+			key := bases[bi]
+			key.Workload = w.Name
+			cells = append(cells, planCell{
+				name: b.name,
+				key:  key,
+				tkey: c.traceKey(w),
+				compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
+					r, err := c.simulate(w, b, traces, uses)
+					if err != nil {
+						return nil, err
+					}
+					return resultcache.EncodeResult(r), nil
+				},
+			})
 		}
 	}
-	return keys
+	return cells
 }
 
 // traceKey identifies w's generated trace under this config. Workload
@@ -351,30 +328,6 @@ func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses
 	return traces.Acquire(c.traceKey(w), uses, func() (*trace.Snapshot, error) {
 		return w.Record(c.Requests, c.Seed)
 	})
-}
-
-// run executes one (workload, builder) cell, consulting the result cache
-// when one is configured. The cached path returns without touching the
-// trace cache at all (cached cells are excluded from trace use counts by
-// matrix's probe pass); the display name is applied after the cache
-// consult, because one cached cell can serve under different labels
-// (Fig6's "MemPod#7" and Fig7's "MemPod#3" may be the same design point).
-func (c Config) run(w workload.Workload, b builder, key resultcache.CellKey, traces *tracecache.Cache, uses int, results *resultcache.Cache) (stats.Result, error) {
-	simulate := func() (stats.Result, error) {
-		return c.simulate(w, b, traces, uses)
-	}
-	var res stats.Result
-	var err error
-	if results != nil {
-		res, err = results.ResultCell(key, simulate)
-	} else {
-		res, err = simulate()
-	}
-	if err != nil {
-		return stats.Result{}, err
-	}
-	res.Mechanism = b.name
-	return res, nil
 }
 
 // simulate computes one (workload, builder) cell. Every piece of mutable
@@ -408,17 +361,19 @@ func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cach
 	return engine.Run(w.Name, snap.DecodedStream(&backend.Geom))
 }
 
-// matrix runs every workload under every builder on c.Parallelism workers
-// and returns results[builderName][workloadName]. Cell failures never
-// abort the grid: every cell is attempted, completed cells are always
-// returned, and the error joins every cell failure (keyed
-// "builder/workload") via errors.Join. Failed cells are absent from the
-// returned maps. For a fixed Seed the result is bit-identical for any
-// Parallelism; see Config.run for the per-cell isolation that guarantees
-// it.
+// matrix runs every workload under every builder through runCells on
+// c.Parallelism workers and returns results[builderName][workloadName].
+// Cell failures never abort the grid: every cell is attempted, completed
+// cells are always returned, and the error joins every cell failure
+// (keyed "builder/workload") via errors.Join. Failed cells are absent from
+// the returned maps. For a fixed Seed the result is bit-identical for any
+// Parallelism; see Config.simulate for the per-cell isolation that
+// guarantees it. The display name is applied after the cache consult,
+// because one cached cell can serve under different labels (Fig6's
+// "MemPod#7" and Fig7's "MemPod#3" may be the same design point).
 //
 // Each workload's trace is generated once and replayed from a packed
-// snapshot by every builder's cell. Tasks are submitted workload-major
+// snapshot by every builder's cell. Cells are submitted workload-major
 // (all builders of workload 0, then workload 1, …) so the cells sharing a
 // snapshot are adjacent in the queue: since the worker pool starts tasks
 // in submission order and a snapshot stays resident only from its
@@ -426,52 +381,12 @@ func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cach
 // Parallelism+1 snapshots are ever resident, however many workloads the
 // matrix spans (asserted by TestMatrixSnapshotResidencyBounded).
 func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, error) {
-	traces := c.traceCache()
-	results := c.resultCache()
-	// Trace snapshots are use-counted exactly, so the count must cover the
-	// cells that will actually simulate: probe the result cache for every
-	// cell first (a successful probe pins the entry resident, guaranteeing
-	// the later lookup hits without re-reading the store) and count one
-	// trace use per distinct missing cell key. Duplicate keys inside one
-	// matrix collapse to a single use — the cache runs them single-flight,
-	// so only the first acquires the trace.
-	keys := c.cellKeys(builders)
-	uses := make(map[tracecache.Key]int, len(c.Workloads))
-	probing := make(map[resultcache.CellKey]bool)
-	for wi, w := range c.Workloads {
-		for bi := range builders {
-			if results == nil {
-				uses[c.traceKey(w)]++
-				continue
-			}
-			key := keys[wi*len(builders)+bi]
-			if probing[key] || results.Probe(key) {
-				continue
-			}
-			probing[key] = true
-			uses[c.traceKey(w)]++
-		}
-	}
-	tasks := make([]runner.Task[stats.Result], 0, len(builders)*len(c.Workloads))
-	for _, w := range c.Workloads {
-		for _, b := range builders {
-			b, w, key := b, w, keys[len(tasks)]
-			tasks = append(tasks, runner.Task[stats.Result]{
-				Key: b.name + "/" + w.Name,
-				// CPU profiles of a sweep attribute samples per cell:
-				// `go tool pprof -tagfocus mechanism=MemPod` (or
-				// workload=mix3) isolates one cell's share.
-				Labels: []string{"mechanism", b.name, "workload", w.Name},
-				Run: func() (stats.Result, error) {
-					return c.run(w, b, key, traces, uses[c.traceKey(w)], results)
-				},
-			})
-		}
-	}
-	cells, err := runner.Run(tasks, runner.Options{
-		Parallelism: c.Parallelism,
-		OnProgress:  c.Progress,
-	})
+	cells, err := runCells(c.resultCells(builders), c.cellOptions(), c.Progress,
+		func(cell planCell, payload []byte) (stats.Result, error) {
+			r, err := resultcache.DecodeResult(payload)
+			r.Mechanism = cell.name
+			return r, err
+		})
 	out := make(map[string]map[string]stats.Result, len(builders))
 	for bi, b := range builders {
 		out[b.name] = make(map[string]stats.Result, len(c.Workloads))

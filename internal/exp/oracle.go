@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/mea"
 	"repro/internal/report"
-	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/tracecache"
@@ -45,40 +44,14 @@ type OracleResult struct {
 	FCHits  [tiers]float64
 }
 
-// OracleStudy runs the §3 offline comparison over the config's workloads,
-// fanning the per-workload passes (each with its own trackers and replay
-// cursor) out to c.Parallelism workers. Traces come from the config's
-// snapshot cache — each is recorded once, replayed here, and freed at its
-// last declared use. Results keep workload order.
+// OracleStudy runs the §3 offline comparison over the config's workloads
+// through runCells, fanning the per-workload passes (each with its own
+// trackers and replay cursor) out to c.Parallelism workers. Traces come
+// from the config's snapshot cache — each is recorded once, replayed here,
+// and freed at its last declared use. Results keep workload order.
 func (c Config) OracleStudy() ([]OracleResult, error) {
-	traces := c.traceCache()
-	rcache := c.resultCache()
-	// Like matrix: probe the result cache first so trace use counts cover
-	// exactly the workloads whose oracle pass will actually replay.
-	keys := make([]resultcache.CellKey, len(c.Workloads))
-	uses := make(map[tracecache.Key]int, len(c.Workloads))
-	for i, w := range c.Workloads {
-		keys[i] = c.oracleKey(w)
-		if rcache != nil && rcache.Probe(keys[i]) {
-			continue
-		}
-		uses[c.traceKey(w)]++
-	}
-	tasks := make([]runner.Task[OracleResult], len(c.Workloads))
-	for i, w := range c.Workloads {
-		w, key := w, keys[i]
-		tasks[i] = runner.Task[OracleResult]{
-			Key:    "oracle/" + w.Name,
-			Labels: []string{"mechanism", "oracle", "workload", w.Name},
-			Run: func() (OracleResult, error) {
-				return c.oracleCell(w, key, traces, uses[c.traceKey(w)], rcache)
-			},
-		}
-	}
-	results, err := runner.Run(tasks, runner.Options{
-		Parallelism: c.Parallelism,
-		OnProgress:  c.Progress,
-	})
+	results, err := runCells(c.oracleCells(), c.cellOptions(), c.Progress,
+		func(_ planCell, payload []byte) (OracleResult, error) { return decodeOracle(payload) })
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)
 	}

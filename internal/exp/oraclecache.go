@@ -32,6 +32,26 @@ func (c Config) oracleKey(w workload.Workload) resultcache.CellKey {
 	}
 }
 
+// oracleCells enumerates the study's cells, one per workload in order.
+func (c Config) oracleCells() []planCell {
+	cells := make([]planCell, len(c.Workloads))
+	for i, w := range c.Workloads {
+		cells[i] = planCell{
+			name: "oracle",
+			key:  c.oracleKey(w),
+			tkey: c.traceKey(w),
+			compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
+				r, err := c.oracleOne(w, traces, uses)
+				if err != nil {
+					return nil, err
+				}
+				return encodeOracle(r), nil
+			},
+		}
+	}
+	return cells
+}
+
 // encodeOracle serializes an OracleResult as a kindOracle payload: the
 // workload name, a homogeneity byte, the interval count, then the three
 // metric vectors as IEEE float64 bits, all little-endian.
@@ -54,12 +74,16 @@ func encodeOracle(r OracleResult) []byte {
 }
 
 // decodeOracle parses a kindOracle payload. Like the result codec it is
-// strict — exact lengths, no trailing bytes — and malformed payloads
-// error, which the caller treats as a recompute.
+// strict — exact lengths, no trailing bytes, no overlong length varint, no
+// interval count above MaxInt — so every accepted payload re-encodes
+// byte-identically; malformed payloads error, which the caller treats as
+// a recompute.
 func decodeOracle(b []byte) (OracleResult, error) {
 	var r OracleResult
 	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
+	// A zero final byte after the first marks an overlong varint, which
+	// would re-encode shorter.
+	if w <= 0 || (w > 1 && b[w-1] == 0) || n > uint64(len(b)-w) {
 		return r, fmt.Errorf("exp: oracle payload: bad workload length")
 	}
 	r.Workload, b = string(b[w:w+int(n)]), b[w+int(n):]
@@ -74,39 +98,16 @@ func decodeOracle(b []byte) (OracleResult, error) {
 		return r, fmt.Errorf("exp: oracle payload: bad homogeneity byte %d", b[0])
 	}
 	b = b[1:]
-	r.Intervals = int(binary.LittleEndian.Uint64(b))
-	b = b[8:]
+	intervals := binary.LittleEndian.Uint64(b)
+	if intervals > math.MaxInt {
+		return r, fmt.Errorf("exp: oracle payload: interval count %d overflows", intervals)
+	}
+	r.Intervals, b = int(intervals), b[8:]
 	for _, vec := range []*[tiers]float64{&r.CountAcc, &r.MEAHits, &r.FCHits} {
 		for i := range vec {
 			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 			b = b[8:]
 		}
-	}
-	return r, nil
-}
-
-// oracleCell runs one workload's oracle pass through the result cache
-// when one is configured, mirroring Config.run for simulation cells.
-func (c Config) oracleCell(w workload.Workload, key resultcache.CellKey, traces *tracecache.Cache, traceUses int, results *resultcache.Cache) (OracleResult, error) {
-	if results == nil {
-		return c.oracleOne(w, traces, traceUses)
-	}
-	payload, err := results.GetOrRun(key, func() ([]byte, error) {
-		r, err := c.oracleOne(w, traces, traceUses)
-		if err != nil {
-			return nil, err
-		}
-		return encodeOracle(r), nil
-	})
-	if err != nil {
-		return OracleResult{}, err
-	}
-	r, derr := decodeOracle(payload)
-	if derr != nil {
-		// An undecodable payload behind a valid key means a codec bug this
-		// process cannot fix in the store; recompute so the run still
-		// succeeds (the cache must never fail a run).
-		return c.oracleOne(w, traces, traceUses)
 	}
 	return r, nil
 }

@@ -4,10 +4,10 @@
 // A coordinator enumerates a Plan to hand out cell indices; workers build
 // the identical Plan from the same serialized Jobs (the enumeration is
 // deterministic, attested by Fingerprint) and execute leased index
-// batches through the same runner pool and result cache the serial path
-// uses. Because every cell is content-addressed, the distributed results
-// merge into a cache from which the experiment tables render byte-
-// identically to a serial run.
+// batches through runCells, the one cell executor the local matrix and
+// the oracle study also run on. Because every cell is content-addressed,
+// the distributed results merge into a cache from which the experiment
+// tables render byte-identically to a serial run.
 package exp
 
 import (
@@ -86,10 +86,12 @@ type Job struct {
 	Params     Params `json:"params"`
 }
 
-// planCell is one enumerated simulation cell: its content-addressed
-// identity, the trace it replays, and the closure computing its payload
-// (the bytes GetOrRun would cache — EncodeResult or encodeOracle output).
+// planCell is one enumerated cell: its content-addressed identity, the
+// label its runner task and pprof samples carry (the builder's display
+// name, or "oracle"), the trace it replays, and the closure computing its
+// payload (EncodeResult or encodeOracle output).
 type planCell struct {
+	name    string
 	key     resultcache.CellKey
 	tkey    tracecache.Key
 	compute func(traces *tracecache.Cache, uses int) ([]byte, error)
@@ -156,67 +158,34 @@ func (p *Plan) Fingerprint() uint64 {
 }
 
 // planCells enumerates experiment id's cells under this config, in the
-// exact submission order the experiment's run path uses. The static
-// tables have no cells; the oracle experiments share one cell per
-// workload (Fig1–3 render different columns of the same study).
+// exact order the experiment's render path runs them. The static tables
+// have no cells; the oracle experiments share one cell per workload
+// (Fig1–3 render different columns of the same study).
 func (c Config) planCells(id string) ([]planCell, error) {
 	switch id {
 	case "table1", "table2", "table3":
 		return nil, nil
 	case "fig1", "fig2", "fig3":
-		cells := make([]planCell, 0, len(c.Workloads))
-		for _, w := range c.Workloads {
-			w := w
-			cells = append(cells, planCell{
-				key:  c.oracleKey(w),
-				tkey: c.traceKey(w),
-				compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
-					r, err := c.oracleOne(w, traces, uses)
-					if err != nil {
-						return nil, err
-					}
-					return encodeOracle(r), nil
-				},
-			})
-		}
-		return cells, nil
+		return c.oracleCells(), nil
 	}
 	builders, err := c.buildersFor(id)
 	if err != nil {
 		return nil, err
 	}
-	keys := c.cellKeys(builders)
-	cells := make([]planCell, 0, len(keys))
-	for _, w := range c.Workloads {
-		for _, b := range builders {
-			w, b := w, b
-			cells = append(cells, planCell{
-				key:  keys[len(cells)],
-				tkey: c.traceKey(w),
-				compute: func(traces *tracecache.Cache, uses int) ([]byte, error) {
-					r, err := c.simulate(w, b, traces, uses)
-					if err != nil {
-						return nil, err
-					}
-					return resultcache.EncodeResult(r), nil
-				},
-			})
-		}
-	}
-	return cells, nil
+	return c.resultCells(builders), nil
 }
 
-// buildersFor enumerates the builder grid of a matrix experiment without
-// running it — the same helpers the experiments' own render paths call,
-// so plan and run cannot drift.
+// buildersFor is the one table of every matrix experiment's builder grid:
+// the experiments' render paths and planCells both take their builders
+// from here, so plan and run cannot drift.
 func (c Config) buildersFor(id string) ([]builder, error) {
 	switch id {
 	case "fig6":
 		return c.memPodGridBuilders("fig6", fig6Configs())
 	case "fig7":
 		return c.memPodGridBuilders("fig7", fig7Configs())
-	case "fig8":
-		fast, slow, err := c.specPair("fig8")
+	case "fig8", "energy":
+		fast, slow, err := c.specPair(id)
 		if err != nil {
 			return nil, err
 		}
@@ -224,20 +193,13 @@ func (c Config) buildersFor(id string) ([]builder, error) {
 	case "fig9":
 		return c.fig9Builders()
 	case "fig10":
-		builders, _ := c.fig10Builders()
-		return builders, nil
+		return c.fig10Builders(), nil
 	case "specgrid":
 		return c.specGridBuilders()
 	case "ablation-pods":
 		return c.podSweepBuilders()
 	case "ablation-tracker":
 		return c.trackerSweepBuilders()
-	case "energy":
-		fast, slow, err := c.specPair("energy")
-		if err != nil {
-			return nil, err
-		}
-		return c.baselineBuilders(fast, slow), nil
 	default:
 		return nil, fmt.Errorf("exp: experiment %q has no enumerable cells", id)
 	}
@@ -264,67 +226,105 @@ type CellRun struct {
 	Err   error
 }
 
-// RunCells executes the cells at the given plan indices on a bounded
-// worker pool and returns one CellRun per index, in request order. Trace
-// snapshots are use-counted exactly over the batch (cache-resident cells
-// excluded, like the matrix's probe pass), so a snapshot is generated
-// once per batch and freed at its last use. Cell failures never abort the
-// batch; each failed slot carries its own error.
+// RunCells executes the cells at the given plan indices through
+// runCells and returns one CellRun per index, in request order. Cell
+// failures never abort the batch; each failed slot carries its own error,
+// named builder/workload like a matrix cell's.
 func (p *Plan) RunCells(indices []int, opts RunCellsOptions) []CellRun {
 	out := make([]CellRun, len(indices))
-	traces := opts.Traces
+	cells := make([]planCell, 0, len(indices))
+	slots := make([]int, 0, len(indices))
+	for oi, i := range indices {
+		if i < 0 || i >= len(p.cells) {
+			out[oi].Err = fmt.Errorf("exp: cell index %d out of plan range [0,%d)", i, len(p.cells))
+			continue
+		}
+		cells = append(cells, p.cells[i])
+		slots = append(slots, oi)
+	}
+	runs, _ := runCells(cells, opts, nil, func(cell planCell, payload []byte) ([]byte, error) {
+		var err error
+		if cell.key.Kind == kindOracle {
+			_, err = decodeOracle(payload)
+		} else {
+			_, err = resultcache.DecodeResult(payload)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return resultcache.EncodeFile(cell.key, payload), nil
+	})
+	for j, run := range runs {
+		out[slots[j]] = CellRun{Frame: run.Value, Err: run.Err}
+	}
+	return out
+}
+
+// runCells is the one cell executor behind the matrix, the oracle study
+// and distributed leases. It:
+//   - probes the result cache for every cell (a hit pins the entry, so the
+//     later lookup cannot miss);
+//   - counts one trace use per distinct missing key, so each snapshot is
+//     generated once and freed at its last use, and a fully warm batch
+//     acquires none;
+//   - runs the cells in submission order on a bounded runner pool, each a
+//     task keyed "name/workload" with mechanism and workload pprof labels
+//     (`go tool pprof -tagfocus mechanism=MemPod` isolates one builder);
+//   - serves each cell through GetOrRun with decode as its payload
+//     decoder, so a served payload that decode rejects is recomputed once
+//     and heals the store.
+//
+// Results keep cell order; the error joins every cell failure.
+func runCells[T any](cells []planCell, opts RunCellsOptions, progress func(done, total int), decode func(planCell, []byte) (T, error)) ([]runner.Result[T], error) {
+	traces, results := opts.Traces, opts.Results
 	if traces == nil {
 		traces = tracecache.New()
 	}
-	results := opts.Results
-
+	// With a result cache, duplicate keys collapse to a single use (the
+	// cache runs them single-flight, so only the first acquires the trace).
+	counted := make([]bool, len(cells))
 	uses := make(map[tracecache.Key]int)
-	probing := make(map[resultcache.CellKey]bool)
-	for _, i := range indices {
-		if i < 0 || i >= len(p.cells) {
-			continue
-		}
-		cell := p.cells[i]
+	probed := make(map[resultcache.CellKey]bool)
+	for i, cell := range cells {
 		if results != nil {
-			if probing[cell.key] || results.Probe(cell.key) {
+			if probed[cell.key] || results.Probe(cell.key) {
 				continue
 			}
-			probing[cell.key] = true
+			probed[cell.key] = true
 		}
+		counted[i] = true
 		uses[cell.tkey]++
 	}
-
-	tasks := make([]runner.Task[[]byte], len(indices))
-	for oi, i := range indices {
-		oi, i := oi, i
-		if i < 0 || i >= len(p.cells) {
-			tasks[oi] = runner.Task[[]byte]{Run: func() ([]byte, error) {
-				return nil, fmt.Errorf("exp: cell index %d out of plan range [0,%d)", i, len(p.cells))
-			}}
-			continue
-		}
-		cell := p.cells[i]
-		tasks[oi] = runner.Task[[]byte]{
-			Key:    cell.key.Workload,
-			Labels: []string{"mechanism", "distrib-cell", "workload", cell.key.Workload},
-			Run: func() ([]byte, error) {
+	tasks := make([]runner.Task[T], len(cells))
+	for i, cell := range cells {
+		counted := counted[i]
+		tasks[i] = runner.Task[T]{
+			Key:    cell.name + "/" + cell.key.Workload,
+			Labels: []string{"mechanism", cell.name, "workload", cell.key.Workload},
+			Run: func() (v T, err error) {
 				compute := func() ([]byte, error) {
-					return cell.compute(traces, uses[cell.tkey])
+					if counted {
+						return cell.compute(traces, uses[cell.tkey])
+					}
+					// A cell the cache answered declared no trace use; if
+					// its payload is rejected, recompute on a private one.
+					return cell.compute(tracecache.New(), 1)
+				}
+				valid := func(payload []byte) (err error) {
+					v, err = decode(cell, payload)
+					return err
 				}
 				if results != nil {
-					return results.GetOrRun(cell.key, compute)
+					_, err = results.GetOrRun(cell.key, compute, valid)
+					return v, err
 				}
-				return compute()
+				payload, err := compute()
+				if err != nil {
+					return v, err
+				}
+				return v, valid(payload)
 			},
 		}
 	}
-	runs, _ := runner.Run(tasks, runner.Options{Parallelism: opts.Parallelism})
-	for oi, i := range indices {
-		if runs[oi].Err != nil {
-			out[oi] = CellRun{Err: runs[oi].Err}
-			continue
-		}
-		out[oi] = CellRun{Frame: resultcache.EncodeFile(p.cells[i].key, runs[oi].Value)}
-	}
-	return out
+	return runner.Run(tasks, runner.Options{Parallelism: opts.Parallelism, OnProgress: progress})
 }

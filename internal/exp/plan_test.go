@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/resultcache"
@@ -45,10 +46,27 @@ func TestParamsRoundTrip(t *testing.T) {
 
 // TestPlanCoversExperimentCells runs an experiment against a fresh cache
 // and asserts the plan enumerates exactly the cells it simulated: same
-// count (Misses) and every key resident (all Hits on lookup).
+// count (Misses) and every key resident (all Hits on lookup). The table
+// must name every experiment that plans cells.
 func TestPlanCoversExperimentCells(t *testing.T) {
-	for _, id := range []string{"fig6", "fig1", "ablation-pods", "specgrid"} {
-		id := id
+	ids := []string{
+		"fig1", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"specgrid", "ablation-pods", "ablation-tracker", "energy",
+	}
+	covered := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		covered[id] = true
+	}
+	for _, id := range ExperimentIDs() {
+		plan, err := BuildPlan([]Job{{Experiment: id, Params: planConfig().Params()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Len() > 0 && !covered[id] {
+			t.Errorf("experiment %s plans %d cells but is not covered", id, plan.Len())
+		}
+	}
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			c := planConfig()
 			c.Results = resultcache.New()
@@ -155,6 +173,18 @@ func TestRunCellsFrames(t *testing.T) {
 	}
 	if runs[2].Err == nil {
 		t.Fatal("out-of-range index did not error")
+	}
+	// A failing cell fails its own slot, named builder/workload like a
+	// matrix cell: a trace too short for one oracle interval.
+	short := c
+	short.Requests = 1000
+	shortPlan, err := BuildPlan([]Job{{Experiment: "fig1", Params: short.Params()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := shortPlan.RunCells([]int{0}, RunCellsOptions{})
+	if err := failed[0].Err; err == nil || !strings.Contains(err.Error(), "oracle/cactus: ") {
+		t.Fatalf("failing cell error %v does not name oracle/cactus", err)
 	}
 	// A second pass answers entirely from the cache: same frames, no new
 	// misses.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -260,5 +261,68 @@ func TestResultDirTransientCache(t *testing.T) {
 	after, _ := filepath.Glob(filepath.Join(dir, "*.mpr1"))
 	if len(after) != len(files) {
 		t.Fatalf("second pass changed the store: %d -> %d files", len(files), len(after))
+	}
+}
+
+// TestCellsHealUndecodablePayloads pins the executor's one fallback for
+// every payload kind: a store whose frames check out but whose payloads do
+// not decode must neither fail the run nor change a number. Each cell
+// recomputes once (on a private trace snapshot, since the probe counted it
+// cached) and heals the store, for matrix, oracle and distributed cells
+// alike.
+func TestCellsHealUndecodablePayloads(t *testing.T) {
+	c := cacheTestConfig()
+	c.Requests = 30_000 // enough for at least one oracle interval
+	builders := c.baselineBuilders(dram.HBM(), dram.DDR4_1600())[:2]
+	plan, err := BuildPlan([]Job{{Experiment: "fig1", Params: c.Params()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indices := []int{0, 1}
+	for _, tc := range []struct {
+		name  string
+		cells []planCell
+		run   func(c Config) (any, error)
+	}{
+		{"matrix", c.resultCells(builders), func(c Config) (any, error) { return c.matrix(builders) }},
+		{"oracle", c.oracleCells(), func(c Config) (any, error) { return c.OracleStudy() }},
+		{"distributed", c.oracleCells(), func(c Config) (any, error) {
+			runs := plan.RunCells(indices, RunCellsOptions{Results: c.Results})
+			for _, r := range runs {
+				if r.Err != nil {
+					return nil, r.Err
+				}
+			}
+			return runs, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, cell := range tc.cells {
+				name := filepath.Join(dir, fmt.Sprintf("%016x.mpr1", cell.key.Fingerprint()))
+				if err := os.WriteFile(name, resultcache.EncodeFile(cell.key, []byte("not a payload")), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for pass, wantStale := range []int{len(tc.cells), 0} {
+				cc := c
+				cc.Results = resultcache.New()
+				cc.Results.SetDir(dir)
+				got, err := tc.run(cc)
+				if err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pass %d differs from a fresh run", pass)
+				}
+				if s := cc.Results.Stats(); s.Misses != 0 || s.Stale != wantStale {
+					t.Fatalf("pass %d stats %+v, want no misses and %d stale", pass, s, wantStale)
+				}
+			}
+		})
 	}
 }

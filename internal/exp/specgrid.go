@@ -65,7 +65,7 @@ func (c Config) specGridBuilders() ([]builder, error) {
 // pair's TLM so columns are comparable across memory technologies. One
 // row per (pair, workload), plus an ALL-average row per pair.
 func (c Config) SpecGrid() (*report.Table, error) {
-	builders, err := c.specGridBuilders()
+	builders, err := c.buildersFor("specgrid")
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,17 @@ type CellKey struct {
 	Window int
 }
 
+// MechID renders a mechanism tag plus its printed config struct as a
+// CellKey's Mech field. Config structs are flat value types whose %+v form
+// lists every design-space parameter; static mechanisms pass a nil config
+// and are identified by the tag (their layout tells them apart).
+func MechID(tag string, cfg any) string {
+	if cfg == nil {
+		return tag
+	}
+	return tag + ":" + fmt.Sprintf("%+v", cfg)
+}
+
 // keyFormat tags the canonical key encoding itself, so the field set can
 // evolve without old store files parsing as silently-wrong keys.
 const keyFormat = "k1"

@@ -183,8 +183,52 @@ func (c *Cache) Probe(key CellKey) bool {
 // are single-flight: the first runs, the rest wait for its outcome. If
 // run fails, every waiter receives the error and the entry is forgotten,
 // so a later call retries.
-func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error) {
-	return c.getOrRun(key.Canonical(), run)
+//
+// Each of checks (typically the one payload decoder) must accept the
+// payload. A served payload one rejects (impossible for entries this
+// process wrote; conceivable for a hand-edited store mid-run) is evicted,
+// counted Stale and recomputed with run, and the fresh payload heals the
+// store: the cache never fails a run. A payload this call computed itself
+// is never recomputed, so run is called at most once per call.
+func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error), checks ...func([]byte) error) ([]byte, error) {
+	valid := func(payload []byte) error {
+		for _, check := range checks {
+			if err := check(payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	canon := key.Canonical()
+	ran := false
+	payload, err := c.getOrRun(canon, func() ([]byte, error) {
+		ran = true
+		return run()
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err = valid(payload); err == nil {
+		return payload, nil
+	}
+	if ran {
+		return nil, err
+	}
+	c.mu.Lock()
+	delete(c.entries, canon)
+	c.stats.Stale++
+	dir := c.dir
+	c.mu.Unlock()
+	if payload, err = run(); err != nil {
+		return nil, err
+	}
+	if err = valid(payload); err != nil {
+		return nil, err
+	}
+	if dir != "" {
+		c.persist(dir, canon, payload)
+	}
+	return payload, nil
 }
 
 // getOrRun is GetOrRun for a rendered canonical key line.
@@ -232,38 +276,23 @@ func (c *Cache) getOrRun(canon string, run func() ([]byte, error)) ([]byte, erro
 
 // ResultCell is GetOrRun specialized to KindResult payloads: compute is a
 // simulation cell returning stats.Result, and cached payloads decode back
-// field-identically. A resident payload that fails to decode (impossible
-// for entries this process wrote; conceivable for a hand-edited store
-// mid-run) recomputes rather than erroring, preserving the
-// cache-never-fails-a-run stance.
+// field-identically.
 func (c *Cache) ResultCell(key CellKey, run func() (stats.Result, error)) (stats.Result, error) {
-	canon := key.Canonical()
-	payload, err := c.getOrRun(canon, func() ([]byte, error) {
-		r, err := run()
+	var r stats.Result
+	_, err := c.GetOrRun(key, func() ([]byte, error) {
+		res, err := run()
 		if err != nil {
 			return nil, err
 		}
-		return EncodeResult(r), nil
+		return EncodeResult(res), nil
+	}, func(payload []byte) (err error) {
+		r, err = DecodeResult(payload)
+		return err
 	})
 	if err != nil {
 		return stats.Result{}, err
 	}
-	r, derr := DecodeResult(payload)
-	if derr == nil {
-		return r, nil
-	}
-	// Undecodable resident entry: evict and recompute once, bypassing the
-	// poisoned bytes, and heal the store with the fresh result.
-	c.mu.Lock()
-	delete(c.entries, canon)
-	c.stats.Stale++
-	dir := c.dir
-	c.mu.Unlock()
-	r, err = run()
-	if err == nil && dir != "" {
-		c.persist(dir, canon, EncodeResult(r))
-	}
-	return r, err
+	return r, nil
 }
 
 // Put installs a payload computed elsewhere (a distributed worker, a

@@ -547,3 +547,37 @@ func TestCacheServesEncodeFileStore(t *testing.T) {
 		t.Fatalf("stats %+v, want %d disk hits and zero misses", s, len(keys))
 	}
 }
+
+// TestGetOrRunChecksHeal pins GetOrRun's payload checks: a served payload
+// a check rejects is recomputed once and heals the store, while a payload
+// the call computed itself is returned as the check's error, never rerun.
+func TestGetOrRunChecksHeal(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey()
+	good := EncodeResult(testResult())
+	check := func(p []byte) error { _, err := DecodeResult(p); return err }
+
+	c := New()
+	c.SetDir(dir)
+	c.Put(key, []byte("poisoned"))
+	runs := 0
+	got, err := c.GetOrRun(key, func() ([]byte, error) { runs++; return good, nil }, check)
+	if err != nil || string(got) != string(good) || runs != 1 {
+		t.Fatalf("poisoned entry: %x, %v after %d runs", got, err, runs)
+	}
+	if s := c.Stats(); s.Stale != 1 {
+		t.Fatalf("stats %+v, want the poisoned entry counted stale", s)
+	}
+	healed := New()
+	healed.SetDir(dir)
+	if got, ok := healed.Lookup(key); !ok || string(got) != string(good) {
+		t.Fatalf("store not healed: %x, %v", got, ok)
+	}
+
+	runs = 0
+	other := key
+	other.Seed++
+	if _, err := New().GetOrRun(other, func() ([]byte, error) { runs++; return []byte("bad"), nil }, check); err == nil || runs != 1 {
+		t.Fatalf("fresh bad payload: err %v after %d runs, want an error after one", err, runs)
+	}
+}

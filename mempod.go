@@ -161,30 +161,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// specs resolves the run's memory specs: named presets when given,
-// otherwise the paper pair or the §6.3.4 future pair.
+// specs resolves the run's memory specs: named presets (either name
+// empty selects that level of the paper pair), or the §6.3.4 future pair.
 func (o Options) specs() (fast, slow dram.Spec, err error) {
-	if o.FastSpec != "" || o.SlowSpec != "" {
-		if o.FutureMemories {
+	if o.FutureMemories {
+		if o.FastSpec != "" || o.SlowSpec != "" {
 			return fast, slow, fmt.Errorf("mempod: FutureMemories cannot be combined with named specs")
 		}
-		fastName, slowName := o.FastSpec, o.SlowSpec
-		if fastName == "" {
-			fastName = "HBM"
-		}
-		if slowName == "" {
-			slowName = "DDR4-1600"
-		}
-		if fast, err = dram.Preset(fastName); err != nil {
-			return fast, slow, err
-		}
-		slow, err = dram.Preset(slowName)
-		return fast, slow, err
-	}
-	if o.FutureMemories {
 		return dram.HBMOverclocked(), dram.DDR4_2400(), nil
 	}
-	return dram.HBM(), dram.DDR4_1600(), nil
+	return dram.PresetPair(o.FastSpec, o.SlowSpec)
 }
 
 // layout returns the address layout the mechanism runs on: the standard
@@ -193,9 +179,9 @@ func (o Options) specs() (fast, slow dram.Spec, err error) {
 func (o Options) layout() addr.Layout {
 	switch o.Mechanism {
 	case MechHBMOnly:
-		return addr.Layout{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4}
+		return addr.FastOnlyLayout()
 	case MechDDROnly:
-		return addr.Layout{SlowBytes: 9 << 30, SlowChannels: 4, NumPods: 4}
+		return addr.SlowOnlyLayout()
 	}
 	return addr.DefaultLayout()
 }

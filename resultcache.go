@@ -95,14 +95,10 @@ func (o Options) cellKey(id cellIdentity) (resultcache.CellKey, error) {
 	if err != nil {
 		return resultcache.CellKey{}, err
 	}
-	mechID := tag
-	if cfg != nil {
-		mechID = fmt.Sprintf("%s:%+v", tag, cfg)
-	}
 	return resultcache.CellKey{
 		SimVersion: sim.Version,
 		Kind:       resultcache.KindResult,
-		Mech:       mechID,
+		Mech:       resultcache.MechID(tag, cfg),
 		FastFP:     fast.Fingerprint(),
 		SlowFP:     slow.Fingerprint(),
 		Layout:     fmt.Sprintf("%+v", o.layout()),

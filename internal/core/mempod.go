@@ -269,7 +269,7 @@ func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock
 		m.stats.LockStalls++
 	}
 
-	f := addr.Frame(p.remap.A[local])
+	f := addr.Frame(p.remap.Get(local))
 	if uint32(f) == local {
 		// Identity remap: the page still lives in its home frame, whose
 		// channel/row the decode already resolved.

@@ -231,7 +231,7 @@ func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 		lockEnd = end
 		h.stats.LockStalls++
 	}
-	slot := addr.Page(h.remap.A[page])
+	slot := addr.Page(h.remap.Get(page))
 	if uint64(slot) == uint64(page) {
 		// Identity remap: the decode already resolved the home location.
 		return clock.Max(h.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)

@@ -198,7 +198,7 @@ func (m *Migrant) Access(r *trace.Request, d *trace.Decoded, at clock.Time) cloc
 		lockEnd = end
 		m.stats.LockStalls++
 	}
-	slot := addr.Page(m.remap.A[page])
+	slot := addr.Page(m.remap.Get(page))
 	if uint64(slot) == uint64(page) {
 		// Identity remap: the decode already resolved the home location.
 		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, at), lockEnd)

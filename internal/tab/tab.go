@@ -9,7 +9,9 @@
 //
 //   - U32 is an identity-initialized uint32 table (remap/inverted tables)
 //     that journals every write, so restoring it to the identity costs
-//     O(writes), not O(size).
+//     O(writes), not O(size). Hot-path reads go through Get, which a
+//     one-bit-per-entry written set answers without loading the table for
+//     entries that were never written.
 //   - U16Zero is a zero-initialized uint16 table (activity counters) with
 //     the same journaling idea; clearing between intervals walks the
 //     touched entries instead of memsetting megabytes.
@@ -64,10 +66,15 @@ func (p *pool[T]) put(n int, t *T) {
 
 // U32 is a dense uint32 table whose resting state is the identity mapping
 // A[i] == i. Every write must go through Set so the table can be restored
-// cheaply; reads index A directly.
+// cheaply. Hot-path reads go through Get: a remap table is mostly identity
+// (only migrated pages were ever written), and the written set — one bit
+// per entry, 1/32 of A's size — stays cache-resident where A does not.
+// Cold paths may index A directly.
 type U32 struct {
-	// A is the table. Read it directly; write only through Set.
+	// A is the table. Read it through Get (or directly off the hot path);
+	// write only through Set.
 	A       []uint32
+	written []uint64 // bit i set once A[i] has been written
 	touched []uint32
 }
 
@@ -79,24 +86,38 @@ func NewU32(n int) *U32 {
 	if t := u32Pool.get(n); t != nil {
 		return t
 	}
-	t := &U32{A: make([]uint32, n)}
+	t := &U32{A: make([]uint32, n), written: make([]uint64, (n+63)/64)}
 	for i := range t.A {
 		t.A[i] = uint32(i)
 	}
 	return t
 }
 
-// Set writes A[i] = v and journals the write for Release.
+// Get returns A[i]. An entry that was never written is the identity, so
+// Get answers it from the written set without loading A[i].
+func (t *U32) Get(i uint32) uint32 {
+	if t.written[i>>6]&(1<<(i&63)) == 0 {
+		return i
+	}
+	return t.A[i]
+}
+
+// Set writes A[i] = v, marks i written and journals the write for Release.
 func (t *U32) Set(i, v uint32) {
 	t.A[i] = v
+	t.written[i>>6] |= 1 << (i & 63)
 	t.touched = append(t.touched, i)
 }
 
-// Release restores the identity mapping and returns the table to the
-// pool. The caller must not use the table afterwards.
+// Release restores the identity mapping, clears the written set and
+// returns the table to the pool. The caller must not use the table
+// afterwards.
 func (t *U32) Release() {
 	for _, i := range t.touched {
 		t.A[i] = i
+		// Every written bit belongs to a journaled entry, so clearing
+		// the whole word is exact.
+		t.written[i>>6] = 0
 	}
 	t.touched = t.touched[:0]
 	u32Pool.put(len(t.A), t)

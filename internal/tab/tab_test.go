@@ -17,8 +17,52 @@ func TestU32RecycleIsIdentity(t *testing.T) {
 				t.Fatalf("round %d: A[%d] = %d on acquisition, want identity", round, i, u.A[i])
 			}
 		}
+		for w, bits := range u.written {
+			if bits != 0 {
+				t.Fatalf("round %d: written word %d = %#x on acquisition, want empty", round, w, bits)
+			}
+		}
 		for k := 0; k < 500; k++ {
 			u.Set(uint32(rng.Intn(n)), rng.Uint32())
+		}
+		u.Release()
+	}
+}
+
+// TestU32GetMatchesSlice drives random Set/Get sequences against a plain
+// slice model across Release and pool reuse: Get must always return what
+// the identity-initialized slice holds, whether or not the written set
+// lets it skip loading A.
+func TestU32GetMatchesSlice(t *testing.T) {
+	const n = 1000 // not a multiple of 64: the last written-set word is partial
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 6; round++ {
+		u := NewU32(n)
+		ref := make([]uint32, n)
+		for i := range ref {
+			ref[i] = uint32(i)
+		}
+		for k := 0; k < 400; k++ {
+			i := uint32(rng.Intn(n))
+			switch rng.Intn(3) {
+			case 0:
+				u.Set(i, i) // an identity write keeps Get exact
+				ref[i] = i
+			case 1:
+				v := rng.Uint32()
+				u.Set(i, v)
+				ref[i] = v
+			}
+			for _, j := range []uint32{i, uint32(rng.Intn(n))} {
+				if got := u.Get(j); got != ref[j] {
+					t.Fatalf("round %d step %d: Get(%d) = %d, want %d", round, k, j, got, ref[j])
+				}
+			}
+		}
+		for j := range ref {
+			if got := u.Get(uint32(j)); got != ref[j] {
+				t.Fatalf("round %d: Get(%d) = %d, want %d", round, j, got, ref[j])
+			}
 		}
 		u.Release()
 	}

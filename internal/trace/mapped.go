@@ -16,10 +16,11 @@ func MapSupported() bool { return mapSupported }
 // read-only memory mapping of the file: replay touches the address,
 // timestamp, write and core columns without ever copying them onto the
 // heap. The returned snapshot owns the mapping — Release unmaps it — and
-// must not be used after Release. Predecode planes for a mapped snapshot
-// are store-backed too: Plane serves them from (and persists them as)
-// sidecar files next to the snapshot; decoded time columns still live on
-// the heap as usual.
+// must not be used after Release. The derived columns of a mapped
+// snapshot are store-backed too: Plane and TimeColumn serve the predecode
+// planes and the decoded time column from sidecar files next to the
+// snapshot, streaming a missing sidecar into place and mapping it, so
+// neither column lives on the heap.
 //
 // On platforms or builds without mmap (see MapSupported) the file is
 // read through ReadSnapshot instead, yielding an identical heap-backed
@@ -60,15 +61,24 @@ func OpenMapped(path string) (*Snapshot, string, error) {
 	// so adopt it as the decoded time column and skip the O(n) varint
 	// re-validation this open would otherwise pay. Without one, validate
 	// up front exactly as the copying reader does.
-	if col, m, ok := openTimesSidecar(path, s.times, s.n); ok {
+	stamp := parentStamp{size: size, mtime: fi.ModTime().UnixNano()}
+	if col, m, ok := openTimesSidecar(path, stamp, s.times, s.n); ok {
 		s.timeCol, s.timeValid, s.timeMapped = col, true, m
 	} else if err := validateTimes(s.times, uint64(s.n)); err != nil {
 		munmapBytes(data)
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	s.mapped = data
-	s.path = path
+	s.mapped, s.path, s.stamp = data, path, stamp
 	return s, name, nil
+}
+
+// parentStamp identifies the exact on-disk snapshot a sidecar derives
+// from: its byte size and modification time when it was opened.
+// tracecache persists snapshots by rename, so a regenerated parent always
+// changes the stamp and orphans the old sidecars.
+type parentStamp struct {
+	size  int64
+	mtime int64
 }
 
 // parseSnapshotBytes decodes the MPS1 layout in place: the returned

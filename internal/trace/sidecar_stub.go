@@ -9,17 +9,17 @@ import (
 
 // Without mmap support there is no zero-copy way to serve a sidecar, and
 // the raw-memory-image format is pointless through a copying read — the
-// derived columns are just recomputed (the nomap differential tests
-// exercise exactly this path).
+// derived columns are just computed on the heap (the nomap differential
+// tests exercise exactly this path).
 
-func openPlaneSidecar(base string, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
+func mapPlane(base string, parent parentStamp, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
 	return nil, nil, false
 }
 
-func writePlaneSidecar(base string, g *addr.Geom, dec []Decoded) {}
-
-func openTimesSidecar(base string, times []byte, n int) ([]clock.Time, []byte, bool) {
+func buildTimesSidecar(base string, parent parentStamp, times []byte, n int) ([]clock.Time, []byte, bool) {
 	return nil, nil, false
 }
 
-func writeTimesSidecar(base string, col []clock.Time) {}
+func openTimesSidecar(base string, parent parentStamp, times []byte, n int) ([]clock.Time, []byte, bool) {
+	return nil, nil, false
+}

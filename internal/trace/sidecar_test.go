@@ -5,8 +5,10 @@ package trace
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/clock"
@@ -30,9 +32,9 @@ func timesWant(reqs []Request) []clock.Time {
 }
 
 // TestSidecarRoundTrip pins the store-backed derived-column lifecycle: the
-// first mapped open computes the plane and time column and persists them
-// as sidecars next to the snapshot file; the second open serves both from
-// mapped sidecar memory, bit-identical to the computed versions.
+// first mapped open streams the plane and time column into sidecars next
+// to the snapshot file and maps them; the second open serves both from
+// the existing sidecars, bit-identical to the reference decode.
 func TestSidecarRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	l := addr.DefaultLayout()
@@ -57,6 +59,11 @@ func TestSidecarRoundTrip(t *testing.T) {
 		if gotTimes[i] != wantTimes[i] {
 			t.Fatalf("first open: times[%d] = %v, want %v", i, gotTimes[i], wantTimes[i])
 		}
+	}
+	// The first open streams both columns into their sidecars and maps
+	// them, so neither is held on the heap.
+	if s1.planes[0].mapped == nil || s1.timeMapped == nil {
+		t.Error("first open did not serve its built columns from mapped sidecars")
 	}
 	s1.Release()
 
@@ -289,5 +296,115 @@ func TestGeomFingerprintDistinguishesLayouts(t *testing.T) {
 			t.Fatalf("layouts %d and %d share fingerprint %#x", j, i, fp)
 		}
 		seen[fp] = i
+	}
+}
+
+// TestPlaneSidecarCorruptEntryRecomputed pins the full range check on an
+// adopted plane sidecar: one mid-body entry with an out-of-range pod (the
+// sample check reads only the first and last 32 entries) must make the
+// open recompute the plane, not serve an entry that would index past the
+// mechanism's per-pod tables.
+func TestPlaneSidecarCorruptEntryRecomputed(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	l := addr.DefaultLayout()
+	g := l.Geom()
+	reqs := boundedReqs(rng, 500, l)
+	path := writeSnapFile(t, t.TempDir(), "wl", reqs)
+	s1, _, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Plane(&g)
+	s1.Release()
+
+	sc := planeSidecarPath(path, &g)
+	b, err := os.ReadFile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elem := int(unsafe.Sizeof(Decoded{}))
+	at := sidecarHdrSize + len(reqs)/2*elem + int(unsafe.Offsetof(Decoded{}.Pod))
+	b[at], b[at+1] = 0xff, 0xff
+	if err := os.WriteFile(sc, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Release()
+	want := planeWant(reqs, &g)
+	got := s2.Plane(&g)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("plane[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if b, err = os.ReadFile(sc); err != nil {
+		t.Fatal(err)
+	}
+	if b[at] == 0xff && b[at+1] == 0xff {
+		t.Error("the corrupt sidecar was not rebuilt")
+	}
+}
+
+// TestSidecarBuildUnwritableDirFallsBack opens a snapshot whose directory
+// cannot take a new file: the streamed sidecar builds fail, and Plane and
+// TimeColumn must fall back to heap columns that replay identically.
+func TestSidecarBuildUnwritableDirFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	l := addr.DefaultLayout()
+	g := l.Geom()
+	reqs := boundedReqs(rng, 400, l)
+	dir := filepath.Join(t.TempDir(), "ro")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := writeSnapFile(t, dir, "wl", reqs)
+	s, _, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(dir, 0o755)
+	if f, err := os.CreateTemp(dir, "probe-*"); err == nil {
+		// Permission bits do not bind a privileged user: take the
+		// directory away instead (the open mapping survives it).
+		f.Close()
+		os.Chmod(dir, 0o755)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var got []Request
+	var r Request
+	ds := s.DecodedStream(&g)
+	for ds.Next(&r) {
+		got = append(got, r)
+	}
+	if s.planes[0].mapped != nil || s.timeMapped != nil {
+		t.Fatal("a column was served from a sidecar the directory cannot hold")
+	}
+	if len(got) != len(reqs) {
+		t.Fatalf("replayed %d requests, want %d", len(got), len(reqs))
+	}
+	for i := range reqs {
+		if got[i] != reqs[i] {
+			t.Fatalf("request %d = %+v, want %+v", i, got[i], reqs[i])
+		}
+	}
+	want := planeWant(reqs, &g)
+	for i, d := range s.Plane(&g) {
+		if d != want[i] {
+			t.Fatalf("plane[%d] = %+v, want %+v", i, d, want[i])
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) > 1 {
+		t.Fatalf("failed builds left %d files beside the snapshot", len(ents)-1)
 	}
 }

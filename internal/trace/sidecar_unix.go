@@ -30,7 +30,10 @@ import (
 // is recomputed (and the sidecar rewritten). Beyond the header, each open
 // cross-checks a sample of entries against fresh decodes of the mapped
 // snapshot, so drift that happens to preserve the header regenerates
-// instead of silently replaying wrong data.
+// instead of silently replaying wrong data, and range-checks every plane
+// entry against the geometry, so no corrupt entry can index past a table.
+// A missing column is streamed into its sidecar chunk by chunk and mapped
+// (buildSidecar): the whole column is never on the heap.
 //
 //	header (56 bytes): magic (8), arch marker (native-order uint64
 //	                   0x0102030405060708), element size, element count,
@@ -43,23 +46,6 @@ const (
 	sidecarHdrSize  = 56
 	sidecarArchMark = uint64(0x0102030405060708)
 )
-
-// parentStamp identifies the exact on-disk parent snapshot a sidecar was
-// derived from: its byte size and modification time. tracecache persists
-// snapshots by rename, so a regenerated parent always changes the stamp
-// and orphans the old sidecars.
-type parentStamp struct {
-	size  int64
-	mtime int64
-}
-
-func stampOf(path string) (parentStamp, bool) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return parentStamp{}, false
-	}
-	return parentStamp{size: fi.Size(), mtime: fi.ModTime().UnixNano()}, true
-}
 
 // geomFingerprint condenses the layout that defines a plane's decode into
 // a comparable token. Layout is a plain value struct, so its printed form
@@ -105,16 +91,27 @@ func openSidecar(path, magic string, elem, n int, key uint64, parent parentStamp
 	return m, m[sidecarHdrSize:], true
 }
 
-// writeSidecar persists a derived column next to its snapshot file,
-// atomically (temp + rename) so concurrent opens see a complete file or
-// none. Best-effort: failures leave no sidecar and no error — sidecars
-// are caches, and the computed column in hand is always correct.
-func writeSidecar(path, magic string, elem, n int, key uint64, parent parentStamp, body []byte) {
+// sidecarChunk is the entry count a streamed sidecar build computes and
+// writes at a time: the only part of a derived column it ever holds on
+// the heap.
+const sidecarChunk = 1 << 14
+
+// buildSidecar streams a derived column of n entries into a new sidecar
+// at path and maps the result, so the column is never held on the heap:
+// fill(dst) computes the next len(dst) entries, in order, one chunk at a
+// time. The file is written under a temporary name and renamed into place,
+// so concurrent opens see a complete sidecar or none. ok is false when the
+// file cannot be written or mapped; the caller then computes the column on
+// the heap. Sidecars are caches: a failed build leaves no file and no
+// error.
+func buildSidecar[T any](path, magic string, n int, key uint64, parent parentStamp, fill func(dst []T)) (col []T, mapping []byte, ok bool) {
+	elem := int(unsafe.Sizeof(*new(T)))
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".sidecar-*")
 	if err != nil {
-		return
+		return nil, nil, false
 	}
 	defer os.Remove(tmp.Name())
+	defer tmp.Close()
 	var hdr [sidecarHdrSize]byte
 	copy(hdr[:8], magic)
 	*(*uint64)(unsafe.Pointer(&hdr[8])) = sidecarArchMark
@@ -124,17 +121,24 @@ func writeSidecar(path, magic string, elem, n int, key uint64, parent parentStam
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(parent.size))
 	binary.LittleEndian.PutUint64(hdr[48:], uint64(parent.mtime))
 	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return
+		return nil, nil, false
 	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		return
+	chunk := make([]T, min(n, sidecarChunk))
+	for left := n; left > 0; left -= len(chunk) {
+		chunk = chunk[:min(left, len(chunk))]
+		fill(chunk)
+		if _, err := tmp.Write(unsafe.Slice((*byte)(unsafe.Pointer(&chunk[0])), len(chunk)*elem)); err != nil {
+			return nil, nil, false
+		}
 	}
-	if tmp.Close() != nil {
-		return
+	m, err := mmapFile(tmp, sidecarHdrSize+elem*n)
+	if err != nil {
+		return nil, nil, false
 	}
+	// The mapping outlives the file's name, so a failed rename still
+	// leaves a correct column for this open; only later opens miss it.
 	os.Rename(tmp.Name(), path)
+	return unsafe.Slice((*T)(unsafe.Pointer(&m[sidecarHdrSize])), n), m, true
 }
 
 // planeSidecarPath names the plane sidecar for a snapshot file and
@@ -145,73 +149,102 @@ func planeSidecarPath(base string, g *addr.Geom) string {
 
 func timesSidecarPath(base string) string { return base + ".times" }
 
-// openPlaneSidecar maps the plane sidecar for (base, g) if a valid one
-// exists, returning the plane, its backing mapping (for Release to unmap)
-// and whether it was usable. addrs is the snapshot's address column, used
-// to cross-check a sample of entries against fresh decodes.
-func openPlaneSidecar(base string, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
+// mapPlane serves the plane for the snapshot at base under g from its
+// sidecar: a valid one maps in as is, and a missing or invalid one is
+// streamed from the address column into a fresh sidecar and mapped. It
+// returns the plane, its mapping (for Release to unmap) and whether
+// either step succeeded.
+func mapPlane(base string, parent parentStamp, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
 	if n == 0 {
 		return nil, nil, false
 	}
-	parent, ok := stampOf(base)
-	if !ok {
-		return nil, nil, false
+	if dec, m, ok := openPlaneSidecar(base, parent, g, addrs, n); ok {
+		return dec, m, true
 	}
-	elem := int(unsafe.Sizeof(Decoded{}))
-	m, body, ok := openSidecar(planeSidecarPath(base, g), planeMagic, elem, n, geomFingerprint(g), parent)
+	i := 0
+	return buildSidecar(planeSidecarPath(base, g), planeMagic, n, geomFingerprint(g), parent, func(dst []Decoded) {
+		for j := range dst {
+			dst[j] = Decode(binary.LittleEndian.Uint64(addrs[8*i:]), g)
+			i++
+		}
+	})
+}
+
+// openPlaneSidecar maps the plane sidecar for (base, g) if a valid one
+// exists. The first and last 32 entries must match fresh decodes of
+// addrs, the snapshot's address column, and every entry must index inside
+// g's geometry (planeInRange), so a corrupt entry can never send a
+// mechanism or a channel past its tables.
+func openPlaneSidecar(base string, parent parentStamp, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
+	m, body, ok := openSidecar(planeSidecarPath(base, g), planeMagic, int(unsafe.Sizeof(Decoded{})), n, geomFingerprint(g), parent)
 	if !ok {
 		return nil, nil, false
 	}
 	dec := unsafe.Slice((*Decoded)(unsafe.Pointer(&body[0])), n)
-	check := func(i int) bool {
-		a := binary.LittleEndian.Uint64(addrs[8*i:])
-		return dec[i] == Decode(a, g)
-	}
-	lo := 32
-	if lo > n {
-		lo = n
-	}
-	for i := 0; i < lo; i++ {
-		if !check(i) {
+	for i := 0; i < n; i++ {
+		if i == 32 && n > 64 {
+			i = n - 32 // the first and the last 32 entries
+		}
+		if dec[i] != Decode(binary.LittleEndian.Uint64(addrs[8*i:]), g) {
 			munmapBytes(m)
 			return nil, nil, false
 		}
 	}
-	for i := n - 32; i < n; i++ {
-		if i < lo {
-			continue
-		}
-		if !check(i) {
-			munmapBytes(m)
-			return nil, nil, false
-		}
+	if !planeInRange(dec, g) {
+		munmapBytes(m)
+		return nil, nil, false
 	}
 	return dec, m, true
 }
 
-// writePlaneSidecar persists a computed plane for the snapshot at base.
-func writePlaneSidecar(base string, g *addr.Geom, dec []Decoded) {
-	if len(dec) == 0 {
-		return
+// planeInRange reports whether every plane entry lies inside g's
+// geometry: page, pod, home frame, channel, row and line each below its
+// count.
+func planeInRange(dec []Decoded, g *addr.Geom) bool {
+	pages, frames := g.TotalPagesN(), uint64(g.PagesPerPodN())
+	pods, chans := uint64(g.NumPods), uint64(g.Channels())
+	// Rows grow with the frame index within each level, so each level's
+	// last frame holds its highest row.
+	var rows uint64
+	if fast := g.FastPerPod(); fast > 0 {
+		rows = g.FrameLocation(0, addr.Frame(fast-1), 0).Row + 1
 	}
-	parent, ok := stampOf(base)
-	if !ok {
-		return
+	if frames > uint64(g.FastPerPod()) {
+		rows = max(rows, g.FrameLocation(0, addr.Frame(frames-1), 0).Row+1)
 	}
-	elem := int(unsafe.Sizeof(Decoded{}))
-	body := unsafe.Slice((*byte)(unsafe.Pointer(&dec[0])), len(dec)*elem)
-	writeSidecar(planeSidecarPath(base, g), planeMagic, elem, len(dec), geomFingerprint(g), parent, body)
+	// Branch-free, as the check reads every entry of a multi-MB column:
+	// for x, bound < 2^63, x < bound exactly when x-bound wraps to a value
+	// with the top bit set; masking with ^x also rejects a Page at or
+	// above 2^63. The other fields are narrower than 32 bits.
+	ok := ^uint64(0)
+	for i := range dec {
+		d := &dec[i]
+		ok &= (d.Page - pages) &^ d.Page
+		ok &= (uint64(d.Pod) - pods) & (uint64(d.Frame) - frames) & (uint64(d.Chan) - chans) &
+			(uint64(d.Row) - rows) & (uint64(d.Line) - addr.LinesPerPage)
+	}
+	return ok>>63 == 1
+}
+
+// buildTimesSidecar streams the decoded time column for the snapshot at
+// base from times, its validated varint column, into a fresh sidecar and
+// maps it. OpenMapped has already adopted a valid existing sidecar, so
+// TimeColumn only calls this when there is none.
+func buildTimesSidecar(base string, parent parentStamp, times []byte, n int) ([]clock.Time, []byte, bool) {
+	if n == 0 {
+		return nil, nil, false
+	}
+	var d timeDecoder
+	return buildSidecar(timesSidecarPath(base), timesMagic, n, 0, parent, func(dst []clock.Time) {
+		d.decode(times, dst)
+	})
 }
 
 // openTimesSidecar maps the decoded time column sidecar for base if a
 // valid one exists. times is the snapshot's packed varint column; the
 // sample check re-decodes the first entries from it.
-func openTimesSidecar(base string, times []byte, n int) ([]clock.Time, []byte, bool) {
+func openTimesSidecar(base string, parent parentStamp, times []byte, n int) ([]clock.Time, []byte, bool) {
 	if n == 0 {
-		return nil, nil, false
-	}
-	parent, ok := stampOf(base)
-	if !ok {
 		return nil, nil, false
 	}
 	m, body, ok := openSidecar(timesSidecarPath(base), timesMagic, 8, n, 0, parent)
@@ -239,18 +272,4 @@ func openTimesSidecar(base string, times []byte, n int) ([]clock.Time, []byte, b
 		}
 	}
 	return col, m, true
-}
-
-// writeTimesSidecar persists a decoded time column for the snapshot at
-// base.
-func writeTimesSidecar(base string, col []clock.Time) {
-	if len(col) == 0 {
-		return
-	}
-	parent, ok := stampOf(base)
-	if !ok {
-		return
-	}
-	body := unsafe.Slice((*byte)(unsafe.Pointer(&col[0])), len(col)*8)
-	writeSidecar(timesSidecarPath(base), timesMagic, 8, len(col), 0, parent, body)
 }

@@ -49,9 +49,11 @@ type Snapshot struct {
 	// mapped is the whole file mapping when the snapshot came from
 	// OpenMapped; the columns alias it, Release unmaps it, and the
 	// snapshot never enters the recording pool. path is the mapped file's
-	// location, the anchor for plane sidecars ("" for heap snapshots).
+	// location, the anchor for its sidecars ("" for heap snapshots), and
+	// stamp the file's identity when it was opened.
 	mapped []byte
 	path   string
+	stamp  parentStamp
 
 	// shared marks columns that alias one shared backing buffer
 	// (ReadSnapshot slices all of them out of a single read buffer;
@@ -218,7 +220,7 @@ func (s *Snapshot) Release() {
 	}
 	if s.mapped != nil {
 		m := s.mapped
-		s.mapped, s.path, s.times, s.addrs, s.writes, s.cores, s.n = nil, "", nil, nil, nil, nil, 0
+		s.mapped, s.path, s.stamp, s.times, s.addrs, s.writes, s.cores, s.n = nil, "", parentStamp{}, nil, nil, nil, nil, 0
 		munmapBytes(m)
 		return
 	}
@@ -265,9 +267,11 @@ func Decode(a uint64, g *addr.Geom) Decoded {
 //
 // For a snapshot mapped from a store file (OpenMapped), the plane itself
 // is store-backed: a valid sidecar next to the file maps in zero-copy,
-// and a computed plane persists as one for the next open — so steady-
-// state replay decodes each (workload, layout) pair once per store
-// lifetime, not once per batch.
+// and a missing one is streamed into place and mapped — so steady-state
+// replay decodes each (workload, layout) pair once per store lifetime,
+// not once per batch, and never holds the plane on the heap. The heap
+// path remains for heap snapshots and for a sidecar that cannot be
+// written.
 func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	s.planeMu.Lock()
 	defer s.planeMu.Unlock()
@@ -287,7 +291,7 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	}
 	pl := &s.planes[slot]
 	if s.path != "" {
-		if dec, m, ok := openPlaneSidecar(s.path, g, s.addrs, s.n); ok {
+		if dec, m, ok := mapPlane(s.path, s.stamp, g, s.addrs, s.n); ok {
 			*pl = plane{layout: g.Layout, valid: true, dec: dec, mapped: m}
 			return dec
 		}
@@ -303,9 +307,6 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 		dec[i] = Decode(a, g)
 	}
 	*pl = plane{layout: g.Layout, valid: true, dec: dec}
-	if s.path != "" {
-		writePlaneSidecar(s.path, g, dec)
-	}
 	return dec
 }
 
@@ -323,7 +324,7 @@ func (s *Snapshot) TimeColumn() []clock.Time {
 		return s.timeCol
 	}
 	if s.path != "" {
-		if col, m, ok := openTimesSidecar(s.path, s.times, s.n); ok {
+		if col, m, ok := buildTimesSidecar(s.path, s.stamp, s.times, s.n); ok {
 			s.timeCol, s.timeValid, s.timeMapped = col, true, m
 			return col
 		}
@@ -334,10 +335,25 @@ func (s *Snapshot) TimeColumn() []clock.Time {
 	} else {
 		col = col[:s.n]
 	}
-	times := s.times
-	off := 0
-	var now clock.Time
-	for i := range col {
+	var d timeDecoder
+	d.decode(s.times, col)
+	s.timeCol, s.timeValid = col, true
+	return col
+}
+
+// timeDecoder decodes a varint times column into absolute timestamps, in
+// consecutive pieces: off is the next varint's byte offset and now the
+// last decoded timestamp.
+type timeDecoder struct {
+	off int
+	now clock.Time
+}
+
+// decode fills dst with the next len(dst) timestamps. The column must hold
+// that many complete varints (validateTimes, or Record's own encoding).
+func (d *timeDecoder) decode(times []byte, dst []clock.Time) {
+	off, now := d.off, d.now
+	for i := range dst {
 		var delta uint64
 		var shift uint
 		for {
@@ -350,13 +366,9 @@ func (s *Snapshot) TimeColumn() []clock.Time {
 			shift += 7
 		}
 		now += clock.Time(delta)
-		col[i] = now
+		dst[i] = now
 	}
-	s.timeCol, s.timeValid = col, true
-	if s.path != "" {
-		writeTimesSidecar(s.path, col)
-	}
-	return col
+	d.off, d.now = off, now
 }
 
 // DecodedStream returns a replay cursor with the plane for g's layout and
@@ -369,7 +381,7 @@ func (s *Snapshot) DecodedStream(g *addr.Geom) *SnapshotStream {
 // SnapshotStream replays a Snapshot as a trace.Stream. Next performs no
 // allocation: it decodes one varint delta and indexes the columnar arrays.
 // NextBatch amortizes the cursor bookkeeping over whole batches and, when a
-// predecode plane is bound (DecodedStream/BindPlane), delivers each
+// predecode plane is bound (DecodedStream), delivers each
 // request's Decoded entry alongside it.
 type SnapshotStream struct {
 	snap  *Snapshot
@@ -420,17 +432,6 @@ func (ss *SnapshotStream) Reset() {
 
 // Snapshot returns the snapshot the cursor replays.
 func (ss *SnapshotStream) Snapshot() *Snapshot { return ss.snap }
-
-// BindPlane attaches a predecode plane to the cursor. The plane must be
-// the cursor's snapshot's own (Snapshot.Plane), decoded under the same
-// geometry the consumer services requests with; it panics on a
-// length mismatch. Pass nil to unbind.
-func (ss *SnapshotStream) BindPlane(dec []Decoded) {
-	if dec != nil && len(dec) != ss.snap.n {
-		panic(fmt.Sprintf("trace: plane length %d != snapshot length %d", len(dec), ss.snap.n))
-	}
-	ss.dec = dec
-}
 
 // NextBatch fills dst with up to len(dst) requests and returns how many
 // were produced (0 at end of stream). When a plane is bound and `plane` is

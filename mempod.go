@@ -210,11 +210,12 @@ func runStream(name string, s trace.Stream, o Options) (Result, error) {
 	engine := sim.New(backend, m)
 	engine.Window = o.Window
 	if ss, ok := s.(*trace.SnapshotStream); ok {
-		// Snapshot replays (RunTrace, -compare) lend the engine their
-		// batches; binding the snapshot's predecode plane for this layout
-		// lends the address decompositions too, so the engine skips its
-		// per-batch decode.
-		ss.BindPlane(ss.Snapshot().Plane(&backend.Geom))
+		// Snapshot replays (RunTrace, -compare) read the snapshot's decoded
+		// columns, as exp.Config.simulate does: the predecode plane for
+		// this layout and the absolute time column, each built once per
+		// snapshot (and, for a mapped trace, once per file), so the engine
+		// decodes neither addresses nor varints per batch.
+		s = ss.Snapshot().DecodedStream(&backend.Geom)
 	}
 	return engine.Run(name, s)
 }

@@ -1,8 +1,14 @@
 package mempod
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestWorkloadsList(t *testing.T) {
@@ -163,5 +169,62 @@ func TestRunCustomWorkload(t *testing.T) {
 	}
 	if _, err := RunCustom(strings.NewReader("not json"), Options{}); err == nil {
 		t.Error("garbage definition accepted")
+	}
+}
+
+// TestRunTraceMappedMatchesHeap replays one saved trace under every
+// mechanism three ways: from the heap recording, from a first mapped open
+// (which streams the decode sidecars into place) and from a second mapped
+// open (which adopts them). The Results must be identical, and the second
+// open must serve its time column from the mapped .times sidecar.
+func TestRunTraceMappedMatchesHeap(t *testing.T) {
+	heap, err := RecordTrace("mix5", 30_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mix5.mps")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := heap.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[Mechanism]Result{}
+	for _, m := range Mechanisms() {
+		if want[m], err = RunTrace(heap, Options{Mechanism: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for open := 1; open <= 2; open++ {
+		tr, err := OpenTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The snapshot's sidecar mappings are private to it; on Linux the
+		// process's own mapping list shows whether the adopted time
+		// column is the mapped .times file.
+		if open == 2 && trace.MapSupported() && runtime.GOOS == "linux" {
+			maps, err := os.ReadFile("/proc/self/maps")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(maps), path+".times") {
+				t.Error("second open does not serve its time column from the mapped .times sidecar")
+			}
+		}
+		for _, m := range Mechanisms() {
+			got, err := RunTrace(tr, Options{Mechanism: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[m]) {
+				t.Errorf("open %d, %s: mapped replay differs from the heap replay:\n got %+v\nwant %+v", open, m, got, want[m])
+			}
+		}
+		tr.Close()
 	}
 }

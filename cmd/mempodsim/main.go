@@ -15,6 +15,10 @@
 // per-mechanism results are also persisted, so re-running the same
 // comparison (same trace, specs and seed) replays nothing; the cache
 // summary is printed to stderr. -no-result-cache disables memoization.
+// Every row runs the same options as a single -mech run: -cache-bytes
+// sizes the MemPod and HMA bookkeeping caches, the -mempod-* flags tune
+// the MemPod row, and HMA is scaled to the trace length (10 ms interval,
+// 700 µs sort, 4096 migrations; see EXPERIMENTS.md).
 //
 // -analyze prints the selected trace's characterization (footprint,
 // write share, request rate, interval overlap, touch concentration)
@@ -30,6 +34,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/exp"
 	"repro/internal/profiling"
 	"repro/internal/runner"
 )
@@ -178,14 +183,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *compare {
-		if err := runCompare(tr, *requests, *seed, *future, fastSpec, slowSpec, *parallel, rcache); err != nil {
-			fmt.Fprintln(os.Stderr, "mempodsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	opts := mempod.Options{
 		Mechanism:      mempod.Mechanism(*mechName),
 		Requests:       *requests,
@@ -202,6 +199,14 @@ func main() {
 		HMA:     mempod.HMAOptions{CacheBytes: *cache},
 		Results: rcache,
 	}
+	if *compare {
+		if err := runCompare(os.Stdout, tr, opts, *parallel); err != nil {
+			fmt.Fprintln(os.Stderr, "mempodsim:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
 	var res mempod.Result
 	if tr != nil {
 		res, err = mempod.RunTrace(tr, opts)
@@ -311,24 +316,22 @@ func resolveTrace(traceIn, traceOut string, record bool, wl, customPath string, 
 	return tr, nil
 }
 
-// runCompare tabulates every mechanism on one recorded trace, replaying
+// runCompare tabulates every mechanism on one recorded trace into w, replaying
 // the shared packed snapshot concurrently (each run still builds its own
-// simulator state; only the immutable snapshot is shared).
-func runCompare(tr *mempod.Trace, requests int, seed int64, future bool, fastSpec, slowSpec string, parallelism int, rcache *mempod.ResultCache) error {
+// simulator state; only the immutable snapshot is shared). Each row runs
+// opts with its Mechanism set, so the MemPod and cache-size flags apply
+// to the rows they tune exactly as they do to a single -mech run; HMA is
+// scaled to the trace length as the full-scale experiments scale it
+// (exp.DefaultConfig, see EXPERIMENTS.md).
+func runCompare(w io.Writer, tr *mempod.Trace, opts mempod.Options, parallelism int) error {
 	order := compareOrder()
+	scaled := exp.DefaultConfig()
 	tasks := make([]runner.Task[mempod.Result], len(order))
 	for i, m := range order {
-		m := m
-		o := mempod.Options{Mechanism: m, Requests: requests, Seed: seed,
-			FutureMemories: future, FastSpec: fastSpec, SlowSpec: slowSpec,
-			Results: rcache}
+		o := opts
+		o.Mechanism = m
 		if m == mempod.MechHMA {
-			// Scale HMA to the trace length (see EXPERIMENTS.md).
-			o.HMA = mempod.HMAOptions{
-				Interval:      10 * mempod.Millisecond,
-				SortStall:     700 * mempod.Microsecond,
-				MaxMigrations: 4096,
-			}
+			o.HMA.Interval, o.HMA.SortStall, o.HMA.MaxMigrations = scaled.HMAInterval, scaled.HMASortStall, scaled.HMAMaxMigrations
 		}
 		tasks[i] = runner.Task[mempod.Result]{
 			Key: string(m),
@@ -345,16 +348,16 @@ func runCompare(tr *mempod.Trace, requests int, seed int64, future bool, fastSpe
 			base = results[i].Value
 		}
 	}
-	fmt.Printf("%-10s %12s %12s %12s %12s\n",
+	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s\n",
 		"mechanism", "AMMAT (ns)", "normalized", "fast %", "moved MB")
 	for i, m := range order {
 		res := results[i].Value
-		fmt.Printf("%-10s %12.2f %12.3f %11.1f%% %12.1f\n",
+		fmt.Fprintf(w, "%-10s %12.2f %12.3f %11.1f%% %12.1f\n",
 			m, res.AMMAT(), res.Normalized(base), 100*res.FastServiceFraction(),
 			float64(res.Mig.BytesMoved)/(1<<20))
 	}
-	if rcache != nil {
-		fmt.Fprintf(os.Stderr, "mempodsim: result cache %s\n", rcache.Stats())
+	if opts.Results != nil {
+		fmt.Fprintf(os.Stderr, "mempodsim: result cache %s\n", opts.Results.Stats())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -138,5 +139,71 @@ func TestAnalyzeSnapshotMatchesWorkload(t *testing.T) {
 	defer snap.Close()
 	if got := analyze(snap); got != want {
 		t.Errorf("snapshot summary differs from workload summary:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// compareRow returns the AMMAT field of mechanism m's row in a -compare
+// table.
+func compareRow(t *testing.T, table string, m mempod.Mechanism) string {
+	t.Helper()
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == string(m) {
+			return f[1]
+		}
+	}
+	t.Fatalf("no %s row in:\n%s", m, table)
+	return ""
+}
+
+// TestCompareAppliesOptions checks that every -compare row runs the
+// command's options: the MemPod and cache-size flags reach the MemPod row
+// (it reads what -mech MemPod reads under the same flags, not the default
+// design point), and with default flags HMA runs at the trace-scaled
+// 10 ms / 700 µs / 4096 point.
+func TestCompareAppliesOptions(t *testing.T) {
+	tr, err := mempod.RecordTrace("mix5", 40_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := func(o mempod.Options) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := runCompare(&buf, tr, o, 2); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	ammat := func(o mempod.Options) string {
+		t.Helper()
+		r, err := mempod.RunTrace(tr, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%.2f", r.AMMAT())
+	}
+
+	plain := table(mempod.Options{})
+	if got, want := compareRow(t, plain, mempod.MechMemPod), ammat(mempod.Options{Mechanism: mempod.MechMemPod}); got != want {
+		t.Errorf("default MemPod row %s, want %s", got, want)
+	}
+	hma := mempod.Options{Mechanism: mempod.MechHMA, HMA: mempod.HMAOptions{
+		Interval: 10 * mempod.Millisecond, SortStall: 700 * mempod.Microsecond, MaxMigrations: 4096}}
+	if got, want := compareRow(t, plain, mempod.MechHMA), ammat(hma); got != want {
+		t.Errorf("default HMA row %s, want %s", got, want)
+	}
+
+	tuned := mempod.Options{
+		MemPod: mempod.MemPodOptions{Counters: 16, CacheBytes: 32768},
+		HMA:    mempod.HMAOptions{CacheBytes: 32768},
+	}
+	flagged := table(tuned)
+	single := tuned
+	single.Mechanism = mempod.MechMemPod
+	got, want := compareRow(t, flagged, mempod.MechMemPod), ammat(single)
+	if got != want {
+		t.Errorf("tuned MemPod row %s, want the -mech MemPod run's %s", got, want)
+	}
+	if got == compareRow(t, plain, mempod.MechMemPod) {
+		t.Errorf("tuned MemPod row %s equals the default row: flags ignored", got)
 	}
 }

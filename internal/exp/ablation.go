@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/mech"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -23,22 +22,10 @@ func (c Config) podSweepBuilders() ([]builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	builders := []builder{{
-		name: "TLM", ckey: mechKey("static", nil),
-		layout: stdLayout(), fast: fast, slow: slow,
-		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
-	}}
+	builders := []builder{{"TLM", Cell{nil, stdLayout(), fast, slow}}}
 	for _, pods := range PodCounts {
-		layout := stdLayout()
-		layout.NumPods = pods
-		builders = append(builders, builder{
-			name:   fmt.Sprintf("MemPod/%dpod", pods),
-			ckey:   mechKey("mempod", core.DefaultConfig()),
-			layout: layout, fast: fast, slow: slow,
-			make: func(b *mech.Backend) mech.Mechanism {
-				return core.MustNew(core.DefaultConfig(), b)
-			},
-		})
+		builders = append(builders, builder{fmt.Sprintf("MemPod/%dpod", pods),
+			Cell{core.DefaultConfig(), layoutForPods(pods), fast, slow}})
 	}
 	return builders, nil
 }
@@ -78,28 +65,16 @@ func (c Config) PodSweep() (*report.Table, error) {
 
 // trackerSweepBuilders enumerates the tracking ablation grid.
 func (c Config) trackerSweepBuilders() ([]builder, error) {
-	mk := func(useFC bool) func(b *mech.Backend) mech.Mechanism {
-		return func(b *mech.Backend) mech.Mechanism {
-			cfg := core.DefaultConfig()
-			cfg.UseFullCounters = useFC
-			return core.MustNew(cfg, b)
-		}
-	}
 	fast, slow, err := c.specPair("ablation-tracker")
 	if err != nil {
 		return nil, err
 	}
-	fcKey := func(useFC bool) string {
-		cfg := core.DefaultConfig()
-		cfg.UseFullCounters = useFC
-		return mechKey("mempod", cfg)
-	}
+	fc := core.DefaultConfig()
+	fc.UseFullCounters = true
 	return []builder{
-		{"TLM", mechKey("static", nil), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return mech.NewStatic("TLM", b)
-		}},
-		{"MemPod", fcKey(false), stdLayout(), fast, slow, mk(false)},
-		{"MemPod-FC", fcKey(true), stdLayout(), fast, slow, mk(true)},
+		{"TLM", Cell{nil, stdLayout(), fast, slow}},
+		{"MemPod", Cell{core.DefaultConfig(), stdLayout(), fast, slow}},
+		{"MemPod-FC", Cell{fc, stdLayout(), fast, slow}},
 	}, nil
 }
 
@@ -130,7 +105,8 @@ func (c Config) TrackerSweep() (*report.Table, error) {
 	return t, nil
 }
 
-// layoutForPods is a helper for tests.
+// layoutForPods is the standard layout clustered into the given number of
+// pods.
 func layoutForPods(pods int) addr.Layout {
 	l := stdLayout()
 	l.NumPods = pods

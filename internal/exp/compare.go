@@ -6,8 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/hma"
-	"repro/internal/mech"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/thm"
@@ -29,7 +27,7 @@ func (c Config) Fig8() (*report.Table, error) {
 		return nil, err
 	}
 	return c.renderComparison("fig8",
-		fmt.Sprintf("AMMAT normalized to no-migration TLM (1GB %s + 8GB %s)", builders[0].fast.Name, builders[0].slow.Name),
+		fmt.Sprintf("AMMAT normalized to no-migration TLM (1GB %s + 8GB %s)", builders[0].Fast.Name, builders[0].Slow.Name),
 		res, "TLM"), nil
 }
 
@@ -49,11 +47,7 @@ func (c Config) fig10Builders() []builder {
 			builders[i].name = "HBMoc"
 		}
 	}
-	return append(builders, builder{
-		name: "DDR-only", ckey: mechKey("static", nil),
-		layout: addr.SlowOnlyLayout(), fast: fast, slow: slow,
-		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("DDR-only", b) },
-	})
+	return append(builders, builder{"DDR-only", Cell{nil, addr.SlowOnlyLayout(), fast, slow}})
 }
 
 // Fig10 regenerates Figure 10, the future-technology scalability study:
@@ -162,52 +156,19 @@ func (c Config) fig9Builders() ([]builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	builders := []builder{{
-		name: "TLM", ckey: mechKey("static", nil),
-		layout: stdLayout(), fast: fast, slow: slow,
-		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
-	}}
+	builders := []builder{{"TLM", Cell{nil, stdLayout(), fast, slow}}}
 	mechs := []struct {
 		name string
-		ckey func(cacheBytes int) string
-		mk   func(cacheBytes int) func(b *mech.Backend) mech.Mechanism
+		cfg  func(cacheBytes int) any
 	}{
-		{"MemPod",
-			func(cb int) string { cfg := core.DefaultConfig(); cfg.CacheBytes = cb; return mechKey("mempod", cfg) },
-			func(cb int) func(b *mech.Backend) mech.Mechanism {
-				return func(b *mech.Backend) mech.Mechanism {
-					cfg := core.DefaultConfig()
-					cfg.CacheBytes = cb
-					return core.MustNew(cfg, b)
-				}
-			}},
-		{"THM",
-			func(cb int) string { cfg := thm.DefaultConfig(); cfg.CacheBytes = cb; return mechKey("thm", cfg) },
-			func(cb int) func(b *mech.Backend) mech.Mechanism {
-				return func(b *mech.Backend) mech.Mechanism {
-					cfg := thm.DefaultConfig()
-					cfg.CacheBytes = cb
-					return thm.MustNew(cfg, b)
-				}
-			}},
-		{"HMA",
-			func(cb int) string { cfg := c.hmaConfig(); cfg.CacheBytes = cb; return mechKey("hma", cfg) },
-			func(cb int) func(b *mech.Backend) mech.Mechanism {
-				return func(b *mech.Backend) mech.Mechanism {
-					cfg := c.hmaConfig()
-					cfg.CacheBytes = cb
-					return hma.MustNew(cfg, b)
-				}
-			}},
+		{"MemPod", func(cb int) any { cfg := core.DefaultConfig(); cfg.CacheBytes = cb; return cfg }},
+		{"THM", func(cb int) any { cfg := thm.DefaultConfig(); cfg.CacheBytes = cb; return cfg }},
+		{"HMA", func(cb int) any { cfg := c.hmaConfig(); cfg.CacheBytes = cb; return cfg }},
 	}
 	sizes := append([]int{0}, Fig9Sizes...)
 	for _, m := range mechs {
 		for _, size := range sizes {
-			builders = append(builders, builder{
-				name: fig9Label(m.name, size), ckey: m.ckey(size),
-				layout: stdLayout(), fast: fast, slow: slow,
-				make: m.mk(size),
-			})
+			builders = append(builders, builder{fig9Label(m.name, size), Cell{m.cfg(size), stdLayout(), fast, slow}})
 		}
 	}
 	return builders, nil

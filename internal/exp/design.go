@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/mech"
 	"repro/internal/report"
 )
 
@@ -35,13 +34,7 @@ func (c Config) memPodGridBuilders(experiment string, cfgs []core.Config) ([]bui
 	}
 	builders := make([]builder, len(cfgs))
 	for i, mpCfg := range cfgs {
-		mpCfg := mpCfg
-		builders[i] = builder{
-			name:   fmt.Sprintf("MemPod#%d", i),
-			ckey:   mechKey("mempod", mpCfg),
-			layout: stdLayout(), fast: fast, slow: slow,
-			make: func(bk *mech.Backend) mech.Mechanism { return core.MustNew(mpCfg, bk) },
-		}
+		builders[i] = builder{fmt.Sprintf("MemPod#%d", i), Cell{mpCfg, stdLayout(), fast, slow}}
 	}
 	return builders, nil
 }

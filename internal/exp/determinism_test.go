@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dram"
-	"repro/internal/mech"
 	"repro/internal/workload"
 )
 
@@ -78,10 +77,7 @@ func TestMatrixJoinsIndependentErrors(t *testing.T) {
 		{Name: "brokenA"},
 		{Name: "brokenB"},
 	}
-	builders := []builder{{
-		name: "TLM", layout: stdLayout(), fast: dram.HBM(), slow: dram.DDR4_1600(),
-		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
-	}}
+	builders := []builder{{"TLM", Cell{nil, stdLayout(), dram.HBM(), dram.DDR4_1600()}}}
 	res, err := c.matrix(builders)
 	if err == nil {
 		t.Fatal("matrix succeeded with only broken workloads")

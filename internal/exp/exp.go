@@ -19,10 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/hma"
-	"repro/internal/mech"
-	"repro/internal/memsys"
 	"repro/internal/resultcache"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/thm"
 	"repro/internal/trace"
@@ -62,7 +59,7 @@ type Config struct {
 	// matrix experiments (Figures 6–10, the ablations, the oracle study).
 	// Zero selects GOMAXPROCS; one forces serial execution. Results are
 	// identical for any value: cells are fully independent
-	// (Config.simulate builds a fresh memsys/backend/engine per cell) and
+	// (Cell.Run builds a fresh memsys/backend/engine per cell) and
 	// are assembled in a fixed order by internal/runner.
 	Parallelism int
 	// Progress, when non-nil, is invoked after each simulation cell of a
@@ -77,13 +74,6 @@ type Config struct {
 	// bound); it does not retain snapshots between runs — every batch
 	// declares exact use counts and frees each snapshot at its last use.
 	Traces *tracecache.Cache
-	// TraceDir, when non-empty, enables the snapshot disk store
-	// (tracecache.Cache.SetDir) for runs that create their own transient
-	// cache: generated traces persist there as MPS1 files and reload —
-	// memory-mapped where supported — on later runs instead of being
-	// regenerated. Ignored when Traces is set (configure the shared cache
-	// directly in that case).
-	TraceDir string
 
 	// Results, when non-nil, is the content-addressed result cache matrix
 	// and oracle runs consult before simulating a cell (and publish fresh
@@ -187,26 +177,16 @@ func (c Config) specPair(experiment string) (fast, slow dram.Spec, err error) {
 	return fast, slow, err
 }
 
-// builder constructs a mechanism and the memory system it runs on.
-//
-// name is the display label results carry (and may differ between
-// experiments for one mechanism — Fig6 numbers its grid points, Fig10
-// renames HBM-only); ckey is the mechanism's canonical identity for the
-// result cache, derived from the config struct that parameterizes it, so
-// equal design points hit one another's cache entries whatever an
-// experiment labels them.
+// builder is one column of an experiment matrix: a simulated system
+// (Cell) and the display label its results carry. The label may differ
+// between experiments for one design point — Fig6 numbers its grid
+// points, Fig10 renames HBM-only — while the cache identity comes from
+// the Cell alone, so equal design points hit one another's cache entries
+// whatever an experiment labels them.
 type builder struct {
-	name   string
-	ckey   string
-	layout addr.Layout
-	fast   dram.Spec
-	slow   dram.Spec
-	make   func(b *mech.Backend) mech.Mechanism
+	name string
+	Cell
 }
-
-// mechKey is the builder's canonical cache identity: the mechanism tag
-// plus its printed config struct, as the facade keys its runs.
-var mechKey = resultcache.MechID
 
 // Standard layouts of the evaluation.
 func stdLayout() addr.Layout { return addr.DefaultLayout() }
@@ -214,25 +194,14 @@ func stdLayout() addr.Layout { return addr.DefaultLayout() }
 // baselineBuilders returns the Figure 8 configurations over the given
 // memory specs: no-migration TLM, the four mechanisms, and HBM-only.
 func (c Config) baselineBuilders(fast, slow dram.Spec) []builder {
+	cell := func(cfg any) Cell { return Cell{cfg, stdLayout(), fast, slow} }
 	return []builder{
-		{"TLM", mechKey("static", nil), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return mech.NewStatic("TLM", b)
-		}},
-		{"MemPod", mechKey("mempod", core.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return core.MustNew(core.DefaultConfig(), b)
-		}},
-		{"HMA", mechKey("hma", c.hmaConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return hma.MustNew(c.hmaConfig(), b)
-		}},
-		{"THM", mechKey("thm", thm.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return thm.MustNew(thm.DefaultConfig(), b)
-		}},
-		{"CAMEO", mechKey("cameo", cameo.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return cameo.MustNew(cameo.DefaultConfig(), b)
-		}},
-		{"HBM-only", mechKey("static", nil), addr.FastOnlyLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
-			return mech.NewStatic("HBM-only", b)
-		}},
+		{"TLM", cell(nil)},
+		{"MemPod", cell(core.DefaultConfig())},
+		{"HMA", cell(c.hmaConfig())},
+		{"THM", cell(thm.DefaultConfig())},
+		{"CAMEO", cell(cameo.DefaultConfig())},
+		{"HBM-only", Cell{nil, addr.FastOnlyLayout(), fast, slow}},
 	}
 }
 
@@ -245,15 +214,11 @@ func (c Config) hmaConfig() hma.Config {
 }
 
 // cellOptions is the cache and pool configuration this config's cells
-// run under: the shared caches when set, else transient ones over
-// TraceDir/ResultDir (runCells makes a plain transient snapshot cache
-// itself), and no result cache when neither Results nor ResultDir is set.
+// run under: the shared caches when set, else a transient result cache
+// over ResultDir (runCells makes a transient snapshot cache itself), and
+// no result cache when neither Results nor ResultDir is set.
 func (c Config) cellOptions() RunCellsOptions {
 	opts := RunCellsOptions{Results: c.Results, Traces: c.Traces, Parallelism: c.Parallelism}
-	if opts.Traces == nil && c.TraceDir != "" {
-		opts.Traces = tracecache.New()
-		opts.Traces.SetDir(c.TraceDir)
-	}
 	if opts.Results == nil && c.ResultDir != "" {
 		opts.Results = resultcache.New()
 		opts.Results.SetDir(c.ResultDir)
@@ -276,21 +241,16 @@ func (c Config) cellOptions() RunCellsOptions {
 func (c Config) resultCells(builders []builder) []planCell {
 	bases := make([]resultcache.CellKey, len(builders))
 	for i, b := range builders {
-		k := resultcache.CellKey{
-			SimVersion: sim.Version,
-			Kind:       resultcache.KindResult,
-			Mech:       b.ckey,
-			Requests:   c.Requests,
-			Seed:       c.Seed,
-		}
 		// An experiment's builders mostly share one spec pair and layout,
-		// so reuse the previous builder's rendering of them when it can.
-		if prev := i - 1; prev >= 0 && b.fast == builders[prev].fast && b.slow == builders[prev].slow && b.layout == builders[prev].layout {
-			k.FastFP, k.SlowFP, k.Layout = bases[prev].FastFP, bases[prev].SlowFP, bases[prev].Layout
+		// so reuse the previous builder's rendering of them when it can
+		// (Cell.Key would re-render all three per builder).
+		if prev := i - 1; prev >= 0 && b.Fast == builders[prev].Fast && b.Slow == builders[prev].Slow && b.Layout == builders[prev].Layout {
+			bases[i] = bases[prev]
+			bases[i].Mech = b.mechID()
 		} else {
-			k.FastFP, k.SlowFP, k.Layout = b.fast.Fingerprint(), b.slow.Fingerprint(), fmt.Sprintf("%+v", b.layout)
+			bases[i] = b.Key()
 		}
-		bases[i] = k
+		bases[i].Requests, bases[i].Seed = c.Requests, c.Seed
 	}
 	cells := make([]planCell, 0, len(c.Workloads)*len(builders))
 	for _, w := range c.Workloads {
@@ -330,35 +290,21 @@ func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses
 	})
 }
 
-// simulate computes one (workload, builder) cell. Every piece of mutable
-// state — memory system, backend, mechanism, engine, replay cursor — is
-// constructed here, inside the cell; cells share only the read-only Config
-// and builder values plus the recorded trace snapshot, which is immutable
-// after capture (each cell replays it through its own cursor). That
-// isolation is what makes matrix safe to fan out across goroutines
-// (asserted by TestMatrixParallelDeterminism and the race detector in CI).
+// simulate computes one (workload, builder) cell: it borrows the
+// workload's trace snapshot and replays it under the builder's Cell, which
+// constructs every piece of mutable state inside the cell. Cells share
+// only the read-only Config and builder values plus the recorded snapshot,
+// which is immutable after capture (each cell replays it through its own
+// cursor). That isolation is what makes matrix safe to fan out across
+// goroutines (asserted by TestMatrixParallelDeterminism and the race
+// detector in CI).
 func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cache, uses int) (stats.Result, error) {
 	snap, release, err := c.acquireTrace(traces, w, uses)
 	if err != nil {
 		return stats.Result{}, err
 	}
 	defer release()
-	sys, err := memsys.New(b.layout, b.fast, b.slow)
-	if err != nil {
-		return stats.Result{}, err
-	}
-	backend := mech.NewBackend(sys)
-	m := b.make(backend)
-	// Recycle the mechanism's large tables into the shared pools once the
-	// run's stats are extracted; successive cells then reuse one another's
-	// allocations instead of paying fresh multi-MB zeroing per cell.
-	defer mech.Release(m)
-	engine := sim.New(backend, m)
-	// Replay through the snapshot's predecode plane for this cell's layout:
-	// the plane is computed once per (snapshot, layout) and shared by every
-	// cell replaying it, so the matrix decodes each trace once, not once per
-	// mechanism (see trace.Snapshot.Plane).
-	return engine.Run(w.Name, snap.DecodedStream(&backend.Geom))
+	return b.Run(w.Name, snap.Stream(), 0)
 }
 
 // matrix runs every workload under every builder through runCells on

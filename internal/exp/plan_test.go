@@ -199,3 +199,62 @@ func TestRunCellsFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanFingerprintsPinned pins every experiment's cell identity: the
+// plan fingerprint (a hash of every cell's canonical result-cache key, in
+// order) of each ExperimentIDs id at its standard quick and full
+// configuration. A persistent result store is addressed by exactly these
+// keys, so a change to how a builder, Cell.Key or CellKey renders a cell
+// silently orphans every user's store. An intended key change must update
+// these values together with a decision about sim.Version and the store
+// (bump the version, or document that old entries are abandoned).
+func TestPlanFingerprintsPinned(t *testing.T) {
+	want := []struct {
+		id   string
+		full bool
+		fp   uint64
+	}{
+		{"fig1", false, 0x50c8b86f1001b115},
+		{"fig2", false, 0x50c8b86f1001b115},
+		{"fig3", false, 0x50c8b86f1001b115},
+		{"table1", false, 0xce481b57a021c5f2},
+		{"table2", false, 0xce481b57a021c5f2},
+		{"table3", false, 0xce481b57a021c5f2},
+		{"fig6", false, 0x653595ad21869438},
+		{"fig7", false, 0x4e4942b4d6f2623c},
+		{"fig8", false, 0x27775030603189f6},
+		{"fig9", false, 0x11e13929cc575512},
+		{"fig10", false, 0x3c0559f6a9e6ae6d},
+		{"specgrid", false, 0x90c117bca3ff7eb6},
+		{"ablation-pods", false, 0xed25053a88dd293a},
+		{"ablation-tracker", false, 0x9ee5a657507b1717},
+		{"energy", false, 0x27775030603189f6},
+		{"fig1", true, 0xc366f824b2a5aa87},
+		{"fig2", true, 0xc366f824b2a5aa87},
+		{"fig3", true, 0xc366f824b2a5aa87},
+		{"table1", true, 0xce481b57a021c5f2},
+		{"table2", true, 0xce481b57a021c5f2},
+		{"table3", true, 0xce481b57a021c5f2},
+		{"fig6", true, 0xa990640c73355aa4},
+		{"fig7", true, 0xe94c24534d27f68c},
+		{"fig8", true, 0x869028b7e2d85891},
+		{"fig9", true, 0x5ae826fac742e744},
+		{"fig10", true, 0xce7844e000002f93},
+		{"specgrid", true, 0x83aad5b2b9a7deda},
+		{"ablation-pods", true, 0x36243f347f2c9cb4},
+		{"ablation-tracker", true, 0xb4b1fe1e3803e119},
+		{"energy", true, 0x869028b7e2d85891},
+	}
+	for _, w := range want {
+		p, err := BuildPlan([]Job{{Experiment: w.id, Params: ConfigFor(w.id, w.full).Params()}})
+		if err != nil {
+			t.Fatalf("%s (full=%v): %v", w.id, w.full, err)
+		}
+		if got := p.Fingerprint(); got != w.fp {
+			t.Errorf("%s (full=%v): plan fingerprint %016x, want %016x", w.id, w.full, got, w.fp)
+		}
+	}
+	if len(want) != 2*len(ExperimentIDs()) {
+		t.Errorf("pinned %d fingerprints, want quick and full for all %d experiments", len(want), len(ExperimentIDs()))
+	}
+}

@@ -6,8 +6,6 @@ import (
 	"repro/internal/cameo"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/hma"
-	"repro/internal/mech"
 	"repro/internal/migrant"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -44,18 +42,19 @@ func (c Config) specGridBuilders() ([]builder, error) {
 			return nil, fmt.Errorf("exp: specgrid: slow spec: %w", err)
 		}
 		prefix := pair[0] + "+" + pair[1]
-		add := func(mechName, ckey string, mk func(b *mech.Backend) mech.Mechanism) {
-			builders = append(builders, builder{
-				name: prefix + "/" + mechName, ckey: ckey, layout: stdLayout(),
-				fast: fast, slow: slow, make: mk,
-			})
+		for _, m := range []struct {
+			name string
+			cfg  any
+		}{
+			{"TLM", nil},
+			{"MemPod", core.DefaultConfig()},
+			{"HMA", c.hmaConfig()},
+			{"THM", thm.DefaultConfig()},
+			{"CAMEO", cameo.DefaultConfig()},
+			{"Migrant", migrant.DefaultConfig()},
+		} {
+			builders = append(builders, builder{prefix + "/" + m.name, Cell{m.cfg, stdLayout(), fast, slow}})
 		}
-		add("TLM", mechKey("static", nil), func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
-		add("MemPod", mechKey("mempod", core.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) })
-		add("HMA", mechKey("hma", c.hmaConfig()), func(b *mech.Backend) mech.Mechanism { return hma.MustNew(c.hmaConfig(), b) })
-		add("THM", mechKey("thm", thm.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return thm.MustNew(thm.DefaultConfig(), b) })
-		add("CAMEO", mechKey("cameo", cameo.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return cameo.MustNew(cameo.DefaultConfig(), b) })
-		add("Migrant", mechKey("migrant", migrant.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return migrant.MustNew(migrant.DefaultConfig(), b) })
 	}
 	return builders, nil
 }

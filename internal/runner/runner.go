@@ -14,7 +14,7 @@
 // Determinism: a task's result depends only on its own Run closure, and
 // results are keyed by submission index, never by completion order.
 // Provided each task is self-contained (it must build all mutable state
-// itself — see internal/exp.Config.simulate for the canonical example), the
+// itself — see internal/exp.Cell.Run for the canonical example), the
 // output of Run is bit-identical for any Parallelism, including 1, which
 // degenerates to strict serial execution in submission order.
 package runner

@@ -10,11 +10,9 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/exp"
 	"repro/internal/hma"
-	"repro/internal/mech"
-	"repro/internal/memsys"
 	"repro/internal/migrant"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/thm"
 	"repro/internal/trace"
@@ -186,38 +184,46 @@ func (o Options) layout() addr.Layout {
 	return addr.DefaultLayout()
 }
 
-// runStream builds the memory system and mechanism selected by o and
-// drives the stream through it. Every entry point — generated workloads,
-// custom definitions, recorded trace replays — funnels through here, via
-// cachedRun when the run is memoizable.
-func runStream(name string, s trace.Stream, o Options) (Result, error) {
+// cell resolves the options into the simulated system — memory specs,
+// layout and mechanism config — without constructing anything. The same
+// exp.Cell both runs (exp.Cell.Run) and keys (Options.cellKey) the run,
+// so a run and its cache entry can never disagree about what was
+// simulated, and a facade run keys exactly as the experiment matrix keys
+// the same design point.
+func (o Options) cell() (exp.Cell, error) {
 	fast, slow, err := o.specs()
 	if err != nil {
-		return Result{}, err
+		return exp.Cell{}, err
 	}
-	sys, err := memsys.New(o.layout(), fast, slow)
+	cfg, err := o.mechConfig()
+	if err != nil {
+		return exp.Cell{}, err
+	}
+	return exp.Cell{Cfg: cfg, Layout: o.layout(), Fast: fast, Slow: slow}, nil
+}
+
+// runStream simulates the stream that open returns under the cell o
+// selects. Every entry point — generated workloads, custom definitions,
+// recorded trace replays — funnels through here. When the run is
+// memoizable (o.Results set and id cacheable) the cache is consulted
+// first, and open is called only on a miss. Snapshot replays (RunTrace,
+// -compare) read the snapshot's decoded columns; see exp.Cell.Run.
+func runStream(name string, o Options, id cellIdentity, open func() (trace.Stream, error)) (Result, error) {
+	cell, err := o.cell()
 	if err != nil {
 		return Result{}, err
 	}
-	backend := mech.NewBackend(sys)
-	m, err := buildMechanism(o, backend)
-	if err != nil {
-		return Result{}, err
+	simulate := func() (Result, error) {
+		s, err := open()
+		if err != nil {
+			return Result{}, err
+		}
+		return cell.Run(name, s, o.Window)
 	}
-	// Recycle the mechanism's pooled tables once the run's stats are out,
-	// so back-to-back runs (mempodsim -compare) reuse allocations.
-	defer mech.Release(m)
-	engine := sim.New(backend, m)
-	engine.Window = o.Window
-	if ss, ok := s.(*trace.SnapshotStream); ok {
-		// Snapshot replays (RunTrace, -compare) read the snapshot's decoded
-		// columns, as exp.Config.simulate does: the predecode plane for
-		// this layout and the absolute time column, each built once per
-		// snapshot (and, for a mapped trace, once per file), so the engine
-		// decodes neither addresses nor varints per batch.
-		s = ss.Snapshot().DecodedStream(&backend.Geom)
+	if o.Results == nil || !id.cacheable {
+		return simulate()
 	}
-	return engine.Run(name, s)
+	return o.Results.c.ResultCell(o.cellKey(cell, id), simulate)
 }
 
 // Run simulates one workload under one mechanism and returns its metrics.
@@ -232,13 +238,7 @@ func Run(workloadName string, o Options) (Result, error) {
 	// recipe pins the exact request sequence — so a cache hit skips trace
 	// generation too, and the stream is only built on a miss.
 	id := cellIdentity{workload: w.Name, requests: o.Requests, seed: o.Seed, cacheable: true}
-	return cachedRun(o, id, func() (Result, error) {
-		s, err := w.Stream(o.Requests, o.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-		return runStream(w.Name, s, o)
-	})
+	return runStream(w.Name, o, id, func() (trace.Stream, error) { return w.Stream(o.Requests, o.Seed) })
 }
 
 // RunCustom is Run for a user-defined workload: def is the JSON custom
@@ -250,11 +250,7 @@ func RunCustom(def io.Reader, o Options) (Result, error) {
 		return Result{}, err
 	}
 	o = o.withDefaults()
-	s, err := w.Stream(o.Requests, o.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return runStream(w.Name, s, o)
+	return runStream(w.Name, o, cellIdentity{}, func() (trace.Stream, error) { return w.Stream(o.Requests, o.Seed) })
 }
 
 // Trace is a recorded workload trace in the packed snapshot form: generate
@@ -378,18 +374,13 @@ func (t *Trace) Close() {
 // still hits its cached cells.
 func RunTrace(t *Trace, o Options) (Result, error) {
 	o = o.withDefaults()
-	return cachedRun(o, traceIdentity(t, o), func() (Result, error) {
-		return runStream(t.name, t.snap.Stream(), o)
-	})
+	return runStream(t.name, o, traceIdentity(t, o), func() (trace.Stream, error) { return t.snap.Stream(), nil })
 }
 
-// mechConfig resolves the options into the mechanism's tag and fully
-// populated config struct, without constructing anything. The (tag, cfg)
-// pair is the mechanism's canonical identity: it parameterizes both
-// buildMechanism and the result-cache key, so a run and its cache entry
-// can never disagree about what was simulated. Static mechanisms have a
-// nil config — the layout distinguishes them.
-func (o Options) mechConfig() (tag string, cfg any, err error) {
+// mechConfig resolves the options into the mechanism's fully populated
+// config struct (the exp.Cell's Cfg). Static mechanisms have a nil config:
+// the layout distinguishes them, and exp.Cell names them after it.
+func (o Options) mechConfig() (any, error) {
 	switch o.Mechanism {
 	case MechMemPod:
 		c := core.DefaultConfig()
@@ -404,7 +395,7 @@ func (o Options) mechConfig() (tag string, cfg any, err error) {
 		}
 		c.CacheBytes = o.MemPod.CacheBytes
 		c.UseFullCounters = o.MemPod.UseFullCounters
-		return "mempod", c, nil
+		return c, nil
 	case MechHMA:
 		c := hma.DefaultConfig()
 		if o.HMA.Interval > 0 {
@@ -417,11 +408,11 @@ func (o Options) mechConfig() (tag string, cfg any, err error) {
 			c.MaxMigrations = o.HMA.MaxMigrations
 		}
 		c.CacheBytes = o.HMA.CacheBytes
-		return "hma", c, nil
+		return c, nil
 	case MechTHM:
-		return "thm", thm.DefaultConfig(), nil
+		return thm.DefaultConfig(), nil
 	case MechCAMEO:
-		return "cameo", cameo.DefaultConfig(), nil
+		return cameo.DefaultConfig(), nil
 	case MechMigrant:
 		c := migrant.DefaultConfig()
 		if o.Migrant.Epoch > 0 {
@@ -433,33 +424,12 @@ func (o Options) mechConfig() (tag string, cfg any, err error) {
 		if o.Migrant.FaultCost > 0 {
 			c.FaultCost = o.Migrant.FaultCost
 		}
-		return "migrant", c, nil
+		return c, nil
 	case MechTLM, MechHBMOnly, MechDDROnly:
-		return "static", nil, nil
+		return nil, nil
 	default:
-		return "", nil, fmt.Errorf("mempod: unknown mechanism %q (valid: %s)",
+		return nil, fmt.Errorf("mempod: unknown mechanism %q (valid: %s)",
 			o.Mechanism, mechanismNames())
-	}
-}
-
-func buildMechanism(o Options, backend *mech.Backend) (mech.Mechanism, error) {
-	_, cfg, err := o.mechConfig()
-	if err != nil {
-		return nil, err
-	}
-	switch c := cfg.(type) {
-	case core.Config:
-		return core.New(c, backend)
-	case hma.Config:
-		return hma.New(c, backend)
-	case thm.Config:
-		return thm.New(c, backend)
-	case cameo.Config:
-		return cameo.New(c, backend)
-	case migrant.Config:
-		return migrant.New(c, backend)
-	default:
-		return mech.NewStatic(string(o.Mechanism), backend), nil
 	}
 }
 

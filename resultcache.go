@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/exp"
 	"repro/internal/resultcache"
-	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ResultCache memoizes simulation results across runs and processes. Every
@@ -83,44 +82,14 @@ type cellIdentity struct {
 	cacheable bool
 }
 
-// cellKey assembles the run's complete cache key from the options and the
-// trace identity. It resolves the same specs and mechanism config the run
-// itself will use, so key construction fails exactly when the run would.
-func (o Options) cellKey(id cellIdentity) (resultcache.CellKey, error) {
-	fast, slow, err := o.specs()
-	if err != nil {
-		return resultcache.CellKey{}, err
-	}
-	tag, cfg, err := o.mechConfig()
-	if err != nil {
-		return resultcache.CellKey{}, err
-	}
-	return resultcache.CellKey{
-		SimVersion: sim.Version,
-		Kind:       resultcache.KindResult,
-		Mech:       resultcache.MechID(tag, cfg),
-		FastFP:     fast.Fingerprint(),
-		SlowFP:     slow.Fingerprint(),
-		Layout:     fmt.Sprintf("%+v", o.layout()),
-		Workload:   id.workload,
-		Requests:   id.requests,
-		Seed:       id.seed,
-		TraceFP:    id.traceFP,
-		Window:     o.Window,
-	}, nil
-}
-
-// cachedRun consults o.Results around simulate when the run is cacheable,
-// and calls simulate directly otherwise.
-func cachedRun(o Options, id cellIdentity, simulate func() (stats.Result, error)) (Result, error) {
-	if o.Results == nil || !id.cacheable {
-		return simulate()
-	}
-	key, err := o.cellKey(id)
-	if err != nil {
-		return Result{}, err
-	}
-	return o.Results.c.ResultCell(key, simulate)
+// cellKey assembles the run's complete cache key: the workload-independent
+// key of the cell the run simulates (exp.Cell.Key) plus the trace identity
+// and the window.
+func (o Options) cellKey(cell exp.Cell, id cellIdentity) resultcache.CellKey {
+	k := cell.Key()
+	k.Workload, k.Requests, k.Seed, k.TraceFP = id.workload, id.requests, id.seed, id.traceFP
+	k.Window = o.Window
+	return k
 }
 
 // traceIdentity pins a recorded trace for the cache: by content

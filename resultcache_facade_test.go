@@ -176,3 +176,39 @@ func TestResultCacheKeysSeparateOptions(t *testing.T) {
 		t.Fatalf("identical rerun missed: %+v", s)
 	}
 }
+
+// TestResultCacheFacadeSharesMatrixCells checks that the facade and the
+// experiment matrix key a design point identically (both derive it from
+// one exp.Cell): after a quick Fig8 populates a cache, single Runs of the
+// same workload, length and seed under Fig8's mechanisms are all served
+// from it — and equal what a fresh uncached Run computes.
+func TestResultCacheFacadeSharesMatrixCells(t *testing.T) {
+	rc, err := NewResultCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunExperimentOpts(Fig8, RunOptions{Scale: Quick, Results: rc}); err != nil {
+		t.Fatal(err)
+	}
+	before := rc.Stats()
+	mechs := []Mechanism{MechTLM, MechMemPod, MechTHM, MechCAMEO, MechHBMOnly}
+	for _, m := range mechs {
+		o := Options{Mechanism: m, Requests: 150_000, Seed: 42}
+		want, err := Run("cactus", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Results = rc
+		got, err := Run("cactus", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: matrix-cached result differs from a fresh Run:\nfresh:  %+v\ncached: %+v", m, want, got)
+		}
+	}
+	after := rc.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != len(mechs) || misses != 0 {
+		t.Errorf("facade runs after Fig8: %d hits, %d misses; want %d hits, 0 misses", hits, misses, len(mechs))
+	}
+}

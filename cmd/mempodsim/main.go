@@ -16,9 +16,13 @@
 // comparison (same trace, specs and seed) replays nothing; the cache
 // summary is printed to stderr. -no-result-cache disables memoization.
 // Every row runs the same options as a single -mech run: -cache-bytes
-// sizes the MemPod and HMA bookkeeping caches, the -mempod-* flags tune
-// the MemPod row, and HMA is scaled to the trace length (10 ms interval,
-// 700 µs sort, 4096 migrations; see EXPERIMENTS.md).
+// sizes the MemPod, HMA and THM bookkeeping caches, the -mempod-* flags
+// tune the MemPod row, and HMA is scaled to the trace length (10 ms
+// interval, 700 µs sort, 4096 migrations; see EXPERIMENTS.md).
+//
+// A MemPod replay of a recorded trace (-trace-in, -compare) spreads its
+// pods over every core (mempod.Options.PodShards 0); -compare rows replay
+// serially when -j lets rows run concurrently.
 //
 // -analyze prints the selected trace's characterization (footprint,
 // write share, request rate, interval overlap, touch concentration)
@@ -31,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro"
@@ -197,6 +202,7 @@ func main() {
 			CacheBytes:  *cache,
 		},
 		HMA:     mempod.HMAOptions{CacheBytes: *cache},
+		THM:     mempod.THMOptions{CacheBytes: *cache},
 		Results: rcache,
 	}
 	if *compare {
@@ -322,8 +328,15 @@ func resolveTrace(traceIn, traceOut string, record bool, wl, customPath string, 
 // opts with its Mechanism set, so the MemPod and cache-size flags apply
 // to the rows they tune exactly as they do to a single -mech run; HMA is
 // scaled to the trace length as the full-scale experiments scale it
-// (exp.DefaultConfig, see EXPERIMENTS.md).
+// (exp.DefaultConfig, see EXPERIMENTS.md). When rows run concurrently
+// they already fill the cores, so each replays serially (PodShards 1).
 func runCompare(w io.Writer, tr *mempod.Trace, opts mempod.Options, parallelism int) error {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	if parallelism > 1 {
+		opts.PodShards = 1
+	}
 	order := compareOrder()
 	scaled := exp.DefaultConfig()
 	tasks := make([]runner.Task[mempod.Result], len(order))

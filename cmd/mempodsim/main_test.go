@@ -158,8 +158,8 @@ func compareRow(t *testing.T, table string, m mempod.Mechanism) string {
 // TestCompareAppliesOptions checks that every -compare row runs the
 // command's options: the MemPod and cache-size flags reach the MemPod row
 // (it reads what -mech MemPod reads under the same flags, not the default
-// design point), and with default flags HMA runs at the trace-scaled
-// 10 ms / 700 µs / 4096 point.
+// design point), the cache size reaches the THM row, and with default
+// flags HMA runs at the trace-scaled 10 ms / 700 µs / 4096 point.
 func TestCompareAppliesOptions(t *testing.T) {
 	tr, err := mempod.RecordTrace("mix5", 40_000, 42)
 	if err != nil {
@@ -195,6 +195,7 @@ func TestCompareAppliesOptions(t *testing.T) {
 	tuned := mempod.Options{
 		MemPod: mempod.MemPodOptions{Counters: 16, CacheBytes: 32768},
 		HMA:    mempod.HMAOptions{CacheBytes: 32768},
+		THM:    mempod.THMOptions{CacheBytes: 32768},
 	}
 	flagged := table(tuned)
 	single := tuned
@@ -205,5 +206,13 @@ func TestCompareAppliesOptions(t *testing.T) {
 	}
 	if got == compareRow(t, plain, mempod.MechMemPod) {
 		t.Errorf("tuned MemPod row %s equals the default row: flags ignored", got)
+	}
+	single.Mechanism = mempod.MechTHM
+	got, want = compareRow(t, flagged, mempod.MechTHM), ammat(single)
+	if got != want {
+		t.Errorf("tuned THM row %s, want the -mech THM run's %s", got, want)
+	}
+	if got == compareRow(t, plain, mempod.MechTHM) {
+		t.Errorf("tuned THM row %s equals the default row: -cache-bytes ignored", got)
 	}
 }

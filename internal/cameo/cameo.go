@@ -97,15 +97,6 @@ func New(cfg Config, b *mech.Backend) (*CAMEO, error) {
 	return c, nil
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, b *mech.Backend) *CAMEO {
-	c, err := New(cfg, b)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Name implements mech.Mechanism.
 func (c *CAMEO) Name() string { return "CAMEO" }
 

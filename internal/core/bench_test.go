@@ -20,7 +20,10 @@ import (
 // allocation-free hot path is 0 allocs/op here.
 func BenchmarkMemPodAccess(b *testing.B) {
 	back := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
-	m := MustNew(DefaultConfig(), back)
+	m, err := New(DefaultConfig(), back)
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer m.Release()
 
 	prof, ok := workload.ByName("cactus")

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/clock"
@@ -129,9 +130,20 @@ type pod struct {
 	swapVictim   uint32 // fast frame being filled
 	swapOld      uint32 // slow frame being vacated
 	swapResident uint32 // local page being evicted
+
+	// Pods sit side by side in MemPod.pods and pod-parallel workers own
+	// different pods: the padding keeps one pod's swap-state writes off
+	// the cache line holding its neighbour's per-access fields.
+	_ [64]byte
 }
 
-// MemPod is the full mechanism. It implements mech.Mechanism.
+// MemPod is the full mechanism. It implements mech.Mechanism and
+// mech.PodSplitter.
+//
+// A pod-parallel view (SplitPods) is a shallow copy: it shares the pods
+// and the backend, keeps its own touch filter, interval cursor and
+// statistics, and runs interval boundaries only for the pods it owns. The
+// mechanism itself owns every pod.
 type MemPod struct {
 	cfg     Config
 	backend *mech.Backend
@@ -139,8 +151,13 @@ type MemPod struct {
 	geom    *addr.Geom
 	pods    []pod
 	touch   mech.TouchFilter
-	next    clock.Time // next interval boundary
-	stats   mech.MigStats
+	// scan is a view's replicated touch filter, which sees every request
+	// (Scan); a view's touch filter only repeats scan's verdicts for its
+	// own requests (AccessPod).
+	scan  mech.TouchFilter
+	next  clock.Time // next interval boundary
+	stats mech.MigStats
+	mine  []int // the pods runInterval serves, ascending
 }
 
 // New builds a MemPod over the backend's two-level memory.
@@ -162,12 +179,25 @@ func New(cfg Config, b *mech.Backend) (*MemPod, error) {
 		geom:    &b.Geom,
 		pods:    make([]pod, l.NumPods),
 		next:    cfg.Interval,
+		mine:    make([]int, l.NumPods),
 	}
+	for i := range m.mine {
+		m.mine[i] = i
+	}
+	m.initPods()
+	return m, nil
+}
+
+// initPods gives every pod its construction state: a fresh tracker and
+// cache, identity remap and inverted tables, an empty hot set and no
+// queued swaps or locks.
+func (m *MemPod) initPods() {
+	l, cfg := m.layout, m.cfg
 	perPod := int(l.PagesPerPod())
 	fast := int(l.FastPagesPerPod())
 	for i := range m.pods {
 		p := &m.pods[i]
-		p.id = i
+		*p = pod{id: i, queue: p.queue[:0], cand: p.cand[:0]}
 		if cfg.UseFullCounters {
 			p.tracker = mea.NewFullCounters()
 		} else {
@@ -181,16 +211,6 @@ func New(cfg Config, b *mech.Backend) (*MemPod, error) {
 			p.cache = mech.NewCache(cfg.CacheBytes/l.NumPods, cfg.CacheWays)
 		}
 	}
-	return m, nil
-}
-
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, b *mech.Backend) *MemPod {
-	m, err := New(cfg, b)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Name implements mech.Mechanism.
@@ -217,6 +237,76 @@ func (m *MemPod) Release() {
 		p.inverted.Release()
 		p.hotFast.Release()
 		p.remap, p.inverted, p.hotFast = nil, nil, nil
+	}
+}
+
+// Pods implements mech.PodSplitter.
+func (m *MemPod) Pods() int { return len(m.pods) }
+
+// SplitPods implements mech.PodSplitter. A MemPod that has served no
+// access has an all-zero touch filter: every Access records its core's
+// page there.
+func (m *MemPod) SplitPods(owner []int) []mech.PodView {
+	if len(owner) != len(m.pods) || m.touch != (mech.TouchFilter{}) || m.next != m.cfg.Interval {
+		return nil
+	}
+	views := make([]*MemPod, slices.Max(owner)+1)
+	for p, w := range owner {
+		if views[w] == nil {
+			v := *m
+			v.mine = nil
+			views[w] = &v
+		}
+		views[w].mine = append(views[w].mine, p)
+	}
+	out := make([]mech.PodView, len(views))
+	for w, v := range views {
+		if v == nil {
+			return nil
+		}
+		out[w] = v
+	}
+	return out
+}
+
+// JoinPods implements mech.PodSplitter. Every view ran every interval
+// boundary, so Intervals is taken once; the other counters are per pod
+// and sum.
+func (m *MemPod) JoinPods(views []mech.PodView) {
+	v0 := views[0].(*MemPod)
+	m.touch, m.next = v0.scan, v0.next
+	m.stats = mech.MigStats{}
+	for _, v := range views {
+		m.stats.Add(v.(*MemPod).stats)
+	}
+	m.stats.Intervals = v0.stats.Intervals
+}
+
+// ResetPods implements mech.PodSplitter: the pods' tables go back to
+// their pools and every pod is rebuilt as New builds it.
+func (m *MemPod) ResetPods() {
+	m.Release()
+	m.initPods()
+	m.touch = mech.TouchFilter{}
+	m.next = m.cfg.Interval
+	m.stats = mech.MigStats{}
+}
+
+// Scan implements mech.PodView: every request of the batch, whichever
+// pod owns it, passes the view's replicated touch filter.
+func (m *MemPod) Scan(cores []uint8, dec []trace.Decoded, touched []bool) {
+	m.scan.Scan(cores, dec, touched)
+}
+
+// Finish implements mech.PodView: the view's pods run the interval
+// boundaries up to t. A pod's boundary work depends only on the pod's own
+// state, so a view runs it lazily — at its next own request, or here —
+// with the same effect as the serial run's eager boundary at whichever
+// request crossed it first.
+func (m *MemPod) Finish(t clock.Time) {
+	for t >= m.next {
+		m.runInterval(m.next)
+		m.next += m.cfg.Interval
 	}
 }
 
@@ -276,6 +366,15 @@ func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock
 		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
 	}
 	return clock.Max(m.backend.Line(podID, f, int(d.Line), r.Write, start), lockEnd)
+}
+
+// AccessPod implements mech.PodView: Access for a request of a pod the
+// view owns, given the request's touch-filter verdict (Scan). The view's
+// own touch filter is primed to repeat the verdict, so the owned request
+// runs the serial Access unchanged.
+func (m *MemPod) AccessPod(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time {
+	m.touch.Prime(r.Core, d.Page, touched)
+	return m.Access(r, d, at)
 }
 
 // drainPod executes the pod's due swaps: every queue entry whose paced
@@ -357,7 +456,7 @@ func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
 // serial through the pod's migration driver.
 func (m *MemPod) runInterval(boundary clock.Time) {
 	m.stats.Intervals++
-	for i := range m.pods {
+	for _, i := range m.mine {
 		p := &m.pods[i]
 		// Retire the previous epoch's queue: an in-flight swap (chunk 0
 		// already executed) must finish copying, but swaps that never
@@ -511,6 +610,8 @@ func (m *MemPod) CheckInvariants() error {
 }
 
 var (
-	_ mech.Mechanism = (*MemPod)(nil)
-	_ mech.Releaser  = (*MemPod)(nil)
+	_ mech.Mechanism   = (*MemPod)(nil)
+	_ mech.Releaser    = (*MemPod)(nil)
+	_ mech.PodSplitter = (*MemPod)(nil)
+	_ mech.PodView     = (*MemPod)(nil)
 )

@@ -108,12 +108,14 @@ func (c Cell) newMechanism(b *mech.Backend) (mech.Mechanism, error) {
 // Every piece of mutable state — memory system, backend, mechanism,
 // engine — is built here, per call, so concurrent runs of one Cell value
 // are independent. window caps outstanding requests as sim.Engine.Window
-// does (0 selects sim.DefaultWindow). A snapshot replay
-// (*trace.SnapshotStream) is upgraded to the snapshot's decoded columns
-// for this layout: the predecode plane and absolute time column are built
-// once per snapshot and shared by every cell replaying it, so neither
-// addresses nor varints are decoded per run.
-func (c Cell) Run(workload string, s trace.Stream, window int) (stats.Result, error) {
+// does (0 selects sim.DefaultWindow), and shards is sim.Engine.Shards: 1
+// for callers that already fill the cores with concurrent cells, 0 to let
+// a MemPod snapshot replay spread its pods over every core. A snapshot
+// replay (*trace.SnapshotStream) is upgraded to the snapshot's decoded
+// columns for this layout: the predecode plane and absolute time column
+// are built once per snapshot and shared by every cell replaying it, so
+// neither addresses nor varints are decoded per run.
+func (c Cell) Run(workload string, s trace.Stream, window, shards int) (stats.Result, error) {
 	sys, err := memsys.New(c.Layout, c.Fast, c.Slow)
 	if err != nil {
 		return stats.Result{}, err
@@ -128,7 +130,7 @@ func (c Cell) Run(workload string, s trace.Stream, window int) (stats.Result, er
 	// allocations instead of paying fresh multi-MB zeroing each.
 	defer mech.Release(m)
 	engine := sim.New(backend, m)
-	engine.Window = window
+	engine.Window, engine.Shards = window, shards
 	if ss, ok := s.(*trace.SnapshotStream); ok {
 		s = ss.Snapshot().DecodedStream(&backend.Geom)
 	}

@@ -43,7 +43,7 @@ func TestCellRunMatchesKey(t *testing.T) {
 		if tag, _, _ := strings.Cut(mech, ":"); tag != tc.tag {
 			t.Errorf("%s: key tag %q, want %q", tc.name, tag, tc.tag)
 		}
-		r, err := cell.Run("cactus", snap.Stream(), 0)
+		r, err := cell.Run("cactus", snap.Stream(), 0, 1)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
@@ -62,7 +62,7 @@ func TestCellRunUnknownConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := Cell{struct{}{}, addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()}
-	if _, err := cell.Run("cactus", snap.Stream(), 0); err == nil {
+	if _, err := cell.Run("cactus", snap.Stream(), 0, 1); err == nil {
 		t.Fatal("Run accepted an unknown mechanism config")
 	}
 }

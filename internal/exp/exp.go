@@ -297,14 +297,15 @@ func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses
 // which is immutable after capture (each cell replays it through its own
 // cursor). That isolation is what makes matrix safe to fan out across
 // goroutines (asserted by TestMatrixParallelDeterminism and the race
-// detector in CI).
+// detector in CI). The runner already fills the cores with cells, so each
+// cell replays serially (shards 1).
 func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cache, uses int) (stats.Result, error) {
 	snap, release, err := c.acquireTrace(traces, w, uses)
 	if err != nil {
 		return stats.Result{}, err
 	}
 	defer release()
-	return b.Run(w.Name, snap.Stream(), 0)
+	return b.Run(w.Name, snap.Stream(), 0, 1)
 }
 
 // matrix runs every workload under every builder through runCells on

@@ -174,15 +174,6 @@ func New(cfg Config, b *mech.Backend) (*HMA, error) {
 	return h, nil
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, b *mech.Backend) *HMA {
-	h, err := New(cfg, b)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Name implements mech.Mechanism.
 func (h *HMA) Name() string { return "HMA" }
 

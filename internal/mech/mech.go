@@ -52,6 +52,48 @@ func Release(m Mechanism) {
 	}
 }
 
+// PodSplitter is optionally implemented by pod-clustered mechanisms whose
+// pods share no mutable state (MemPod: each pod owns its tracker, remap
+// and inverted tables, cache, locks, migration queue and channels). The
+// only state such a mechanism keeps across pods is a function of the
+// request sequence alone — the per-core touch filter and the interval
+// cursor — so workers that each replay the whole trace can simulate
+// disjoint pod sets concurrently, provided every request issues at its
+// trace time (internal/sim checks that it does). Each worker drives its
+// view through Scan over every batch, AccessPod for its own pods'
+// requests and Finish at the end of the trace.
+type PodSplitter interface {
+	// Pods returns the number of pods.
+	Pods() int
+	// SplitPods returns one view per worker over the shared pods: view w
+	// owns the pods p with owner[p] == w, for owner of length Pods()
+	// naming every worker 0..n-1. It returns nil unless the mechanism is
+	// untouched since construction (or ResetPods).
+	SplitPods(owner []int) []PodView
+	// JoinPods folds views that each replayed the whole trace back into
+	// the mechanism: their statistics are merged and the replicated
+	// state is taken over, as if one serial run had replayed it.
+	JoinPods(views []PodView)
+	// ResetPods returns the mechanism to its state at construction,
+	// discarding whatever its views did.
+	ResetPods()
+}
+
+// PodView is one worker's view of a split mechanism.
+type PodView interface {
+	// Scan passes a batch of the trace — every request, whichever pod
+	// owns it, given by its core and decomposition — through the view's
+	// per-core touch filter (TouchFilter) and records in touched[i]
+	// whether request i begins a page touch.
+	Scan(cores []uint8, dec []trace.Decoded, touched []bool)
+	// AccessPod is Mechanism.Access for a request of a pod the view
+	// owns, given its Scan verdict.
+	AccessPod(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time
+	// Finish runs the interval boundaries up to t, the last request's
+	// time, that the view's pods have not run yet.
+	Finish(t clock.Time)
+}
+
 // MigStats counts migration and bookkeeping activity.
 type MigStats struct {
 	Intervals         uint64 // interval boundaries processed
@@ -74,4 +116,17 @@ func (m MigStats) BytesMovedPerPod(pods int) uint64 {
 		return m.BytesMoved
 	}
 	return m.BytesMoved / uint64(pods)
+}
+
+// Add adds o's counters into m, field by field.
+func (m *MigStats) Add(o MigStats) {
+	m.Intervals += o.Intervals
+	m.PageMigrations += o.PageMigrations
+	m.LineMigrations += o.LineMigrations
+	m.BytesMoved += o.BytesMoved
+	m.CacheHits += o.CacheHits
+	m.CacheMisses += o.CacheMisses
+	m.LockStalls += o.LockStalls
+	m.DroppedMigrations += o.DroppedMigrations
+	m.GlobalMoveLines += o.GlobalMoveLines
 }

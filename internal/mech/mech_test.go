@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +186,23 @@ func TestMigStatsPerPod(t *testing.T) {
 	}
 	if m.BytesMovedPerPod(0) != 4096 {
 		t.Error("zero pods should return total")
+	}
+}
+
+// TestMigStatsAddCoversEveryField sets every counter of two MigStats to
+// distinct values and checks that Add sums each one, so a counter added
+// to MigStats later cannot be silently dropped by a pod-parallel join.
+func TestMigStatsAddCoversEveryField(t *testing.T) {
+	var a, b MigStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("MigStats.%s after Add = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

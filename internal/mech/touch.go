@@ -1,5 +1,7 @@
 package mech
 
+import "repro/internal/trace"
+
 // TouchFilter collapses the line bursts of one page touch into a single
 // tracking observation. An out-of-order core's LLC misses arrive as short
 // bursts of consecutive lines from one page; counting every line would let
@@ -22,4 +24,27 @@ func (f *TouchFilter) Touch(core uint8, page uint64) bool {
 	}
 	f.last[core] = page + 1
 	return true
+}
+
+// Scan is Touch over a batch: request i, issued by cores[i] to the page
+// dec[i] decodes, sets touched[i]. It is branch-free, because whether a
+// request continues its core's touch is close to a coin flip over a whole
+// trace.
+func (f *TouchFilter) Scan(cores []uint8, dec []trace.Decoded, touched []bool) {
+	dec, touched = dec[:len(cores)], touched[:len(cores)]
+	for i, c := range cores {
+		v := dec[i].Page + 1
+		touched[i] = f.last[c] != v
+		f.last[c] = v
+	}
+}
+
+// Prime makes the next Touch(core, page) report touched, whatever the
+// filter saw before; that Touch leaves the filter as it would any other.
+func (f *TouchFilter) Prime(core uint8, page uint64, touched bool) {
+	v := page + 1
+	if touched {
+		v = 0 // no page: the next Touch starts a new one
+	}
+	f.last[core] = v
 }

@@ -125,6 +125,25 @@ func (s *System) AccessChannelBatch(ch int, reqs []dram.BatchReq, done []clock.T
 	s.channels[ch].AccessBatch(reqs, done)
 }
 
+// Untouched reports whether no channel has serviced a request since New
+// (or Reset).
+func (s *System) Untouched() bool {
+	for i := range s.channels {
+		if s.channels[i].Stats().Accesses() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Reset returns every channel to its state at New: banks precharged, bus
+// idle, counters zero.
+func (s *System) Reset() {
+	for i := range s.channels {
+		s.channels[i] = dram.MakeChannel(s.channels[i].Spec())
+	}
+}
+
 // LevelStats aggregates the channel counters of one memory level.
 type LevelStats struct {
 	dram.Stats

@@ -161,3 +161,26 @@ func TestRowLocalityWithinPage(t *testing.T) {
 		t.Errorf("hits %d closed %d, want 31/1", fs.RowHits, fs.RowClosed)
 	}
 }
+
+// TestResetRestoresNew drives traffic into a system, resets it and checks
+// that it is untouched and times a request exactly as a new system does.
+func TestResetRestoresNew(t *testing.T) {
+	s, fresh := defaultSystem(t), defaultSystem(t)
+	if !s.Untouched() {
+		t.Fatal("new system reports traffic")
+	}
+	loc := s.Layout().HomeLocation(0)
+	for i := 0; i < 100; i++ {
+		s.Access(loc, i%3 == 0, clock.Time(i)*clock.Nanosecond)
+	}
+	if s.Untouched() {
+		t.Fatal("system reports untouched after 100 accesses")
+	}
+	s.Reset()
+	if !s.Untouched() {
+		t.Fatal("reset system reports traffic")
+	}
+	if got, want := s.Access(loc, false, 0), fresh.Access(loc, false, 0); got != want {
+		t.Errorf("reset system completes at %v, new system at %v", got, want)
+	}
+}

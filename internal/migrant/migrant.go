@@ -154,15 +154,6 @@ func New(cfg Config, b *mech.Backend) (*Migrant, error) {
 	return m, nil
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, b *mech.Backend) *Migrant {
-	m, err := New(cfg, b)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Name implements mech.Mechanism.
 func (m *Migrant) Name() string { return "Migrant" }
 

@@ -38,6 +38,11 @@ type Stats struct {
 
 	BytesRead    int64 // store bytes read (including rejected files)
 	BytesWritten int64 // store bytes written
+
+	// FailedWrites counts store files that could not be written (temp
+	// file creation, write, close or rename failed). The result is still
+	// served; it just does not outlive the process.
+	FailedWrites int
 }
 
 // Cache is a single-flight, content-addressed result cache. The zero
@@ -65,6 +70,8 @@ func New() *Cache {
 // atomically (temp file + rename), so concurrent processes sharing a
 // store directory see either a complete old file or a complete new one,
 // and the worst cross-process race is both computing the same cell once.
+// A write that fails (a missing or read-only dir) leaves the result
+// served from memory and counts in Stats.FailedWrites.
 func (c *Cache) SetDir(dir string) {
 	c.mu.Lock()
 	c.dir = dir
@@ -119,29 +126,36 @@ func (c *Cache) loadStored(dir, canon string) ([]byte, bool) {
 	return payload, true
 }
 
-// persist writes the framed entry atomically next to its final name.
+// persist writes the framed entry atomically next to its final name,
+// counting the write in Persisted or, when any step fails, FailedWrites.
 func (c *Cache) persist(dir, canon string, payload []byte) {
 	framed := encodeFrame(canon, payload)
-	path := storePath(dir, canon)
+	err := writeAtomic(dir, storePath(dir, canon), framed)
+	c.mu.Lock()
+	if err != nil {
+		c.stats.FailedWrites++
+	} else {
+		c.stats.Persisted++
+		c.stats.BytesWritten += int64(len(framed))
+	}
+	c.mu.Unlock()
+}
+
+// writeAtomic writes b to path through a temp file in dir and a rename.
+func writeAtomic(dir, path string, b []byte) error {
 	tmp, err := os.CreateTemp(dir, ".mpr-*")
 	if err != nil {
-		return
+		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(framed); err != nil {
+	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
-		return
+		return err
 	}
-	if tmp.Close() != nil {
-		return
+	if err := tmp.Close(); err != nil {
+		return err
 	}
-	if os.Rename(tmp.Name(), path) != nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Persisted++
-	c.stats.BytesWritten += int64(len(framed))
-	c.mu.Unlock()
+	return os.Rename(tmp.Name(), path)
 }
 
 // Probe reports whether key would hit: resident in memory, in flight, or
@@ -385,12 +399,13 @@ func (s Stats) Sub(prev Stats) Stats {
 		Persisted:    s.Persisted - prev.Persisted,
 		BytesRead:    s.BytesRead - prev.BytesRead,
 		BytesWritten: s.BytesWritten - prev.BytesWritten,
+		FailedWrites: s.FailedWrites - prev.FailedWrites,
 	}
 }
 
 // String renders the counters in the one-line greppable form the commands
-// print: "hits=H misses=M stale=S read=RB written=WB".
+// print: "hits=H misses=M stale=S read=RB written=WB failed_writes=F".
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d stale=%d read=%dB written=%dB",
-		s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten)
+	return fmt.Sprintf("hits=%d misses=%d stale=%d read=%dB written=%dB failed_writes=%d",
+		s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten, s.FailedWrites)
 }

@@ -267,6 +267,34 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestCacheCountsFailedWrites points the store at a directory that does
+// not exist: every persist must fail and be counted, while the results
+// themselves are still computed once and served correctly.
+func TestCacheCountsFailedWrites(t *testing.T) {
+	c := New()
+	c.SetDir(filepath.Join(t.TempDir(), "missing"))
+	keys := []CellKey{testKey(), testKey()}
+	keys[1].Seed++
+	for round := 0; round < 2; round++ {
+		for _, key := range keys {
+			got, err := c.ResultCell(key, func() (stats.Result, error) { return testResult(), nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, testResult()) {
+				t.Fatalf("result %+v, want %+v", got, testResult())
+			}
+		}
+	}
+	s := c.Stats()
+	if s.FailedWrites != 2 || s.Persisted != 0 || s.BytesWritten != 0 || s.Misses != 2 || s.Hits != 2 {
+		t.Fatalf("stats %+v, want 2 misses, 2 hits and 2 failed writes", s)
+	}
+	if str := s.String(); !strings.Contains(str, " misses=2 ") || !strings.HasSuffix(str, " failed_writes=2") {
+		t.Errorf("Stats.String() = %q", str)
+	}
+}
+
 func TestCacheDiskPersistAndReload(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()

@@ -22,33 +22,54 @@ import (
 // mechCase names a mechanism and builds it fresh over a backend.
 type mechCase struct {
 	name  string
-	build func(b *mech.Backend) mech.Mechanism
+	build func(t testing.TB, b *mech.Backend) mech.Mechanism
+}
+
+// mustBuild constructs a mechanism through its package's New and fails
+// the test on error.
+func mustBuild[C any, M mech.Mechanism](t testing.TB, newMech func(C, *mech.Backend) (M, error), cfg C, b *mech.Backend) M {
+	t.Helper()
+	m, err := newMech(cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // mechanisms is the full set under test, each built fresh over its own
 // backend so runs share nothing.
 var mechanisms = []mechCase{
-	{"MemPod", func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) }},
-	{"MemPod-FC", func(b *mech.Backend) mech.Mechanism {
+	{"MemPod", func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, core.New, core.DefaultConfig(), b)
+	}},
+	{"MemPod-FC", func(t testing.TB, b *mech.Backend) mech.Mechanism {
 		cfg := core.DefaultConfig()
 		cfg.UseFullCounters = true
-		return core.MustNew(cfg, b)
+		return mustBuild(t, core.New, cfg, b)
 	}},
-	{"HMA", func(b *mech.Backend) mech.Mechanism { return hma.MustNew(hma.DefaultConfig(), b) }},
-	{"THM", func(b *mech.Backend) mech.Mechanism { return thm.MustNew(thm.DefaultConfig(), b) }},
-	{"CAMEO", func(b *mech.Backend) mech.Mechanism { return cameo.MustNew(cameo.DefaultConfig(), b) }},
-	{"Migrant", func(b *mech.Backend) mech.Mechanism { return migrant.MustNew(migrant.DefaultConfig(), b) }},
-	{"Static", func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) }},
+	{"HMA", func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, hma.New, hma.DefaultConfig(), b)
+	}},
+	{"THM", func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, thm.New, thm.DefaultConfig(), b)
+	}},
+	{"CAMEO", func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, cameo.New, cameo.DefaultConfig(), b)
+	}},
+	{"Migrant", func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, migrant.New, migrant.DefaultConfig(), b)
+	}},
+	{"Static", func(t testing.TB, b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) }},
 }
 
 // memPodCache is MemPod with the bookkeeping cache on, which the
 // paper-default config leaves off: a cache miss chains a bookkeeping read
 // into the demand's issue time, the one MemPod shape whose decoded path
 // does more than skip the address decomposition.
-var memPodCache = mechCase{"MemPod-cache", func(b *mech.Backend) mech.Mechanism {
+var memPodCache = mechCase{"MemPod-cache", func(t testing.TB, b *mech.Backend) mech.Mechanism {
 	cfg := core.DefaultConfig()
 	cfg.CacheBytes = 1 << 16
-	return core.MustNew(cfg, b)
+	return mustBuild(t, core.New, cfg, b)
 }}
 
 // diffResults compares two Results field-by-field via reflection so a
@@ -110,7 +131,7 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 				// leg's geometry before the run.
 				runWith := func(stream func(b *mech.Backend) trace.Stream) stats.Result {
 					b := newBackend()
-					e := New(b, mc.build(b))
+					e := New(b, mc.build(t, b))
 					e.Window = window
 					res, err := e.Run(w.Name, stream(b))
 					if err != nil {
@@ -158,9 +179,10 @@ func TestEngineRunAllocFree(t *testing.T) {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
 			b := newBackend()
-			m := mc.build(b)
+			m := mc.build(t, b)
 			defer mech.Release(m)
 			e := New(b, m)
+			e.Shards = 1
 			ds := snap.DecodedStream(&b.Geom)
 			ls := trace.NewSliceStream(reqs)
 			for _, leg := range []struct {
@@ -206,8 +228,9 @@ func BenchmarkEngineBatched(b *testing.B) {
 	for _, mc := range mechanisms {
 		b.Run(mc.name, func(b *testing.B) {
 			bk := newBackend()
-			m := mc.build(bk)
+			m := mc.build(b, bk)
 			e := New(bk, m)
+			e.Shards = 1
 			ss := snap.DecodedStream(&bk.Geom)
 			b.ReportAllocs()
 			b.ResetTimer()

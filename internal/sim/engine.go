@@ -9,6 +9,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/mech"
@@ -32,10 +36,12 @@ type Engine struct {
 	// Window caps outstanding requests; 0 means DefaultWindow, negative
 	// means unlimited.
 	Window int
-	// Shards is ignored: every run takes the serial path.
-	//
-	// Deprecated: the pod-parallel engine it selected was slower than the
-	// serial path and has been removed.
+	// Shards is the worker count of a pod-parallel run (see runPods): 0
+	// or negative selects min(GOMAXPROCS, pods), 1 forces the serial
+	// run, N asks for min(N, pods) workers. Only a pod-clustered
+	// mechanism (mech.PodSplitter) untouched since construction,
+	// replaying a decoded snapshot cursor (trace.Snapshot.DecodedStream),
+	// runs in parallel; every other run is serial whatever Shards says.
 	Shards int
 
 	// ring is the outstanding-request window, kept across runs so repeated
@@ -47,11 +53,39 @@ type Engine struct {
 	// decBuf is the scratch plane a batch is decoded into when its source
 	// lends no plane entries (plain streams, unbound snapshot cursors).
 	decBuf []trace.Decoded
+
+	// podWorkers holds the pod-parallel workers' buffers across runs;
+	// workers is the worker count of the last Run, 0 when it was serial.
+	podWorkers []podWorker
+	workers    int
+}
+
+// podWorker is one worker of a pod-parallel run (see runPods, work).
+type podWorker struct {
+	// view simulates the requests of the pods the worker owns
+	// (own[pod] == 1); abort is shared by the run's workers.
+	view    mech.PodView
+	own     []uint8
+	abort   *atomic.Bool
+	touched []bool  // Scan's verdicts for the batch
+	mine    []int32 // batch indices of the owned requests
+	// res is the worker's share of the Result.
+	res stats.Result
 }
 
 // New returns an engine for the mechanism built over the backend.
 func New(b *mech.Backend, m mech.Mechanism) *Engine {
 	return &Engine{backend: b, m: m}
+}
+
+// shardWorkers resolves an Engine.Shards value for a mechanism with the
+// given number of pods: the number of workers a pod-parallel run uses,
+// where 1 means the run is serial.
+func shardWorkers(shards, pods int) int {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return max(min(shards, pods), 1)
 }
 
 // Run replays the stream to completion and returns the run's metrics.
@@ -64,10 +98,18 @@ func New(b *mech.Backend, m mech.Mechanism) *Engine {
 // under the backend's geometry, so every request reaches the mechanism's
 // one Access method with its decomposition. On error Run returns the
 // partial Result up to the failing request.
+//
+// A run that may go pod-parallel (see Shards) first tries runPods; the
+// Result and any error are the serial run's either way.
 func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 	window := e.Window
 	if window == 0 {
 		window = DefaultWindow
+	}
+	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
+	e.workers = 0
+	if e.runPods(s, window, &res) {
+		return e.finish(res), nil
 	}
 	var ring []clock.Time
 	if window > 0 {
@@ -82,11 +124,15 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 		}
 	}
 
-	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
 	if err := e.run(s, ring, window, &res); err != nil {
 		return res, err
 	}
+	return e.finish(res), nil
+}
 
+// finish completes a replayed run's Result with the memory system's
+// counters and the mechanism's statistics.
+func (e *Engine) finish(res stats.Result) stats.Result {
 	fs, ss := e.backend.Sys.FastStats(), e.backend.Sys.SlowStats()
 	res.FastAccesses = fs.Accesses()
 	res.SlowAccesses = ss.Accesses()
@@ -98,7 +144,132 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 		res.RowHitRate = float64(fs.RowHits+ss.RowHits) / float64(total)
 	}
 	res.Mig = e.m.Stats()
-	return res, nil
+	return res
+}
+
+// runPods is the optimistic pod-parallel replay. Each of n workers reads
+// the whole snapshot column by column (work): requests of its own pods
+// issue at their trace times and are simulated through its view; every
+// request passes the view's touch filter. Pods share no mutable state, so
+// this is exactly the serial run as long as the window never holds a
+// request back — that is, as long as every request j completes by the
+// trace time of request j+window, which each worker checks for its own
+// requests against the snapshot's time column. The first worker to find
+// a violation, or any error, raises the shared abort flag; the others
+// notice at their next batch. An aborted attempt resets the mechanism and
+// memory system, rewinds the cursor and reports false, and Run replays
+// serially, so every Result and every error is the serial one.
+//
+// runPods reports false without doing anything when the run cannot split:
+// not a decoded snapshot cursor, not a mech.PodSplitter, one worker, or a
+// mechanism or memory system that has already served requests.
+func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
+	ss, ok := s.(*trace.SnapshotStream)
+	if !ok {
+		return false
+	}
+	sp, ok := e.m.(mech.PodSplitter)
+	if !ok {
+		return false
+	}
+	pods := sp.Pods()
+	n := shardWorkers(e.Shards, pods)
+	if n < 2 || !e.backend.Sys.Untouched() {
+		return false
+	}
+	start := *ss
+	cols, ok := ss.Columns()
+	if !ok {
+		return false
+	}
+	owner := assignPods(cols.Plane[cols.Pos:], pods, n)
+	views := sp.SplitPods(owner)
+	if views == nil {
+		*ss = start
+		return false
+	}
+	if len(e.podWorkers) != n {
+		e.podWorkers = make([]podWorker, n)
+	}
+	var abort atomic.Bool
+	var wg sync.WaitGroup
+	for w := range e.podWorkers {
+		pw := &e.podWorkers[w]
+		pw.view, pw.abort = views[w], &abort
+		if len(pw.own) != pods {
+			pw.own = make([]uint8, pods)
+		}
+		for p := range pw.own {
+			pw.own[p] = 0
+			if owner[p] == w {
+				pw.own[p] = 1
+			}
+		}
+		if w == 0 {
+			continue // runs on this goroutine below
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !pw.work(&cols, window) {
+				abort.Store(true)
+			}
+		}()
+	}
+	if !e.podWorkers[0].work(&cols, window) {
+		abort.Store(true)
+	}
+	wg.Wait()
+	if abort.Load() {
+		sp.ResetPods()
+		e.backend.Sys.Reset()
+		*ss = start
+		return false
+	}
+	sp.JoinPods(views)
+	for w := range e.podWorkers {
+		r := &e.podWorkers[w].res
+		res.Requests += r.Requests
+		res.TotalStall += r.TotalStall
+		res.Span = max(res.Span, r.Span)
+	}
+	e.workers = n
+	return true
+}
+
+// podSample is the stride at which assignPods samples the plane.
+const podSample = 256
+
+// assignPods spreads pods over n <= pods workers by their share of the
+// requests ahead, sampled every podSample plane entries: heaviest pod
+// first, each to the least-loaded worker (longest processing time first).
+// Every pod counts at least one request, so the first n pods land on n
+// distinct workers and none is left idle. It returns each pod's worker.
+func assignPods(plane []trace.Decoded, pods, n int) []int {
+	load := make([]int, pods)
+	for p := range load {
+		load[p] = 1
+	}
+	for i := 0; i < len(plane); i += podSample {
+		load[plane[i].Pod]++
+	}
+	order := make([]int, pods)
+	for p := range order {
+		order[p] = p
+	}
+	sort.SliceStable(order, func(a, b int) bool { return load[order[a]] > load[order[b]] })
+	owner, work := make([]int, pods), make([]int, n)
+	for _, p := range order {
+		w := 0
+		for i := range work {
+			if work[i] < work[w] {
+				w = i
+			}
+		}
+		owner[p] = w
+		work[w] += load[p]
+	}
+	return owner
 }
 
 // run is Run's replay loop. Its accumulators live in locals, flushed to
@@ -183,10 +354,72 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 	return nil
 }
 
-// ParallelBlocks always returns 0.
-//
-// Deprecated: it counted blocks of the removed pod-parallel engine.
-func (e *Engine) ParallelBlocks() uint64 { return 0 }
+// work is one pod-parallel worker's replay of the snapshot columns from
+// c.Pos on (see runPods), BatchSize requests at a time. Per batch, every
+// request passes the order check and the view's touch filter (Scan), and
+// the owned ones are gathered into pw.mine without a per-request branch on
+// ownership, which is a coin flip; then each owned request is reassembled,
+// issues at its trace time, and its completion is checked against the
+// trace time of the request window places behind it. The worker gives up
+// (false) at the first failed check — out-of-order time, a completion not
+// after its issue, a request the window would have gated — or at the
+// first batch after another worker has; the serial rerun then reports any
+// real error. On success the view finishes the trace's interval
+// boundaries and res holds the worker's share of the Result.
+func (pw *podWorker) work(c *trace.Columns, window int) bool {
+	if pw.mine == nil {
+		pw.touched = make([]bool, BatchSize)
+		pw.mine = make([]int32, BatchSize)
+	}
+	view, own := pw.view, pw.own
+	total := len(c.Times)
+	var r trace.Request
+	var lastArrival clock.Time
+	var requests uint64
+	var totalStall, span clock.Duration
+	for lo := c.Pos; lo < total; lo += BatchSize {
+		if pw.abort.Load() {
+			return false
+		}
+		hi := min(lo+BatchSize, total)
+		times, dec, cores := c.Times[lo:hi], c.Plane[lo:hi], c.Cores[lo:hi]
+		touched, mine := pw.touched[:len(times)], pw.mine[:len(times)]
+		dec, cores = dec[:len(times)], cores[:len(times)]
+		view.Scan(cores, dec, touched)
+		k := 0
+		for i, t := range times {
+			if t < lastArrival {
+				return false
+			}
+			lastArrival = t
+			mine[k] = int32(i)
+			k += int(own[dec[i].Pod])
+		}
+		for _, i := range mine[:k] {
+			c.Request(lo+int(i), &r)
+			done := view.AccessPod(&r, &dec[i], r.Time, touched[i])
+			if done <= r.Time {
+				return false
+			}
+			if j := lo + int(i) + window; window > 0 && j < total && done > c.Times[j] {
+				return false
+			}
+			requests++
+			totalStall += done - r.Time
+			if done > span {
+				span = done
+			}
+		}
+	}
+	view.Finish(lastArrival)
+	pw.res = stats.Result{Requests: requests, TotalStall: totalStall, Span: span}
+	return true
+}
+
+// ParallelBlocks returns the number of workers the last Run replayed on,
+// or 0 when it ran serially (including a pod-parallel attempt that fell
+// back).
+func (e *Engine) ParallelBlocks() uint64 { return uint64(e.workers) }
 
 // MustRun is Run for known-good streams; it panics on error.
 func (e *Engine) MustRun(workload string, s trace.Stream) stats.Result {

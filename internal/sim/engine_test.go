@@ -74,7 +74,7 @@ func TestBatchedRejectsUnorderedTrace(t *testing.T) {
 
 	runWith := func(decoded bool) (stats.Result, error) {
 		b := newBackend()
-		e := New(b, core.MustNew(core.DefaultConfig(), b))
+		e := New(b, mustBuild(t, core.New, core.DefaultConfig(), b))
 		var s trace.Stream = trace.NewSliceStream(reqs)
 		if decoded {
 			s = snap.DecodedStream(&b.Geom)
@@ -124,7 +124,7 @@ func TestWindowGatesIssue(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() stats.Result {
 		b := newBackend()
-		e := New(b, core.MustNew(core.DefaultConfig(), b))
+		e := New(b, mustBuild(t, core.New, core.DefaultConfig(), b))
 		w, _ := workload.Mix(5)
 		return e.MustRun("mix5", w.MustStream(30000, 7))
 	}
@@ -144,23 +144,27 @@ func TestMechanismOrderingSmoke(t *testing.T) {
 	}
 	const n = 120000
 
-	runWith := func(w workload.Workload, build func(b *mech.Backend) mech.Mechanism) stats.Result {
+	runWith := func(w workload.Workload, build func(t testing.TB, b *mech.Backend) mech.Mechanism) stats.Result {
 		b := newBackend()
-		e := New(b, build(b))
+		e := New(b, build(t, b))
 		return e.MustRun(w.Name, w.MustStream(n, 42))
 	}
 
 	hotset, _ := workload.Homogeneous("cactus")
-	tlm := runWith(hotset, func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
-	mp := runWith(hotset, func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) })
+	tlm := runWith(hotset, func(t testing.TB, b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
+	mp := runWith(hotset, func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, core.New, core.DefaultConfig(), b)
+	})
 
 	hbmLayout := addr.Layout{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4}
 	hb := mech.NewBackend(memsys.MustNew(hbmLayout, dram.HBM(), dram.DDR4_1600()))
 	hbm := New(hb, mech.NewStatic("HBM-only", hb)).MustRun("cactus", hotset.MustStream(n, 42))
 
 	stream, _ := workload.Homogeneous("bwaves")
-	tlmS := runWith(stream, func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
-	camS := runWith(stream, func(b *mech.Backend) mech.Mechanism { return cameo.MustNew(cameo.DefaultConfig(), b) })
+	tlmS := runWith(stream, func(t testing.TB, b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
+	camS := runWith(stream, func(t testing.TB, b *mech.Backend) mech.Mechanism {
+		return mustBuild(t, cameo.New, cameo.DefaultConfig(), b)
+	})
 
 	t.Logf("cactus AMMAT ns: HBM %.2f, MemPod %.2f, TLM %.2f; bwaves: TLM %.2f, CAMEO %.2f",
 		hbm.AMMAT(), mp.AMMAT(), tlm.AMMAT(), tlmS.AMMAT(), camS.AMMAT())
@@ -183,21 +187,27 @@ func TestBaselineMechanismsRunCleanly(t *testing.T) {
 	const n = 40000
 	w, _ := workload.Mix(1)
 
-	builders := []func(b *mech.Backend) mech.Mechanism{
-		func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
-		func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) },
-		func(b *mech.Backend) mech.Mechanism { return thm.MustNew(thm.DefaultConfig(), b) },
-		func(b *mech.Backend) mech.Mechanism { return cameo.MustNew(cameo.DefaultConfig(), b) },
-		func(b *mech.Backend) mech.Mechanism {
+	builders := []func(t testing.TB, b *mech.Backend) mech.Mechanism{
+		func(t testing.TB, b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
+		func(t testing.TB, b *mech.Backend) mech.Mechanism {
+			return mustBuild(t, core.New, core.DefaultConfig(), b)
+		},
+		func(t testing.TB, b *mech.Backend) mech.Mechanism {
+			return mustBuild(t, thm.New, thm.DefaultConfig(), b)
+		},
+		func(t testing.TB, b *mech.Backend) mech.Mechanism {
+			return mustBuild(t, cameo.New, cameo.DefaultConfig(), b)
+		},
+		func(t testing.TB, b *mech.Backend) mech.Mechanism {
 			cfg := hma.DefaultConfig()
 			cfg.Interval = 500 * clock.Microsecond
 			cfg.SortStall = 35 * clock.Microsecond
-			return hma.MustNew(cfg, b)
+			return mustBuild(t, hma.New, cfg, b)
 		},
 	}
 	for _, build := range builders {
 		b := newBackend()
-		m := build(b)
+		m := build(t, b)
 		res, err := New(b, m).Run("mix1", w.MustStream(n, 11))
 		if err != nil {
 			t.Errorf("%s: %v", m.Name(), err)

@@ -36,7 +36,7 @@ func TestMemPodInvariantsUnderLoad(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		b := newBackend()
-		m := core.MustNew(core.DefaultConfig(), b)
+		m := mustBuild(t, core.New, core.DefaultConfig(), b)
 		driveWorkload(t, m, b, seed)
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -54,7 +54,7 @@ func TestMemPodFullCountersInvariants(t *testing.T) {
 	b := newBackend()
 	cfg := core.DefaultConfig()
 	cfg.UseFullCounters = true
-	m := core.MustNew(cfg, b)
+	m := mustBuild(t, core.New, cfg, b)
 	driveWorkload(t, m, b, 1)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestHMAInvariantsUnderLoad(t *testing.T) {
 	cfg := hma.DefaultConfig()
 	cfg.Interval = 200 * clock.Microsecond
 	cfg.SortStall = 14 * clock.Microsecond
-	m := hma.MustNew(cfg, b)
+	m := mustBuild(t, hma.New, cfg, b)
 	driveWorkload(t, m, b, 2)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestTHMInvariantsUnderLoad(t *testing.T) {
 		t.Skip("integration")
 	}
 	b := newBackend()
-	m := thm.MustNew(thm.DefaultConfig(), b)
+	m := mustBuild(t, thm.New, thm.DefaultConfig(), b)
 	driveWorkload(t, m, b, 3)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestCAMEOInvariantsUnderLoad(t *testing.T) {
 		t.Skip("integration")
 	}
 	b := newBackend()
-	m := cameo.MustNew(cameo.DefaultConfig(), b)
+	m := mustBuild(t, cameo.New, cameo.DefaultConfig(), b)
 	driveWorkload(t, m, b, 4)
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestAccessConservation(t *testing.T) {
 		t.Skip("integration")
 	}
 	b := newBackend()
-	m := core.MustNew(core.DefaultConfig(), b)
+	m := mustBuild(t, core.New, core.DefaultConfig(), b)
 	w, _ := workload.Homogeneous("cactus")
 	res := New(b, m).MustRun("cactus", w.MustStream(invariantTraceLen, 9))
 

@@ -57,9 +57,9 @@ func TestSpecPresetBitIdentical(t *testing.T) {
 	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
 
-	run := func(fast, slow dram.Spec, mc func(b *mech.Backend) mech.Mechanism) stats.Result {
+	run := func(fast, slow dram.Spec, mc func(t testing.TB, b *mech.Backend) mech.Mechanism) stats.Result {
 		b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-		m := mc(b)
+		m := mc(t, b)
 		defer mech.Release(m)
 		e := New(b, m)
 		res, err := e.Run(w.Name, snap.DecodedStream(&b.Geom))
@@ -102,7 +102,7 @@ func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {
 		}
 		runWith := func(s trace.Stream) stats.Result {
 			b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-			m := mi.build(b)
+			m := mi.build(t, b)
 			defer mech.Release(m)
 			e := New(b, m)
 			res, err := e.Run(w.Name, s)

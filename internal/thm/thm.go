@@ -282,15 +282,6 @@ func New(cfg Config, b *mech.Backend) (*THM, error) {
 	return t, nil
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config, b *mech.Backend) *THM {
-	t, err := New(cfg, b)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Name implements mech.Mechanism.
 func (t *THM) Name() string { return "THM" }
 

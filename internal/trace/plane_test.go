@@ -178,3 +178,49 @@ func BenchmarkSnapshotBatchReplay(b *testing.B) {
 		}
 	}
 }
+
+// TestColumnsMatchNext reads part of a decoded cursor through Next, then
+// takes over the rest through Columns: Pos must name the next request,
+// the columns and Request must reproduce every request and its plane
+// entry, and the cursor must be left at the end. A cursor without a
+// bound plane refuses and stays where it was.
+func TestColumnsMatchNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	l := addr.DefaultLayout()
+	g := l.Geom()
+	reqs := boundedReqs(rng, 1003, l)
+	snap := Record(NewSliceStream(reqs), len(reqs))
+	defer snap.Release()
+	plane := snap.Plane(&g)
+
+	plain := snap.Stream()
+	var r Request
+	plain.Next(&r)
+	if _, ok := plain.Columns(); ok {
+		t.Fatal("Columns accepted a cursor without a bound plane")
+	}
+	if plain.Next(&r) && r != reqs[1] {
+		t.Fatalf("refused Columns moved the cursor: got %+v, want %+v", r, reqs[1])
+	}
+
+	ss := snap.DecodedStream(&g)
+	for i := 0; i < 300; i++ {
+		ss.Next(&r)
+	}
+	c, ok := ss.Columns()
+	if !ok || c.Pos != 300 {
+		t.Fatalf("Columns = ok %v, Pos %d; want ok at 300", ok, c.Pos)
+	}
+	if len(c.Times) != len(reqs) || len(c.Plane) != len(reqs) || len(c.Cores) != len(reqs) {
+		t.Fatalf("column lengths %d/%d/%d, want %d", len(c.Times), len(c.Plane), len(c.Cores), len(reqs))
+	}
+	for i := range reqs {
+		c.Request(i, &r)
+		if r != reqs[i] || c.Times[i] != reqs[i].Time || c.Cores[i] != reqs[i].Core || c.Plane[i] != plane[i] {
+			t.Fatalf("request %d: got %+v, want %+v", i, r, reqs[i])
+		}
+	}
+	if ss.Next(&r) {
+		t.Error("cursor not at the end after Columns")
+	}
+}

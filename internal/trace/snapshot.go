@@ -382,7 +382,8 @@ func (s *Snapshot) DecodedStream(g *addr.Geom) *SnapshotStream {
 // allocation: it decodes one varint delta and indexes the columnar arrays.
 // NextBatch amortizes the cursor bookkeeping over whole batches and, when a
 // predecode plane is bound (DecodedStream), delivers each
-// request's Decoded entry alongside it.
+// request's Decoded entry alongside it. A copy of a SnapshotStream value
+// is an independent cursor at the same position.
 type SnapshotStream struct {
 	snap  *Snapshot
 	dec   []Decoded    // bound predecode plane, nil if none
@@ -432,6 +433,46 @@ func (ss *SnapshotStream) Reset() {
 
 // Snapshot returns the snapshot the cursor replays.
 func (ss *SnapshotStream) Snapshot() *Snapshot { return ss.snap }
+
+// Columns is the column-by-column form of a decoded cursor's snapshot,
+// for readers that index requests directly instead of batch-copying them:
+// the pod-parallel engine's workers read every request's time, core and
+// plane entry but reassemble only the requests of their own pods. Times,
+// Plane and Cores have one read-only entry per request of the snapshot,
+// aliasing its shared columns; Pos is the first request the cursor had
+// not delivered.
+type Columns struct {
+	Times []clock.Time
+	Plane []Decoded
+	Cores []byte
+	Pos   int
+	snap  *Snapshot
+}
+
+// Columns returns the cursor's columns and advances the cursor to the end
+// of the snapshot: the caller takes over reading the remaining requests.
+// ok is false, and the cursor untouched, unless both the plane and the
+// time column are bound (DecodedStream).
+func (ss *SnapshotStream) Columns() (c Columns, ok bool) {
+	if ss.dec == nil || ss.times == nil {
+		return Columns{}, false
+	}
+	s := ss.snap
+	c = Columns{Times: ss.times[:s.n], Plane: ss.dec[:s.n], Cores: s.cores[:s.n], Pos: ss.pos, snap: s}
+	ss.pos = s.n
+	return c, true
+}
+
+// Request reassembles request i of the snapshot into r.
+func (c *Columns) Request(i int, r *Request) {
+	s := c.snap
+	*r = Request{
+		Addr:  binary.LittleEndian.Uint64(s.addrs[8*i:]),
+		Time:  c.Times[i],
+		Write: s.writes[i>>3]>>(uint(i)&7)&1 != 0,
+		Core:  c.Cores[i],
+	}
+}
 
 // NextBatch fills dst with up to len(dst) requests and returns how many
 // were produced (0 at end of stream). When a plane is bound and `plane` is

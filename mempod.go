@@ -82,6 +82,11 @@ type MigrantOptions struct {
 	FaultCost    Duration // minor-fault handling cost charged before the copy
 }
 
+// THMOptions tunes the THM baseline. Zero values select its defaults.
+type THMOptions struct {
+	CacheBytes int // segment-state (SRT) cache capacity; 0 disables the cache model
+}
+
 // HMAOptions tunes the HMA baseline. Zero values select the paper's
 // parameters (100 ms interval, 7 ms sort), which require correspondingly
 // long traces; see exp.Config for the scaled experiment defaults.
@@ -112,10 +117,12 @@ type Options struct {
 	// Window caps outstanding requests (default sim.DefaultWindow;
 	// negative = unlimited).
 	Window int
-	// PodShards is ignored: every run takes the serial path.
-	//
-	// Deprecated: the pod-parallel engine it selected was slower than the
-	// serial path and has been removed.
+	// PodShards is the worker count of a MemPod trace replay (RunTrace;
+	// sim.Engine.Shards): 0 spreads the pods over every core
+	// (min(GOMAXPROCS, pods) workers), 1 runs serially, N uses
+	// min(N, pods) workers. The Result is the serial one whatever the
+	// value. Run and RunCustom generate their trace as they simulate it
+	// and always run serially.
 	PodShards int
 	// Results, when non-nil, memoizes the run: if the cache holds this
 	// exact cell (same mechanism config, specs, layout, window and trace
@@ -127,6 +134,7 @@ type Options struct {
 
 	MemPod  MemPodOptions
 	HMA     HMAOptions
+	THM     THMOptions
 	Migrant MigrantOptions
 }
 
@@ -218,7 +226,7 @@ func runStream(name string, o Options, id cellIdentity, open func() (trace.Strea
 		if err != nil {
 			return Result{}, err
 		}
-		return cell.Run(name, s, o.Window)
+		return cell.Run(name, s, o.Window, o.PodShards)
 	}
 	if o.Results == nil || !id.cacheable {
 		return simulate()
@@ -410,7 +418,9 @@ func (o Options) mechConfig() (any, error) {
 		c.CacheBytes = o.HMA.CacheBytes
 		return c, nil
 	case MechTHM:
-		return thm.DefaultConfig(), nil
+		c := thm.DefaultConfig()
+		c.CacheBytes = o.THM.CacheBytes
+		return c, nil
 	case MechCAMEO:
 		return cameo.DefaultConfig(), nil
 	case MechMigrant:

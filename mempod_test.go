@@ -228,3 +228,45 @@ func TestRunTraceMappedMatchesHeap(t *testing.T) {
 		tr.Close()
 	}
 }
+
+// TestPodShardsBitIdentical replays one trace under MemPod serially
+// (PodShards 1) and on two and four pod workers, from the heap recording
+// and from a mapped open of its saved file: every replay must reproduce
+// the serial Result.
+func TestPodShardsBitIdentical(t *testing.T) {
+	tr, err := RecordTrace("mix5", 30_000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "mix5.mps")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	ref, err := RunTrace(tr, Options{PodShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, trace := range map[string]*Trace{"heap": tr, "mapped": mapped} {
+		for _, shards := range []int{0, 2, 4} {
+			got, err := RunTrace(trace, Options{PodShards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s PodShards=%d:\n got %+v\nwant %+v", name, shards, got, ref)
+			}
+		}
+	}
+}

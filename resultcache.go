@@ -50,6 +50,7 @@ type ResultCacheStats struct {
 
 	BytesRead    int64
 	BytesWritten int64
+	FailedWrites int // store files that could not be written
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -59,14 +60,15 @@ func (rc *ResultCache) Stats() ResultCacheStats {
 		Hits: s.Hits, Misses: s.Misses, DiskLoads: s.DiskLoads,
 		Stale: s.Stale, Persisted: s.Persisted,
 		BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
+		FailedWrites: s.FailedWrites,
 	}
 }
 
 // String renders the counters in the one-line greppable form the commands
-// print: "hits=H misses=M stale=S read=RB written=WB".
+// print: "hits=H misses=M stale=S read=RB written=WB failed_writes=F".
 func (s ResultCacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d stale=%d read=%dB written=%dB",
-		s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten)
+	return fmt.Sprintf("hits=%d misses=%d stale=%d read=%dB written=%dB failed_writes=%d",
+		s.Hits, s.Misses, s.Stale, s.BytesRead, s.BytesWritten, s.FailedWrites)
 }
 
 // cellIdentity is the trace half of a run's cache key: how the request

@@ -135,22 +135,3 @@ func TestAccessBatchEmptyColumn(t *testing.T) {
 		t.Errorf("empty batch changed stats: %+v -> %+v", before, after)
 	}
 }
-
-func BenchmarkChannelAccessBatch(b *testing.B) {
-	for _, spec := range []Spec{HBM(), HBM().WithRefresh()} {
-		b.Run(spec.Name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			reqs := randomColumn(rng, 256)
-			done := make([]clock.Time, len(reqs))
-			c := NewChannel(spec)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range done {
-					done[j] = 0
-				}
-				c.AccessBatch(reqs, done)
-			}
-		})
-	}
-}

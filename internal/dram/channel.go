@@ -241,10 +241,10 @@ func (c *Channel) Access(row uint64, write bool, at clock.Time) clock.Time {
 	return done
 }
 
-// BatchReq is one decoded request in a per-channel column: the row and
-// issue time of an access plus the caller's scatter index for the
-// completion. Columns are serviced densely by AccessBatch (page-swap copy
-// traffic, mech.Backend's swapChunk).
+// BatchReq is one request of a per-channel column: the row and issue time
+// of an access plus the caller's scatter index for its completion. It
+// remains only for perfbench's DRAM rung (dram.access_batch_ns_per_req,
+// through memsys.AccessChannelBatch); no simulation path builds columns.
 type BatchReq struct {
 	Row   uint64
 	At    clock.Time
@@ -252,112 +252,15 @@ type BatchReq struct {
 	Write bool
 }
 
-// AccessBatch services a dense column of requests on this channel, in
-// column order, exactly as the equivalent sequence of Access calls would
-// — same bank/row transitions, refresh catch-up, bus serialization and
-// counters — but with the channel-level state (bus-free time, next
-// refresh, stat tallies) held in locals across the whole column and
-// written back once. For each request it folds the completion into
-// done[Idx] as a running max, so callers can preload done with a
-// completion floor (e.g. a migration-lock release time) and read back
-// max(floor, channel completion) without a second pass.
+// AccessBatch services a column of requests on this channel, in column
+// order, through Access, folding each completion into done[Idx] as a
+// running max (a preloaded done entry acts as a completion floor). It
+// remains only for perfbench's DRAM rung; Access is the channel's one
+// timing model.
 func (c *Channel) AccessBatch(reqs []BatchReq, done []clock.Time) {
-	banks := c.banks
-	busFreeAt := c.busFreeAt
-	nextRefresh := c.nextRefresh
-	var reads, writes, rowHits, rowClosed, rowConflicts, refreshes uint64
-	var lastFinish clock.Time
-	burst := c.burst
-	closedPage := c.spec.Policy == ClosedPage
-
 	for i := range reqs {
 		r := &reqs[i]
-		at := r.At + c.link
-		if at >= nextRefresh {
-			k := (at-nextRefresh)/c.spec.RefreshInterval + 1
-			refreshEnd := nextRefresh + clock.Duration(k-1)*c.spec.RefreshInterval + c.spec.RefreshTime
-			for j := range banks {
-				banks[j].openRow = -1
-				if banks[j].nextCmd < refreshEnd {
-					banks[j].nextCmd = refreshEnd
-				}
-			}
-			if busFreeAt < refreshEnd {
-				busFreeAt = refreshEnd
-			}
-			refreshes += uint64(k)
-			nextRefresh += clock.Duration(k) * c.spec.RefreshInterval
-		}
-
-		row := r.Row
-		var b *bank
-		var bankRow int64
-		if c.bankPow2 {
-			b = &banks[row&c.bankMask]
-			bankRow = int64(row >> c.bankShift)
-		} else {
-			b = &banks[row%uint64(len(banks))]
-			bankRow = int64(row / uint64(len(banks)))
-		}
-
-		start := clock.Max(at, b.nextCmd)
-		var lat clock.Duration
-		switch {
-		case b.openRow == bankRow:
-			rowHits++
-			lat = c.latHit
-			b.nextCmd = start + burst
-		case b.openRow < 0:
-			rowClosed++
-			lat = c.latClosed
-			b.activatedAt = start
-			b.nextCmd = start + lat
-		default:
-			rowConflicts++
-			start = clock.Max(start, b.activatedAt+c.ras)
-			lat = c.latConflict
-			b.activatedAt = start + c.rp
-			b.nextCmd = start + lat
-		}
-		if r.Write && c.writeExtra > 0 {
-			lat += c.writeExtra
-			if b.nextCmd < start+lat {
-				b.nextCmd = start + lat
-			}
-		}
-		if closedPage {
-			b.openRow = -1
-		} else {
-			b.openRow = bankRow
-		}
-
-		dataReady := start + lat
-		busStart := clock.Max(dataReady, busFreeAt)
-		fin := busStart + burst
-		busFreeAt = fin
-		ret := fin + c.link
-
-		if r.Write {
-			writes++
-		} else {
-			reads++
-		}
-		lastFinish = ret
-		if ret > done[r.Idx] {
-			done[r.Idx] = ret
-		}
-	}
-
-	c.busFreeAt = busFreeAt
-	c.nextRefresh = nextRefresh
-	c.stats.Reads += reads
-	c.stats.Writes += writes
-	c.stats.RowHits += rowHits
-	c.stats.RowClosed += rowClosed
-	c.stats.RowConflicts += rowConflicts
-	c.stats.Refreshes += refreshes
-	if len(reqs) > 0 {
-		c.stats.LastFinish = lastFinish
+		done[r.Idx] = max(done[r.Idx], c.Access(r.Row, r.Write, r.At))
 	}
 }
 

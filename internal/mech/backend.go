@@ -3,7 +3,6 @@ package mech
 import (
 	"repro/internal/addr"
 	"repro/internal/clock"
-	"repro/internal/dram"
 	"repro/internal/memsys"
 )
 
@@ -95,115 +94,56 @@ func (b *Backend) LineAt(ch uint16, row uint32, write bool, at clock.Time) clock
 	return b.Sys.AccessChannel(int(ch), uint64(row), write, at)
 }
 
-// SwapPages performs the full datapath of one page swap between frames a
-// and b of one pod, as the paper models it: 32 reads from each page into
-// migration buffers, then 32 write-backs to each page at its new location.
-// Requests are issued back-to-back starting at `at` and contend with demand
-// traffic on the pod's channels; the returned time is when the last
-// write-back completes.
-func (b *Backend) SwapPages(pod int, fa, fb addr.Frame, at clock.Time) clock.Time {
-	return b.SwapPagesChunk(pod, fa, fb, 0, addr.LinesPerPage, at)
-}
-
-// SwapPagesChunk performs the lines [lo, hi) of a page swap: reads of both
-// frames' lines, then the cross write-backs. Migration drivers issue swaps
-// in chunks paced across their epoch so the copy traffic interleaves with
-// demand at the memory controllers instead of monopolizing a channel in
-// one burst.
+// SwapPagesChunk performs the lines [lo, hi) of a page swap between frames
+// fa and fb of one pod, as the paper models the datapath: reads of both
+// frames' lines into migration buffers, then the cross write-backs, 32 of
+// each per page in all. Migration drivers issue swaps in chunks paced
+// across their epoch so the copy traffic interleaves with demand at the
+// memory controllers instead of monopolizing a channel in one burst; the
+// returned time is when the chunk's last write-back completes.
 func (b *Backend) SwapPagesChunk(pod int, fa, fb addr.Frame, lo, hi int, at clock.Time) clock.Time {
 	chA, rowA := b.lineLoc(pod, fa)
 	chB, rowB := b.lineLoc(pod, fb)
 	return b.swapChunk(chA, rowA, chB, rowB, hi-lo, at)
 }
 
-// smallColumn selects swapChunk's kernel by chunk length, an input it
-// observes: a chunk whose per-channel column is shorter than this (the
-// paced common case) goes through the per-request channel path, because
-// the batch kernel's state hoisting costs more than it saves on a handful
-// of requests. Both paths are bit-identical by construction.
-const smallColumn = 8
-
-// swapChunk issues the copy traffic of an n-line swap chunk between two
-// resolved page slots through the channel batch kernel: n reads of each
-// slot issued at `at`, then n write-backs of each issued when the last
-// read completes. All lines of a page share its slot's row, so each
-// phase is one dense column per channel — the per-request equivalent
-// interleaved A/B line accesses land on the two (independent) channels
-// in exactly this per-channel order, and when both slots share a channel
-// the interleaved order is preserved explicitly, so the kernel's answer
-// is bit-identical either way.
-func (b *Backend) swapChunk(chA int, rowA uint64, chB int, rowB uint64, n int, at clock.Time) clock.Time {
-	colLen := n
-	if chA == chB {
-		colLen = 2 * n
-	}
-	if colLen < smallColumn {
-		end := at
-		for i := 0; i < n; i++ {
-			if t := b.Sys.AccessChannel(chA, rowA, false, at); t > end {
-				end = t
-			}
-			if t := b.Sys.AccessChannel(chB, rowB, false, at); t > end {
-				end = t
-			}
-		}
-		readsDone := end
-		for i := 0; i < n; i++ {
-			if t := b.Sys.AccessChannel(chA, rowA, true, readsDone); t > end {
-				end = t
-			}
-			if t := b.Sys.AccessChannel(chB, rowB, true, readsDone); t > end {
-				end = t
-			}
-		}
-		return end
-	}
-	var colA, colB [2 * addr.LinesPerPage]dram.BatchReq
-	done := [2]clock.Time{at, at}
-	phase := func(write bool, t clock.Time) clock.Time {
-		reqA := dram.BatchReq{Row: rowA, At: t, Idx: 0, Write: write}
-		reqB := dram.BatchReq{Row: rowB, At: t, Idx: 1, Write: write}
-		if chA == chB {
-			for i := 0; i < n; i++ {
-				colA[2*i] = reqA
-				colA[2*i+1] = reqB
-			}
-			b.Sys.AccessChannelBatch(chA, colA[:2*n], done[:])
-		} else {
-			for i := 0; i < n; i++ {
-				colA[i] = reqA
-				colB[i] = reqB
-			}
-			b.Sys.AccessChannelBatch(chA, colA[:n], done[:])
-			b.Sys.AccessChannelBatch(chB, colB[:n], done[:])
-		}
-		if done[1] > done[0] {
-			return done[1]
-		}
-		return done[0]
-	}
-	readsDone := phase(false, at)
-	done[0], done[1] = readsDone, readsDone
-	return phase(true, readsDone)
-}
-
-// SwapGlobal swaps the contents of two arbitrary page slots of the flat
-// address space (identified by their home pages), for mechanisms without
-// pod clustering (HMA, THM). The datapath is the same 32+32 reads and
-// writes per page as SwapPages, but the traffic crosses the global
+// SwapGlobalChunk performs the lines [lo, hi) of a swap between two
+// arbitrary page slots of the flat address space (identified by their
+// home pages), for mechanisms without pod clustering (HMA, THM): the same
+// datapath as SwapPagesChunk, but the traffic crosses the global
 // interconnect between the two slots' channels.
-func (b *Backend) SwapGlobal(slotA, slotB addr.Page, at clock.Time) clock.Time {
-	return b.SwapGlobalChunk(slotA, slotB, 0, addr.LinesPerPage, at)
-}
-
-// SwapGlobalChunk performs the lines [lo, hi) of a global page swap; see
-// SwapPagesChunk for why swaps are chunked.
 func (b *Backend) SwapGlobalChunk(slotA, slotB addr.Page, lo, hi int, at clock.Time) clock.Time {
 	podA, fA := b.Geom.HomeFrame(slotA)
 	podB, fB := b.Geom.HomeFrame(slotB)
 	chA, rowA := b.lineLoc(podA, fA)
 	chB, rowB := b.lineLoc(podB, fB)
 	return b.swapChunk(chA, rowA, chB, rowB, hi-lo, at)
+}
+
+// swapChunk issues the copy traffic of an n-line swap chunk between two
+// resolved page slots: n reads of each slot, interleaved A/B and issued
+// at `at`, then n write-backs of each issued when the last read
+// completes. All lines of a page share its slot's row.
+func (b *Backend) swapChunk(chA int, rowA uint64, chB int, rowB uint64, n int, at clock.Time) clock.Time {
+	end := at
+	for i := 0; i < n; i++ {
+		if t := b.Sys.AccessChannel(chA, rowA, false, at); t > end {
+			end = t
+		}
+		if t := b.Sys.AccessChannel(chB, rowB, false, at); t > end {
+			end = t
+		}
+	}
+	readsDone := end
+	for i := 0; i < n; i++ {
+		if t := b.Sys.AccessChannel(chA, rowA, true, readsDone); t > end {
+			end = t
+		}
+		if t := b.Sys.AccessChannel(chB, rowB, true, readsDone); t > end {
+			end = t
+		}
+	}
+	return end
 }
 
 // SwapLines performs CAMEO's line-granularity swap between two locations:

@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -49,7 +50,7 @@ func TestSwapPagesMovesWholePages(t *testing.T) {
 	b := testBackend(t)
 	fastFrame := addr.Frame(0)
 	slowFrame := addr.Frame(b.Layout.FastPagesPerPod())
-	end := b.SwapPages(0, fastFrame, slowFrame, 0)
+	end := b.SwapPagesChunk(0, fastFrame, slowFrame, 0, addr.LinesPerPage, 0)
 	if end <= 0 {
 		t.Fatal("swap completed instantly")
 	}
@@ -64,6 +65,92 @@ func TestSwapPagesMovesWholePages(t *testing.T) {
 	// A swap is bounded below by the slow page transfer: 64 line bursts.
 	if min := clock.Duration(64) * dram.DDR4_1600().BurstTime(); end < clock.Time(min) {
 		t.Errorf("swap finished unrealistically fast: %v < %v", end, min)
+	}
+}
+
+// TestSwapChunkMatchesLineSequence pins a swap chunk's timing to the
+// paper's datapath spelled out one line at a time: the chunk's reads of
+// both slots interleaved at `at`, then the write-backs of both issued at
+// the last read's completion. The slot pairs cover two channels (fast
+// and slow, where the two columns are independent) and one shared
+// channel (where A and B must alternate), at chunk lengths from one line
+// to a whole page, over spec pairs with write asymmetry and refresh.
+func TestSwapChunkMatchesLineSequence(t *testing.T) {
+	specs := []struct{ fast, slow dram.Spec }{
+		{dram.HBM(), dram.DDR4_1600()},
+		{dram.HBM().WithRefresh(), dram.NVMPCM().WithRefresh()},
+	}
+	for _, sp := range specs {
+		newBackend := func() *Backend {
+			return NewBackend(memsys.MustNew(addr.DefaultLayout(), sp.fast, sp.slow))
+		}
+		l := newBackend().Layout
+		fastPerPod := addr.Frame(l.FastPagesPerPod())
+		// Two fast frames cpp*pagesPerRow apart share a channel but not a
+		// row, so the shared-channel chunk alternates row conflicts.
+		sameCh := addr.Frame(uint64(l.FastChannelsPerPod()) * l.FastPagesPerRow())
+		pairs := []struct {
+			name   string
+			fa, fb addr.Frame
+			global bool
+		}{
+			{"cross-channel", 3, fastPerPod + 5, false},
+			{"same-channel", 1, 1 + sameCh, false},
+			{"global-cross-channel", 0, 0, true},
+		}
+		for _, pr := range pairs {
+			for _, n := range []int{1, 4, addr.LinesPerPage} {
+				t.Run(fmt.Sprintf("%s/%s/%d", sp.slow.Name, pr.name, n), func(t *testing.T) {
+					got, ref := newBackend(), newBackend()
+					var slotA, slotB addr.Page
+					podA, fa, podB, fb := 1, pr.fa, 1, pr.fb
+					if pr.global {
+						// A fast home page of pod 0 and a slow home page of
+						// the last pod: the copy crosses pods.
+						slotA = addr.Page(l.FastPages()) - 1
+						slotB = addr.Page(l.FastPages()) + 7
+						podA, fa = got.Geom.HomeFrame(slotA)
+						podB, fb = got.Geom.HomeFrame(slotB)
+					}
+					chA, rowA := ref.lineLoc(podA, fa)
+					chB, rowB := ref.lineLoc(podB, fb)
+					if (pr.name == "same-channel") != (chA == chB) {
+						t.Fatalf("%s pair resolved to channels %d and %d", pr.name, chA, chB)
+					}
+					// Three chunks back to back, the later ones issued
+					// before the earlier ones drain, so carried bank and
+					// bus state is part of the comparison.
+					at := clock.Time(100)
+					for round := 0; round < 3; round++ {
+						var end clock.Time
+						if pr.global {
+							end = got.SwapGlobalChunk(slotA, slotB, 0, n, at)
+						} else {
+							end = got.SwapPagesChunk(podA, fa, fb, 0, n, at)
+						}
+						want := at
+						for i := 0; i < n; i++ {
+							want = max(want, ref.Sys.AccessChannel(chA, rowA, false, at))
+							want = max(want, ref.Sys.AccessChannel(chB, rowB, false, at))
+						}
+						readsDone := want
+						for i := 0; i < n; i++ {
+							want = max(want, ref.Sys.AccessChannel(chA, rowA, true, readsDone))
+							want = max(want, ref.Sys.AccessChannel(chB, rowB, true, readsDone))
+						}
+						if end != want {
+							t.Fatalf("round %d: chunk completes at %v, line sequence at %v", round, end, want)
+						}
+						for ch := 0; ch < ref.Sys.NumChannels(); ch++ {
+							if g, w := got.Sys.ChannelStats(ch), ref.Sys.ChannelStats(ch); g != w {
+								t.Fatalf("round %d channel %d: stats %+v, want %+v", round, ch, g, w)
+							}
+						}
+						at = (at + end) / 2
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -114,13 +114,10 @@ func (s *System) AccessChannel(ch int, row uint64, write bool, at clock.Time) cl
 	return s.channels[ch].Access(row, write, at)
 }
 
-// AccessChannelBatch services a dense per-channel request column through
-// the channel's batch kernel (dram.Channel.AccessBatch), folding each
-// completion into done[req.Idx] as a running max. The same channel
-// independence that lets disjoint channel sets run concurrently also
-// means servicing one channel's column densely — while other channels'
-// columns wait — is bit-identical to the interleaved per-request order,
-// as long as each channel sees its own requests in order.
+// AccessChannelBatch services a per-channel request column through
+// dram.Channel.AccessBatch, folding each completion into done[req.Idx] as
+// a running max. It remains only for perfbench's DRAM rung; the
+// simulation issues every request through AccessChannel or Access.
 func (s *System) AccessChannelBatch(ch int, reqs []dram.BatchReq, done []clock.Time) {
 	s.channels[ch].AccessBatch(reqs, done)
 }

@@ -1,7 +1,7 @@
 package sim
 
 // Version stamps the simulation semantics of the whole engine stack: the
-// issue window and batching rules here, the DRAM timing kernel, the
+// issue window and batching rules here, the DRAM timing model, the
 // address map, the workload generators and every mechanism's behaviour.
 // It exists for one purpose — content-addressed result caching
 // (internal/resultcache): cached cell results are keyed on Version, so a

@@ -355,20 +355,28 @@ func (d *timeDecoder) decode(times []byte, dst []clock.Time) {
 	off, now := d.off, d.now
 	for i := range dst {
 		var delta uint64
-		var shift uint
-		for {
-			b := times[off]
-			off++
-			delta |= uint64(b&0x7f) << shift
-			if b < 0x80 {
-				break
-			}
-			shift += 7
-		}
+		delta, off = uvarint(times, off)
 		now += clock.Time(delta)
 		dst[i] = now
 	}
 	d.off, d.now = off, now
+}
+
+// uvarint decodes the varint at times[off] and returns it with the offset
+// just past it: the one varint step of the times column, which inlines
+// into both of its callers (timeDecoder.decode and SnapshotStream.Next).
+// The varint must be complete; Record and validateTimes guarantee it.
+func uvarint(times []byte, off int) (v uint64, next int) {
+	var shift uint
+	for {
+		b := times[off]
+		off++
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v, off
+		}
+		shift += 7
+	}
 }
 
 // DecodedStream returns a replay cursor with the plane for g's layout and
@@ -402,20 +410,8 @@ func (ss *SnapshotStream) Next(r *Request) bool {
 	if ss.times != nil {
 		r.Time = ss.times[ss.pos]
 	} else {
-		// Inline uvarint decode over the times column. The loop always
-		// terminates within the recorded bytes: Record wrote one complete
-		// varint per request.
 		var delta uint64
-		var shift uint
-		for {
-			b := s.times[ss.off]
-			ss.off++
-			delta |= uint64(b&0x7f) << shift
-			if b < 0x80 {
-				break
-			}
-			shift += 7
-		}
+		delta, ss.off = uvarint(s.times, ss.off)
 		ss.now += clock.Time(delta)
 		r.Time = ss.now
 	}
@@ -502,8 +498,16 @@ func (ss *SnapshotStream) NextBatchShared(dst []Request) (int, []Decoded) {
 }
 
 // fillBatch advances the cursor by up to len(dst) requests, writing them
-// into dst, and returns the count.
+// into dst, and returns the count. A cursor without a decoded time column
+// fills its batch through Next.
 func (ss *SnapshotStream) fillBatch(dst []Request) int {
+	if ss.times == nil {
+		n := 0
+		for n < len(dst) && ss.Next(&dst[n]) {
+			n++
+		}
+		return n
+	}
 	s := ss.snap
 	n := s.n - ss.pos
 	if n <= 0 {
@@ -520,46 +524,17 @@ func (ss *SnapshotStream) fillBatch(dst []Request) int {
 	addrs := s.addrs[8*base : 8*(base+n)]
 	cores := s.cores[base : base+n]
 	writes := s.writes
-	if ss.times != nil {
-		// Decoded time column bound: the batch is pure column reads.
-		ts := ss.times[base : base+n]
-		for i := 0; i < n; i++ {
-			p := base + i
-			dst[i] = Request{
-				Addr:  binary.LittleEndian.Uint64(addrs[8*i:]),
-				Time:  ts[i],
-				Write: writes[p>>3]>>(uint(p)&7)&1 != 0,
-				Core:  cores[i],
-			}
-		}
-		ss.pos = base + n
-		return n
-	}
-	// Varint path: the same inlined delta decode Next uses.
-	times := s.times
-	off, now := ss.off, ss.now
+	ts := ss.times[base : base+n]
 	for i := 0; i < n; i++ {
-		var delta uint64
-		var shift uint
-		for {
-			b := times[off]
-			off++
-			delta |= uint64(b&0x7f) << shift
-			if b < 0x80 {
-				break
-			}
-			shift += 7
-		}
-		now += clock.Time(delta)
 		p := base + i
 		dst[i] = Request{
 			Addr:  binary.LittleEndian.Uint64(addrs[8*i:]),
-			Time:  now,
+			Time:  ts[i],
 			Write: writes[p>>3]>>(uint(p)&7)&1 != 0,
 			Core:  cores[i],
 		}
 	}
-	ss.pos, ss.off, ss.now = base+n, off, now
+	ss.pos = base + n
 	return n
 }
 

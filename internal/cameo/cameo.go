@@ -52,10 +52,9 @@ type CAMEO struct {
 	identity uint64
 	fast     uint64 // fast line count
 	dFast    addr.Divisor
-	locks    mech.LockTable // flat line -> swap completion
+	swaps    mech.CopyQueue // for its lock check only; locks keyed by flat line
 	pred     *llp
 	mispred  uint64
-	stats    mech.MigStats
 }
 
 // New builds a CAMEO over the backend's two-level memory.
@@ -101,7 +100,7 @@ func New(cfg Config, b *mech.Backend) (*CAMEO, error) {
 func (c *CAMEO) Name() string { return "CAMEO" }
 
 // Stats implements mech.Mechanism.
-func (c *CAMEO) Stats() mech.MigStats { return c.stats }
+func (c *CAMEO) Stats() mech.MigStats { return c.swaps.Stats }
 
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (c *CAMEO) Release() {
@@ -152,17 +151,13 @@ func (c *CAMEO) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.
 	ln := addr.Line(d.Page*addr.LinesPerPage + uint64(d.Line))
 	// CAMEO's locks only shed entries when their line is re-accessed;
 	// compact occasionally with the trace clock as the expiry floor.
-	c.locks.MaybeCompact(r.Time)
+	c.swaps.Locks.MaybeCompact(r.Time)
 	grp, member := c.groupOf(ln)
 	perm := c.perm(grp)
 	slot := slotOf(perm, member, c.members)
 
 	start := at
-	var lockEnd clock.Time
-	if end := c.locks.GetActive(uint64(ln), start); end != 0 {
-		lockEnd = end
-		c.stats.LockStalls++
-	}
+	lockEnd := c.swaps.Stall(uint64(ln), start)
 
 	if c.pred != nil {
 		// Mispredictions pay a wasted probe at the predicted location
@@ -203,12 +198,12 @@ func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line,
 	newPerm &^= 0xF | 0xF<<(4*slot)
 	newPerm |= mb | ma<<(4*slot)
 	c.groups.Set(uint32(grp), c.groups.A[grp], newPerm)
-	c.locks.Put(uint64(ln), end)
-	c.locks.Put(uint64(evicted), end)
-	c.stats.PageMigrations++ // one line promoted per event
-	c.stats.LineMigrations += 2
-	c.stats.GlobalMoveLines += 2 // MC-to-MC swaps cross the switch (§4.4)
-	c.stats.BytesMoved += 2 * addr.LineBytes
+	c.swaps.Locks.Put(uint64(ln), end)
+	c.swaps.Locks.Put(uint64(evicted), end)
+	c.swaps.Stats.PageMigrations++ // one line promoted per event
+	c.swaps.Stats.LineMigrations += 2
+	c.swaps.Stats.GlobalMoveLines += 2 // MC-to-MC swaps cross the switch (§4.4)
+	c.swaps.Stats.BytesMoved += 2 * addr.LineBytes
 }
 
 // CheckInvariants verifies that every touched group's slot assignment is a

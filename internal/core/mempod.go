@@ -73,23 +73,6 @@ const remapEntryBytes = 4
 
 const entriesPerBlock = mech.BlockBytes / remapEntryBytes
 
-// swapChunks is the number of paced chunks one page swap is issued in:
-// 32 line-pairs split into 8 chunks of 4 keeps each copy clump to ~8
-// channel accesses, so migration interleaves with demand instead of
-// monopolizing a channel per swap.
-const swapChunks = 8
-
-const linesPerChunk = addr.LinesPerPage / swapChunks
-
-// schedSwap is one queued unit of migration work: chunk `chunk` of the
-// swap promoting `local` into fast memory, starting no earlier than
-// `start`. Chunk 0 picks the victim and updates the tables.
-type schedSwap struct {
-	start clock.Time
-	local uint32
-	chunk uint8
-}
-
 // tracker abstracts the pod's activity-tracking unit: the MEA design or
 // the Full Counters ablation.
 type tracker interface {
@@ -99,7 +82,8 @@ type tracker interface {
 }
 
 // pod is the per-pod state: tracker, remap tables, victim pointer, cache,
-// the paced migration queue of the current epoch and in-flight swap locks.
+// and the pod's copy engine: the paced migration queue of the current
+// epoch and the in-flight swap locks.
 //
 // The remap and inverted tables recycle through internal/tab pools, and
 // the hot set is kept as an epoch-stamped set over *fast frames* rather
@@ -108,9 +92,8 @@ type tracker interface {
 // victim selection ever asks. The invariant is established when the epoch's
 // hot list is read (every hot page already resident in fast memory stamps
 // its frame) and maintained at the single place residency changes
-// (executeSwap chunk 0 installs a hot page into the victim frame).
+// (Install puts a hot page into the victim frame).
 type pod struct {
-	id       int
 	tracker  tracker
 	mea      *mea.MEA // tracker's concrete form, nil for Full Counters
 	remap    *tab.U32 // home frame (local page ID) -> current frame
@@ -118,18 +101,9 @@ type pod struct {
 	victim   uint32   // rotating victim-identification pointer
 	cache    *mech.Cache
 
-	queue       []schedSwap    // this epoch's migration chunks, paced
-	qpos        int            // next queue entry to execute
-	hotFast     *tab.EpochSet  // fast frames holding a hot page this epoch
-	locks       mech.LockTable // local page -> in-flight swap completion
-	cand        []uint32       // reused promotion-candidate buffer
-	lastSwapEnd clock.Time     // serializes the pod's migration driver
-
-	// In-flight swap state across its chunks.
-	swapSkip     bool   // chunk 0 found nothing to do; skip the rest
-	swapVictim   uint32 // fast frame being filled
-	swapOld      uint32 // slow frame being vacated
-	swapResident uint32 // local page being evicted
+	q       mech.CopyQueue // swaps of local pages, locks keyed by local page
+	hotFast *tab.EpochSet  // fast frames holding a hot page this epoch
+	cand    []uint32       // reused promotion-candidate buffer
 
 	// Pods sit side by side in MemPod.pods and pod-parallel workers own
 	// different pods: the padding keeps one pod's swap-state writes off
@@ -197,7 +171,8 @@ func (m *MemPod) initPods() {
 	fast := int(l.FastPagesPerPod())
 	for i := range m.pods {
 		p := &m.pods[i]
-		*p = pod{id: i, queue: p.queue[:0], cand: p.cand[:0]}
+		*p = pod{q: p.q, cand: p.cand[:0]}
+		p.q.Init(m.backend, i)
 		if cfg.UseFullCounters {
 			p.tracker = mea.NewFullCounters()
 		} else {
@@ -221,8 +196,15 @@ func (m *MemPod) Name() string {
 	return "MemPod"
 }
 
-// Stats implements mech.Mechanism.
-func (m *MemPod) Stats() mech.MigStats { return m.stats }
+// Stats implements mech.Mechanism: the mechanism's own counters plus its
+// pods' copy engines'.
+func (m *MemPod) Stats() mech.MigStats {
+	s := m.stats
+	for _, i := range m.mine {
+		s.Add(m.pods[i].q.Stats)
+	}
+	return s
+}
 
 // Config returns the mechanism's configuration.
 func (m *MemPod) Config() Config { return m.cfg }
@@ -271,7 +253,7 @@ func (m *MemPod) SplitPods(owner []int) []mech.PodView {
 
 // JoinPods implements mech.PodSplitter. Every view ran every interval
 // boundary, so Intervals is taken once; the other counters are per pod
-// and sum.
+// and sum (the copy engines' own are the pods', which Stats adds).
 func (m *MemPod) JoinPods(views []mech.PodView) {
 	v0 := views[0].(*MemPod)
 	m.touch, m.next = v0.scan, v0.next
@@ -325,8 +307,8 @@ func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock
 	// Execute any queued swaps whose paced start time has arrived, so
 	// channel traffic stays in time order. The guard is inlined here:
 	// most accesses find nothing due, and the call is not free.
-	if p.qpos < len(p.queue) && p.queue[p.qpos].start <= at {
-		m.drainPod(p, at)
+	if p.q.Due(at) {
+		p.q.Drain(at, m)
 	}
 
 	if m.touch.Touch(r.Core, d.Page) {
@@ -349,15 +331,11 @@ func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock
 			start = m.backend.BookkeepingRead(podID, block, start)
 		}
 	}
-	var lockEnd clock.Time
-	if end := p.locks.GetActive(uint64(local), start); end != 0 {
-		// The page's swap is in flight: the request cannot complete
-		// before the copy lands. The DRAM access itself still issues
-		// now (channel traffic must stay in time order); the lock
-		// wait is added to the completion.
-		lockEnd = end
-		m.stats.LockStalls++
-	}
+	// If the page's swap is in flight, the request cannot complete before
+	// the copy lands. The DRAM access itself still issues now (channel
+	// traffic must stay in time order); the lock wait is added to the
+	// completion.
+	lockEnd := p.q.Stall(uint64(local), start)
 
 	f := addr.Frame(p.remap.Get(local))
 	if uint32(f) == local {
@@ -377,76 +355,41 @@ func (m *MemPod) AccessPod(r *trace.Request, d *trace.Decoded, at clock.Time, to
 	return m.Access(r, d, at)
 }
 
-// drainPod executes the pod's due swaps: every queue entry whose paced
-// start is at or before `now`. Swaps serialize through the pod's single
-// migration driver (lastSwapEnd).
-func (m *MemPod) drainPod(p *pod, now clock.Time) {
-	for p.qpos < len(p.queue) && p.queue[p.qpos].start <= now {
-		m.executeSwap(p, p.queue[p.qpos])
-		p.qpos++
+// Install implements mech.Installer for the pod's copy engine: chunk 0
+// of the swap promoting `local` chooses the victim through the rotating
+// finder and updates the remap and inverted tables (through the cache
+// model if enabled). It installs nothing when the page is already in fast
+// memory or every fast frame holds a hot page.
+func (m *MemPod) Install(podID int, local, _ uint32, at clock.Time) (mech.Swap, bool) {
+	p := &m.pods[podID]
+	cur := p.remap.A[local]
+	if m.geom.IsFastFrame(addr.Frame(cur)) {
+		return mech.Swap{}, false // already resident in fast memory
 	}
-}
-
-// executeSwap runs one chunk of a queued swap. Chunk 0 chooses the victim
-// through the rotating finder, updates the remap and inverted tables, and
-// locks both pages; each chunk injects its share of the copy traffic and
-// advances the locks to its completion.
-func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
-	if sw.chunk == 0 {
-		p.swapSkip = true
-		cur := p.remap.A[sw.local]
-		if m.geom.IsFastFrame(addr.Frame(cur)) {
-			return // already resident in fast memory
-		}
-		v, ok := p.findVictim()
-		if !ok {
-			return
-		}
-		p.swapSkip = false
-		p.swapVictim = uint32(v)
-		p.swapOld = cur
-		p.swapResident = p.inverted.A[uint32(v)]
-
-		if p.cache != nil {
-			// Remap-table updates go through the cache model too.
-			for _, lp := range [2]uint32{sw.local, p.swapResident} {
-				block := uint64(lp) / entriesPerBlock
-				if p.cache.Access(block) {
-					m.stats.CacheHits++
-				} else {
-					m.stats.CacheMisses++
-					t := m.backend.BookkeepingRead(p.id, block, sw.start)
-					if t > p.lastSwapEnd {
-						p.lastSwapEnd = t
-					}
-				}
+	v, ok := p.findVictim()
+	if !ok {
+		return mech.Swap{}, false
+	}
+	victim := uint32(v)
+	resident := p.inverted.A[victim]
+	if p.cache != nil {
+		// Remap-table updates go through the cache model too.
+		for _, lp := range [2]uint32{local, resident} {
+			block := uint64(lp) / entriesPerBlock
+			if p.cache.Access(block) {
+				m.stats.CacheHits++
+			} else {
+				m.stats.CacheMisses++
+				p.q.Busy = max(p.q.Busy, m.backend.BookkeepingRead(podID, block, at))
 			}
 		}
-		p.remap.Set(sw.local, p.swapVictim)
-		p.remap.Set(p.swapResident, cur)
-		p.inverted.Set(p.swapVictim, sw.local)
-		// The victim frame now holds a page from the epoch's hot set.
-		p.hotFast.Add(p.swapVictim)
-		m.stats.PageMigrations++
 	}
-	if p.swapSkip {
-		return
-	}
-
-	// Chunks issue at their paced schedule; the channels themselves
-	// serialize the actual transfers. Issuing at chained completion times
-	// would put future-dated requests into the (time-ordered) channel
-	// model and corrupt it under congestion.
-	lo := int(sw.chunk) * linesPerChunk
-	end := m.backend.SwapPagesChunk(p.id, addr.Frame(p.swapOld), addr.Frame(p.swapVictim),
-		lo, lo+linesPerChunk, sw.start)
-	m.stats.LineMigrations += 2 * linesPerChunk
-	m.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
-	if end > p.lastSwapEnd {
-		p.lastSwapEnd = end
-	}
-	p.locks.Raise(uint64(sw.local), end)
-	p.locks.Raise(uint64(p.swapResident), end)
+	p.remap.Set(local, victim)
+	p.remap.Set(resident, cur)
+	p.inverted.Set(victim, local)
+	// The victim frame now holds a page from the epoch's hot set.
+	p.hotFast.Add(victim)
+	return mech.Swap{From: cur, To: victim, LockA: local, LockB: resident}, true
 }
 
 // runInterval performs the boundary work of one epoch: each pod flushes
@@ -458,31 +401,11 @@ func (m *MemPod) runInterval(boundary clock.Time) {
 	m.stats.Intervals++
 	for _, i := range m.mine {
 		p := &m.pods[i]
-		// Retire the previous epoch's queue: an in-flight swap (chunk 0
-		// already executed) must finish copying, but swaps that never
-		// started are stale decisions and are dropped — the migration
-		// driver's bandwidth is bounded, and the new epoch's hot set
-		// supersedes the old one. (This flush runs against the previous
-		// epoch's hotFast set, which is still current here.)
-		flushing := p.qpos > 0 && p.queue[p.qpos-1].chunk != swapChunks-1
-		for p.qpos < len(p.queue) {
-			sw := p.queue[p.qpos]
-			if sw.chunk == 0 {
-				flushing = false
-			}
-			if !flushing && sw.chunk == 0 {
-				// Peek: never-started swap -> drop all its chunks.
-				p.qpos += swapChunks
-				m.stats.DroppedMigrations++
-				continue
-			}
-			if sw.start < boundary {
-				sw.start = boundary
-			}
-			m.executeSwap(p, sw)
-			p.qpos++
-		}
-		p.locks.Sweep(boundary)
+		// Retire the previous epoch's queue: an in-flight swap must
+		// finish copying, but swaps that never started are dropped — the
+		// migration driver's bandwidth is bounded, and the new epoch's
+		// hot set supersedes the old one.
+		p.q.Retire(boundary)
 
 		hot := p.tracker.Hot()
 		if len(hot) > m.cfg.Counters {
@@ -517,10 +440,7 @@ func (m *MemPod) runInterval(boundary clock.Time) {
 		// engine never claims more than about half of the pod's slow
 		// channel.
 		const minSwapTime = 800 * clock.Nanosecond
-		slotBase := boundary
-		if p.lastSwapEnd > slotBase {
-			slotBase = p.lastSwapEnd
-		}
+		slotBase := max(boundary, p.q.Busy)
 		avail := boundary + m.cfg.Interval - slotBase
 		if avail < 0 {
 			avail = 0
@@ -532,27 +452,9 @@ func (m *MemPod) runInterval(boundary clock.Time) {
 		}
 		p.cand = cand
 
-		p.queue = p.queue[:0]
-		p.qpos = 0
-		if len(cand) > 0 {
-			spacing := avail / clock.Duration(len(cand)+1)
-			if spacing < minSwapTime {
-				spacing = minSwapTime
-			}
-			chunkSpacing := spacing / swapChunks
-			for idx, local := range cand {
-				slot := slotBase + clock.Duration(idx)*spacing
-				for ch := 0; ch < swapChunks; ch++ {
-					p.queue = append(p.queue, schedSwap{
-						start: slot + clock.Duration(ch)*chunkSpacing,
-						local: local,
-						chunk: uint8(ch),
-					})
-				}
-			}
-		}
-		if p.lastSwapEnd < boundary {
-			p.lastSwapEnd = boundary
+		spacing := max(avail/clock.Duration(len(cand)+1), minSwapTime)
+		for idx, local := range cand {
+			p.q.Schedule(slotBase+clock.Duration(idx)*spacing, spacing, local, 0)
 		}
 		p.tracker.Reset()
 	}

@@ -97,17 +97,13 @@ type HMA struct {
 
 	counters   *tab.U16Zero // per flat page, this interval
 	counterMax uint16
-	remap      *tab.U32       // flat page -> physical slot (flat page index)
-	inverted   *tab.U32       // fast slot -> resident flat page
-	locks      mech.LockTable // page -> in-flight swap completion
+	remap      *tab.U32 // flat page -> physical slot (flat page index)
+	inverted   *tab.U32 // fast slot -> resident flat page
 	cache      *mech.Cache
 
-	touch       mech.TouchFilter
-	next        clock.Time // next boundary
-	queue       []queuedSwap
-	qpos        int
-	lastSwapEnd clock.Time
-	stats       mech.MigStats
+	touch mech.TouchFilter
+	next  clock.Time     // next boundary
+	q     mech.CopyQueue // the OS copy loop; locks keyed by flat page
 
 	// Boundary-pass scratch, reused across intervals.
 	hot     []pageCount
@@ -116,27 +112,6 @@ type HMA struct {
 	victims []uint32
 	hSorter hotSorter
 	sSorter slotSorter
-
-	// In-flight swap state across its chunks.
-	swapSkip bool
-	swapOld  uint32 // slow slot being vacated
-	swapRes  uint32 // page being evicted from the fast slot
-}
-
-// swapChunks paces each page copy as 8 chunks of 4 line-pairs so the OS
-// copy loop interleaves with demand traffic (see mech.SwapGlobalChunk).
-const swapChunks = 8
-
-const linesPerChunk = addr.LinesPerPage / swapChunks
-
-// queuedSwap is one scheduled unit of migration work: chunk `chunk` of the
-// swap promoting `page` into fast slot `victim`, starting no earlier than
-// `start` (after the end of the OS sort). Chunk 0 updates the tables.
-type queuedSwap struct {
-	start  clock.Time
-	page   uint32
-	victim uint32
-	chunk  uint8
 }
 
 // New builds an HMA over the backend's two-level memory.
@@ -171,6 +146,7 @@ func New(cfg Config, b *mech.Backend) (*HMA, error) {
 	if cfg.CacheBytes > 0 {
 		h.cache = mech.NewCache(cfg.CacheBytes, cfg.CacheWays)
 	}
+	h.q.Init(b, mech.GlobalPod)
 	return h, nil
 }
 
@@ -178,7 +154,7 @@ func New(cfg Config, b *mech.Backend) (*HMA, error) {
 func (h *HMA) Name() string { return "HMA" }
 
 // Stats implements mech.Mechanism.
-func (h *HMA) Stats() mech.MigStats { return h.stats }
+func (h *HMA) Stats() mech.MigStats { return h.q.Stats }
 
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (h *HMA) Release() {
@@ -198,8 +174,8 @@ func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 		h.runInterval(h.next)
 		h.next += h.cfg.Interval
 	}
-	if h.qpos < len(h.queue) && h.queue[h.qpos].start <= at {
-		h.drain(at)
+	if h.q.Due(at) {
+		h.q.Drain(at, h)
 	}
 
 	start := at
@@ -211,17 +187,13 @@ func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	if h.cache != nil {
 		block := uint64(page) / countersPerBlock
 		if h.cache.Access(block) {
-			h.stats.CacheHits++
+			h.q.Stats.CacheHits++
 		} else {
-			h.stats.CacheMisses++
+			h.q.Stats.CacheMisses++
 			start = h.backend.BookkeepingRead(int(uint64(page)%uint64(h.layout.NumPods)), block, start)
 		}
 	}
-	var lockEnd clock.Time
-	if end := h.locks.GetActive(uint64(page), start); end != 0 {
-		lockEnd = end
-		h.stats.LockStalls++
-	}
+	lockEnd := h.q.Stall(uint64(page), start)
 	slot := addr.Page(h.remap.Get(page))
 	if uint64(slot) == uint64(page) {
 		// Identity remap: the decode already resolved the home location.
@@ -255,28 +227,11 @@ func (o *hotSorter) Swap(i, j int) { o.s[i], o.s[j] = o.s[j], o.s[i] }
 // them with the coldest fast-resident victims, and queue the swaps to
 // execute once the counter sort completes (boundary + SortStall).
 func (h *HMA) runInterval(boundary clock.Time) {
-	h.stats.Intervals++
+	h.q.Stats.Intervals++
 
-	// Retire the previous epoch's queue: finish partially copied swaps,
-	// drop the ones that never started (stale OS decisions).
-	flushing := h.qpos > 0 && h.queue[h.qpos-1].chunk != swapChunks-1
-	for h.qpos < len(h.queue) {
-		sw := h.queue[h.qpos]
-		if sw.chunk == 0 {
-			flushing = false
-		}
-		if !flushing && sw.chunk == 0 {
-			h.qpos += swapChunks
-			h.stats.DroppedMigrations++
-			continue
-		}
-		if sw.start < boundary {
-			sw.start = boundary
-		}
-		h.executeSwap(sw)
-		h.qpos++
-	}
-	h.locks.Sweep(boundary)
+	// Retire the previous epoch's queue: finish the partially copied
+	// swap, drop the ones that never started (stale OS decisions).
+	h.q.Retire(boundary)
 
 	// Gather candidates: hot pages currently in slow memory. Only pages in
 	// the interval's touch journal can clear the threshold (untouched
@@ -300,8 +255,6 @@ func (h *HMA) runInterval(boundary clock.Time) {
 	}
 	h.hot = hot
 
-	h.queue = h.queue[:0]
-	h.qpos = 0
 	if len(hot) > 0 {
 		victims := h.coldestFastSlots(len(hot))
 		sortDone := boundary + h.cfg.SortStall
@@ -309,7 +262,6 @@ func (h *HMA) runInterval(boundary clock.Time) {
 		// copies interleave with demand traffic instead of monopolizing
 		// the channels in one burst.
 		spacing := (h.cfg.Interval - h.cfg.SortStall) / clock.Duration(len(hot)+1)
-		chunkSpacing := spacing / swapChunks
 		for i, hc := range hot {
 			if i >= len(victims) {
 				break
@@ -317,64 +269,17 @@ func (h *HMA) runInterval(boundary clock.Time) {
 			if uint64(h.counters.A[h.inverted.A[victims[i]]]) >= h.cfg.HotThreshold {
 				continue // victim is itself hot; skip
 			}
-			slot := sortDone + clock.Duration(i)*spacing
-			for ch := 0; ch < swapChunks; ch++ {
-				h.queue = append(h.queue, queuedSwap{
-					start:  slot + clock.Duration(ch)*chunkSpacing,
-					page:   hc.page,
-					victim: victims[i],
-					chunk:  uint8(ch),
-				})
-			}
+			h.q.Schedule(sortDone+clock.Duration(i)*spacing, spacing, hc.page, victims[i])
 		}
-	}
-	if h.lastSwapEnd < boundary {
-		h.lastSwapEnd = boundary
 	}
 	h.counters.Clear()
 }
 
-// drain executes queued swaps whose start time has arrived, keeping
-// channel traffic in time order.
-func (h *HMA) drain(now clock.Time) {
-	for h.qpos < len(h.queue) && h.queue[h.qpos].start <= now {
-		h.executeSwap(h.queue[h.qpos])
-		h.qpos++
-	}
-}
-
-// executeSwap performs one queued chunk of a page swap through the OS
-// datapath. Chunk 0 updates the page tables and locks both pages.
-func (h *HMA) executeSwap(sw queuedSwap) {
-	if sw.chunk == 0 {
-		h.swapSkip = true
-		cur := h.remap.A[sw.page]
-		if cur < uint32(h.geom.FastPagesN()) {
-			return // already promoted
-		}
-		h.swapSkip = false
-		h.swapOld = cur
-		h.swapRes = h.inverted.A[sw.victim]
-		h.remap.Set(sw.page, sw.victim)
-		h.remap.Set(h.swapRes, cur)
-		h.inverted.Set(sw.victim, sw.page)
-		h.stats.PageMigrations++
-	}
-	if h.swapSkip {
-		return
-	}
-	// Chunks issue at their paced schedule (see core.executeSwap).
-	lo := int(sw.chunk) * linesPerChunk
-	end := h.backend.SwapGlobalChunk(addr.Page(h.swapOld), addr.Page(sw.victim),
-		lo, lo+linesPerChunk, sw.start)
-	h.stats.LineMigrations += 2 * linesPerChunk
-	h.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
-	h.stats.GlobalMoveLines += 2 * linesPerChunk
-	if end > h.lastSwapEnd {
-		h.lastSwapEnd = end
-	}
-	h.locks.Raise(uint64(sw.page), end)
-	h.locks.Raise(uint64(h.swapRes), end)
+// Install implements mech.Installer: chunk 0 of the swap promoting page
+// into fast slot victim rewrites the page tables, unless the page was
+// promoted meanwhile.
+func (h *HMA) Install(_ int, page, victim uint32, _ clock.Time) (mech.Swap, bool) {
+	return mech.PromoteFlat(h.remap, h.inverted, uint32(h.geom.FastPagesN()), page, victim)
 }
 
 // slotCount pairs a fast slot with its resident's interval count.

@@ -94,37 +94,17 @@ func (b *Backend) LineAt(ch uint16, row uint32, write bool, at clock.Time) clock
 	return b.Sys.AccessChannel(int(ch), uint64(row), write, at)
 }
 
-// SwapPagesChunk performs the lines [lo, hi) of a page swap between frames
-// fa and fb of one pod, as the paper models the datapath: reads of both
-// frames' lines into migration buffers, then the cross write-backs, 32 of
-// each per page in all. Migration drivers issue swaps in chunks paced
-// across their epoch so the copy traffic interleaves with demand at the
-// memory controllers instead of monopolizing a channel in one burst; the
-// returned time is when the chunk's last write-back completes.
-func (b *Backend) SwapPagesChunk(pod int, fa, fb addr.Frame, lo, hi int, at clock.Time) clock.Time {
-	chA, rowA := b.lineLoc(pod, fa)
-	chB, rowB := b.lineLoc(pod, fb)
-	return b.swapChunk(chA, rowA, chB, rowB, hi-lo, at)
-}
-
-// SwapGlobalChunk performs the lines [lo, hi) of a swap between two
-// arbitrary page slots of the flat address space (identified by their
-// home pages), for mechanisms without pod clustering (HMA, THM): the same
-// datapath as SwapPagesChunk, but the traffic crosses the global
-// interconnect between the two slots' channels.
-func (b *Backend) SwapGlobalChunk(slotA, slotB addr.Page, lo, hi int, at clock.Time) clock.Time {
-	podA, fA := b.Geom.HomeFrame(slotA)
-	podB, fB := b.Geom.HomeFrame(slotB)
-	chA, rowA := b.lineLoc(podA, fA)
-	chB, rowB := b.lineLoc(podB, fB)
-	return b.swapChunk(chA, rowA, chB, rowB, hi-lo, at)
-}
-
-// swapChunk issues the copy traffic of an n-line swap chunk between two
-// resolved page slots: n reads of each slot, interleaved A/B and issued
+// swapChunk issues the copy traffic of an n-line chunk of a page swap
+// between frame fa of pod podA and frame fb of pod podB, as the paper
+// models the datapath: n reads of each slot, interleaved A/B and issued
 // at `at`, then n write-backs of each issued when the last read
-// completes. All lines of a page share its slot's row.
-func (b *Backend) swapChunk(chA int, rowA uint64, chB int, rowB uint64, n int, at clock.Time) clock.Time {
+// completes (32 of each per page in all). All lines of a page share its
+// slot's row. Within one pod the copy stays on the pod's channels;
+// across pods it crosses the global interconnect. The returned time is
+// when the chunk's last write-back completes.
+func (b *Backend) swapChunk(podA int, fa addr.Frame, podB int, fb addr.Frame, n int, at clock.Time) clock.Time {
+	chA, rowA := b.lineLoc(podA, fa)
+	chB, rowB := b.lineLoc(podB, fb)
 	end := at
 	for i := 0; i < n; i++ {
 		if t := b.Sys.AccessChannel(chA, rowA, false, at); t > end {

@@ -50,7 +50,7 @@ func TestSwapPagesMovesWholePages(t *testing.T) {
 	b := testBackend(t)
 	fastFrame := addr.Frame(0)
 	slowFrame := addr.Frame(b.Layout.FastPagesPerPod())
-	end := b.SwapPagesChunk(0, fastFrame, slowFrame, 0, addr.LinesPerPage, 0)
+	end := b.swapChunk(0, fastFrame, 0, slowFrame, addr.LinesPerPage, 0)
 	if end <= 0 {
 		t.Fatal("swap completed instantly")
 	}
@@ -122,12 +122,7 @@ func TestSwapChunkMatchesLineSequence(t *testing.T) {
 					// bus state is part of the comparison.
 					at := clock.Time(100)
 					for round := 0; round < 3; round++ {
-						var end clock.Time
-						if pr.global {
-							end = got.SwapGlobalChunk(slotA, slotB, 0, n, at)
-						} else {
-							end = got.SwapPagesChunk(podA, fa, fb, 0, n, at)
-						}
+						end := got.swapChunk(podA, fa, podB, fb, n, at)
 						want := at
 						for i := 0; i < n; i++ {
 							want = max(want, ref.Sys.AccessChannel(chA, rowA, false, at))

@@ -76,25 +76,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// swapChunks paces each page copy as 8 chunks of 4 line-pairs, the same
-// OS copy-loop pacing HMA models (see mech.Backend.SwapGlobalChunk).
-const swapChunks = 8
-
-const linesPerChunk = addr.LinesPerPage / swapChunks
-
 // victimProbes bounds the clock hand's scan per fault; a lap that finds
 // only hot or busy frames drops the promotion instead of spinning.
 const victimProbes = 64
-
-// queuedSwap is chunk `chunk` of the promotion of `page` into fast slot
-// `victim`, starting no earlier than `start`. Chunk 0 rewrites the page
-// tables and takes the locks.
-type queuedSwap struct {
-	start  clock.Time
-	page   uint32
-	victim uint32
-	chunk  uint8
-}
 
 // Migrant implements mech.Mechanism.
 type Migrant struct {
@@ -105,24 +89,14 @@ type Migrant struct {
 
 	counters   *tab.U16Zero // per flat page, this epoch (harvested A-bits)
 	counterMax uint16
-	remap      *tab.U32       // flat page -> physical slot (flat page index)
-	inverted   *tab.U32       // fast slot -> resident flat page
-	locks      mech.LockTable // page -> in-flight swap completion
-	targeted   *tab.EpochSet  // fast slots already chosen as victims this epoch
+	remap      *tab.U32      // flat page -> physical slot (flat page index)
+	inverted   *tab.U32      // fast slot -> resident flat page
+	targeted   *tab.EpochSet // fast slots already chosen as victims this epoch
 
-	touch       mech.TouchFilter
-	next        clock.Time // next epoch boundary
-	hand        uint32     // clock-hand position over fast slots
-	queue       []queuedSwap
-	qpos        int
-	pending     int // promotions scheduled but not finished copying
-	lastSwapEnd clock.Time
-	stats       mech.MigStats
-
-	// In-flight swap state across its chunks.
-	swapSkip bool
-	swapOld  uint32 // slow slot being vacated
-	swapRes  uint32 // page being evicted from the fast slot
+	touch mech.TouchFilter
+	next  clock.Time     // next epoch boundary
+	hand  uint32         // clock-hand position over fast slots
+	q     mech.CopyQueue // the OS copy path; locks keyed by flat page
 }
 
 // New builds a Migrant over the backend's two-level memory.
@@ -151,6 +125,7 @@ func New(cfg Config, b *mech.Backend) (*Migrant, error) {
 		m.counterMax = uint16(1)<<cfg.CounterBits - 1
 	}
 	m.targeted.BeginEpoch()
+	m.q.Init(b, mech.GlobalPod)
 	return m, nil
 }
 
@@ -158,7 +133,7 @@ func New(cfg Config, b *mech.Backend) (*Migrant, error) {
 func (m *Migrant) Name() string { return "Migrant" }
 
 // Stats implements mech.Mechanism.
-func (m *Migrant) Stats() mech.MigStats { return m.stats }
+func (m *Migrant) Stats() mech.MigStats { return m.q.Stats }
 
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (m *Migrant) Release() {
@@ -177,18 +152,14 @@ func (m *Migrant) Access(r *trace.Request, d *trace.Decoded, at clock.Time) cloc
 		m.runEpoch(m.next)
 		m.next += m.cfg.Epoch
 	}
-	if m.qpos < len(m.queue) && m.queue[m.qpos].start <= at {
-		m.drain(at)
+	if m.q.Due(at) {
+		m.q.Drain(at, m)
 	}
 
 	if m.touch.Touch(r.Core, uint64(page)) {
 		m.observe(page, at)
 	}
-	var lockEnd clock.Time
-	if end := m.locks.GetActive(uint64(page), at); end != 0 {
-		lockEnd = end
-		m.stats.LockStalls++
-	}
+	lockEnd := m.q.Stall(uint64(page), at)
 	slot := addr.Page(m.remap.Get(page))
 	if uint64(slot) == uint64(page) {
 		// Identity remap: the decode already resolved the home location.
@@ -218,30 +189,20 @@ func (m *Migrant) observe(page uint32, at clock.Time) {
 
 // schedule queues the paced copy of one promotion, fault cost first.
 func (m *Migrant) schedule(page uint32, at clock.Time) {
-	if m.pending >= m.cfg.MaxPending {
-		m.stats.DroppedMigrations++
+	if m.q.Pending() >= m.cfg.MaxPending {
+		m.q.Stats.DroppedMigrations++
 		return
 	}
-	if m.locks.GetActive(uint64(page), at) != 0 {
+	if m.q.Locks.GetActive(uint64(page), at) != 0 {
 		return // mid-swap already (being demoted); let it settle
 	}
 	victim, ok := m.pickVictim(at)
 	if !ok {
-		m.stats.DroppedMigrations++
+		m.q.Stats.DroppedMigrations++
 		return
 	}
 	m.targeted.Add(victim)
-	start := at + clock.Time(m.cfg.FaultCost)
-	chunkGap := m.cfg.FaultCost / swapChunks
-	for ch := 0; ch < swapChunks; ch++ {
-		m.queue = append(m.queue, queuedSwap{
-			start:  start + clock.Duration(ch)*chunkGap,
-			page:   page,
-			victim: victim,
-			chunk:  uint8(ch),
-		})
-	}
-	m.pending++
+	m.q.Schedule(at+m.cfg.FaultCost, m.cfg.FaultCost, page, victim)
 }
 
 // pickVictim advances the second-chance clock hand over the fast slots:
@@ -267,7 +228,7 @@ func (m *Migrant) pickVictim(at clock.Time) (uint32, bool) {
 		if uint64(m.counters.A[resident]) >= uint64(m.cfg.HotThreshold) {
 			continue // second chance: hot resident survives the lap
 		}
-		if m.locks.GetActive(uint64(resident), at) != 0 {
+		if m.q.Locks.GetActive(uint64(resident), at) != 0 {
 			continue // mid-swap
 		}
 		return slot, true
@@ -278,66 +239,17 @@ func (m *Migrant) pickVictim(at clock.Time) (uint32, bool) {
 // runEpoch is the A-bit scan boundary: finish the copies still queued,
 // clear the harvested counters and reset the victim bookkeeping.
 func (m *Migrant) runEpoch(boundary clock.Time) {
-	m.stats.Intervals++
-	for m.qpos < len(m.queue) {
-		m.executeSwap(m.queue[m.qpos])
-		m.qpos++
-	}
-	m.queue = m.queue[:0]
-	m.qpos = 0
-	m.pending = 0
-	m.locks.Sweep(boundary)
+	m.q.Stats.Intervals++
+	m.q.Finish(boundary, m)
 	m.counters.Clear()
 	m.targeted.BeginEpoch()
-	if m.lastSwapEnd < boundary {
-		m.lastSwapEnd = boundary
-	}
 }
 
-// drain executes queued swap chunks whose start time has arrived.
-func (m *Migrant) drain(now clock.Time) {
-	for m.qpos < len(m.queue) && m.queue[m.qpos].start <= now {
-		m.executeSwap(m.queue[m.qpos])
-		m.qpos++
-		if m.queue[m.qpos-1].chunk == swapChunks-1 && m.pending > 0 {
-			m.pending--
-		}
-	}
-}
-
-// executeSwap performs one queued chunk of a promotion through the OS
-// datapath. Chunk 0 rewrites the page tables and locks both pages.
-func (m *Migrant) executeSwap(sw queuedSwap) {
-	if sw.chunk == 0 {
-		m.swapSkip = true
-		cur := m.remap.A[sw.page]
-		if cur < uint32(m.geom.FastPagesN()) {
-			return // already promoted
-		}
-		m.swapSkip = false
-		m.swapOld = cur
-		m.swapRes = m.inverted.A[sw.victim]
-		m.remap.Set(sw.page, sw.victim)
-		m.remap.Set(m.swapRes, cur)
-		m.inverted.Set(sw.victim, sw.page)
-		m.stats.PageMigrations++
-	}
-	if m.swapSkip {
-		return
-	}
-	// The OS copy crosses the global switch between the two slots'
-	// channels.
-	lo := int(sw.chunk) * linesPerChunk
-	end := m.backend.SwapGlobalChunk(addr.Page(m.swapOld), addr.Page(sw.victim),
-		lo, lo+linesPerChunk, sw.start)
-	m.stats.LineMigrations += 2 * linesPerChunk
-	m.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
-	m.stats.GlobalMoveLines += 2 * linesPerChunk
-	if end > m.lastSwapEnd {
-		m.lastSwapEnd = end
-	}
-	m.locks.Raise(uint64(sw.page), end)
-	m.locks.Raise(uint64(m.swapRes), end)
+// Install implements mech.Installer: chunk 0 of the promotion of page
+// into fast slot victim rewrites the page tables, unless the page was
+// promoted meanwhile.
+func (m *Migrant) Install(_ int, page, victim uint32, _ clock.Time) (mech.Swap, bool) {
+	return mech.PromoteFlat(m.remap, m.inverted, uint32(m.geom.FastPagesN()), page, victim)
 }
 
 // CheckInvariants verifies that the remap table is a permutation of the

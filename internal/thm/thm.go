@@ -151,23 +151,17 @@ func releaseSegs(a *segArena) {
 // segments share one 64 B block.
 const segmentsPerBlock = 10
 
-// Swap copies are issued in paced chunks so they interleave with demand
-// traffic at the memory controllers (see mech.SwapGlobalChunk).
-const (
-	swapChunks    = 8
-	linesPerChunk = addr.LinesPerPage / swapChunks
-	chunkGap      = 100 * clock.Nanosecond
-)
+// chunkGap paces a swap's mech.SwapChunks copy chunks so they
+// interleave with demand traffic at the memory controllers.
+const chunkGap = 100 * clock.Nanosecond
 
-// swapChunk is one queued unit of copy work between two physical slots.
-// Swaps overlap freely (THM has no central migration engine); chunks issue
-// at their paced start times, ordered globally by a min-heap so channel
-// traffic stays in time order.
+// swapChunk is one queued unit of copy work: a chunk of a swap between
+// two physical page slots. Swaps overlap freely (THM has no central
+// migration engine); chunks issue at their paced start times, ordered
+// globally by a min-heap so channel traffic stays in time order.
 type swapChunk struct {
-	start        clock.Time
-	slotA, slotB addr.Page // physical page slots being exchanged
-	lockA, lockB addr.Page // data pages locked for the copy's duration
-	chunk        uint8
+	start clock.Time
+	sw    mech.Swap
 }
 
 // chunkQueue is a min-heap of swap chunks by start time. It transcribes
@@ -232,10 +226,9 @@ type THM struct {
 	idSlots  uint64
 	fast     uint64 // fast page count
 	dFast    addr.Divisor
-	locks    mech.LockTable // flat page -> swap completion
+	copier   mech.CopyQueue // chunk step and locks (by flat page) only
 	cache    *mech.Cache
 	touch    mech.TouchFilter
-	stats    mech.MigStats
 	maxCount uint8
 
 	queue chunkQueue
@@ -279,6 +272,7 @@ func New(cfg Config, b *mech.Backend) (*THM, error) {
 		}
 		t.cache = mech.NewCache(cfg.CacheBytes, cfg.CacheWays)
 	}
+	t.copier.Init(b, mech.GlobalPod)
 	return t, nil
 }
 
@@ -286,7 +280,7 @@ func New(cfg Config, b *mech.Backend) (*THM, error) {
 func (t *THM) Name() string { return "THM" }
 
 // Stats implements mech.Mechanism.
-func (t *THM) Stats() mech.MigStats { return t.stats }
+func (t *THM) Stats() mech.MigStats { return t.copier.Stats }
 
 // Release implements mech.Releaser; the mechanism must not be used after.
 func (t *THM) Release() {
@@ -333,7 +327,7 @@ func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	// Locks only shed entries when their page is re-accessed; compact the
 	// table occasionally using the trace clock as the expiry floor (no
 	// future request can query a lock before its own, later, trace time).
-	t.locks.MaybeCompact(r.Time)
+	t.copier.Locks.MaybeCompact(r.Time)
 	seg, member := t.segmentOf(page)
 	s := &t.segments[seg]
 	if s.gen != t.gen {
@@ -344,17 +338,13 @@ func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	if t.cache != nil {
 		block := seg / segmentsPerBlock
 		if t.cache.Access(block) {
-			t.stats.CacheHits++
+			t.copier.Stats.CacheHits++
 		} else {
-			t.stats.CacheMisses++
+			t.copier.Stats.CacheMisses++
 			start = t.backend.BookkeepingRead(int(seg%uint64(t.layout.NumPods)), block, start)
 		}
 	}
-	var lockEnd clock.Time
-	if end := t.locks.GetActive(uint64(page), start); end != 0 {
-		lockEnd = end
-		t.stats.LockStalls++
-	}
+	lockEnd := t.copier.Stall(uint64(page), start)
 
 	slot := slotOfMember(t.effSlots(s), member, t.members)
 	// Competing-counter update, once per page touch; may trigger a swap
@@ -429,15 +419,11 @@ func (t *THM) swap(seg uint64, s *segment, winnerSlot int, at clock.Time) {
 	evicted := t.pageOf(seg, memberAt(slots, 0))
 	winner := t.pageOf(seg, memberAt(slots, winnerSlot))
 	s.slots = swapSlotsVal(slots, 0, winnerSlot)
-	for ch := 0; ch < swapChunks; ch++ {
-		t.queue.push(swapChunk{
-			start: at + clock.Duration(ch)*chunkGap,
-			slotA: fastSlotPage, slotB: winnerSlotPage,
-			lockA: evicted, lockB: winner,
-			chunk: uint8(ch),
-		})
+	sw := mech.Swap{From: uint32(fastSlotPage), To: uint32(winnerSlotPage), LockA: uint32(evicted), LockB: uint32(winner)}
+	for ch := 0; ch < mech.SwapChunks; ch++ {
+		t.queue.push(swapChunk{at + clock.Duration(ch)*chunkGap, sw})
 	}
-	t.stats.PageMigrations++
+	t.copier.Stats.PageMigrations++
 	t.drain(at)
 }
 
@@ -446,13 +432,7 @@ func (t *THM) swap(seg uint64, s *segment, winnerSlot int, at clock.Time) {
 func (t *THM) drain(now clock.Time) {
 	for len(t.queue) > 0 && t.queue[0].start <= now {
 		c := t.queue.pop()
-		lo := int(c.chunk) * linesPerChunk
-		end := t.backend.SwapGlobalChunk(c.slotA, c.slotB, lo, lo+linesPerChunk, c.start)
-		t.stats.LineMigrations += 2 * linesPerChunk
-		t.stats.BytesMoved += 2 * linesPerChunk * addr.LineBytes
-		t.stats.GlobalMoveLines += 2 * linesPerChunk
-		t.locks.Raise(uint64(c.lockA), end)
-		t.locks.Raise(uint64(c.lockB), end)
+		t.copier.CopyChunk(c.sw, c.start)
 	}
 }
 

@@ -9,6 +9,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -73,6 +75,21 @@ type podWorker struct {
 	res stats.Result
 }
 
+// stallSum is a run's Σ (completion − trace arrival) in 128 bits, so a
+// sum beyond clock.Duration's range is reported rather than wrapped.
+type stallSum struct{ lo, hi uint64 }
+
+func (s *stallSum) add(d clock.Duration) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64(d), 0)
+	s.hi += carry
+}
+
+// total returns the sum, or false when it does not fit a clock.Duration.
+func (s *stallSum) total() (clock.Duration, bool) {
+	return clock.Duration(s.lo), s.hi == 0 && s.lo <= math.MaxInt64
+}
+
 // New returns an engine for the mechanism built over the backend.
 func New(b *mech.Backend, m mech.Mechanism) *Engine {
 	return &Engine{backend: b, m: m}
@@ -97,7 +114,9 @@ func shardWorkers(shards, pods int) int {
 // without plane entries is decoded (trace.Decode) into a scratch plane
 // under the backend's geometry, so every request reaches the mechanism's
 // one Access method with its decomposition. On error Run returns the
-// partial Result up to the failing request.
+// partial Result up to the failing request; when the stall sum outgrows
+// clock.Duration, which Run checks once per batch, the partial Result
+// holds the batches before the one that overflowed.
 //
 // A run that may go pod-parallel (see Shards) first tries runPods; the
 // Result and any error are the serial run's either way.
@@ -220,7 +239,14 @@ func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
 		abort.Store(true)
 	}
 	wg.Wait()
-	if abort.Load() {
+	var stall stallSum
+	for w := range e.podWorkers {
+		stall.add(e.podWorkers[w].res.TotalStall)
+	}
+	total, fits := stall.total()
+	// An overflowing sum is reported by the serial rerun, with the
+	// serial run's partial Result.
+	if abort.Load() || !fits {
 		sp.ResetPods()
 		e.backend.Sys.Reset()
 		*ss = start
@@ -230,9 +256,9 @@ func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
 	for w := range e.podWorkers {
 		r := &e.podWorkers[w].res
 		res.Requests += r.Requests
-		res.TotalStall += r.TotalStall
 		res.Span = max(res.Span, r.Span)
 	}
+	res.TotalStall = total
 	e.workers = n
 	return true
 }
@@ -294,7 +320,8 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 
 	var lastArrival clock.Time
 	var requests uint64
-	var totalStall, span clock.Duration
+	var stall stallSum
+	var span clock.Duration
 	// The ring position is a wrapping counter rather than Requests%window:
 	// the modulo would be two 64-bit divisions per request.
 	ringPos := 0
@@ -316,9 +343,8 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 		for i := range batch {
 			r := &batch[i]
 			if r.Time < lastArrival {
-				res.Requests, res.TotalStall, res.Span = requests, totalStall, span
-				return fmt.Errorf("sim: trace out of order at request %d (%v < %v)",
-					res.Requests, r.Time, lastArrival)
+				return flush(res, requests, &stall, span, fmt.Errorf(
+					"sim: trace out of order at request %d (%v < %v)", requests, r.Time, lastArrival))
 			}
 			lastArrival = r.Time
 
@@ -332,9 +358,8 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 			}
 			done := e.m.Access(r, &dec[i], at)
 			if done <= at {
-				res.Requests, res.TotalStall, res.Span = requests, totalStall, span
-				return fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",
-					e.m.Name(), done, at)
+				return flush(res, requests, &stall, span, fmt.Errorf(
+					"sim: mechanism %s returned completion %v <= issue %v", e.m.Name(), done, at))
 			}
 			if ring != nil {
 				ring[ringPos] = done
@@ -344,14 +369,28 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 			}
 
 			requests++
-			totalStall += done - r.Time
+			stall.add(done - r.Time)
 			if done > span {
 				span = done
 			}
 		}
-		res.Requests, res.TotalStall, res.Span = requests, totalStall, span
+		if err := flush(res, requests, &stall, span, nil); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// flush writes run's accumulators into res and returns err, unless the
+// stall sum has overflowed: then res keeps what the last flush wrote and
+// the overflow is the error.
+func flush(res *stats.Result, requests uint64, stall *stallSum, span clock.Duration, err error) error {
+	total, ok := stall.total()
+	if !ok {
+		return fmt.Errorf("sim: total stall overflows int64 femtoseconds by request %d", requests)
+	}
+	res.Requests, res.TotalStall, res.Span = requests, total, span
+	return err
 }
 
 // work is one pod-parallel worker's replay of the snapshot columns from
@@ -362,7 +401,8 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 // issues at its trace time, and its completion is checked against the
 // trace time of the request window places behind it. The worker gives up
 // (false) at the first failed check — out-of-order time, a completion not
-// after its issue, a request the window would have gated — or at the
+// after its issue, a request the window would have gated, a stall sum
+// past clock.Duration's range — or at the
 // first batch after another worker has; the serial rerun then reports any
 // real error. On success the view finishes the trace's interval
 // boundaries and res holds the worker's share of the Result.
@@ -376,7 +416,8 @@ func (pw *podWorker) work(c *trace.Columns, window int) bool {
 	var r trace.Request
 	var lastArrival clock.Time
 	var requests uint64
-	var totalStall, span clock.Duration
+	var stall stallSum
+	var span clock.Duration
 	for lo := c.Pos; lo < total; lo += BatchSize {
 		if pw.abort.Load() {
 			return false
@@ -405,13 +446,17 @@ func (pw *podWorker) work(c *trace.Columns, window int) bool {
 				return false
 			}
 			requests++
-			totalStall += done - r.Time
+			stall.add(done - r.Time)
 			if done > span {
 				span = done
 			}
 		}
+		if _, ok := stall.total(); !ok {
+			return false
+		}
 	}
 	view.Finish(lastArrival)
+	totalStall, _ := stall.total()
 	pw.res = stats.Result{Requests: requests, TotalStall: totalStall, Span: span}
 	return true
 }

@@ -29,7 +29,7 @@ func TestLockTableMatchesMap(t *testing.T) {
 	for step := 0; step < 50000; step++ {
 		k := uint64(rng.Intn(keys))
 		switch rng.Intn(6) {
-		case 0, 1: // Raise, as executeSwap does per chunk
+		case 0, 1: // Raise, as CopyQueue.CopyChunk does per chunk
 			end := clock.Time(1 + rng.Intn(1000))
 			if end > ref[k] {
 				ref[k] = end

@@ -18,7 +18,9 @@
 // Every row runs the same options as a single -mech run: -cache-bytes
 // sizes the MemPod, HMA and THM bookkeeping caches, the -mempod-* flags
 // tune the MemPod row, and HMA is scaled to the trace length (10 ms
-// interval, 700 µs sort, 4096 migrations; see EXPERIMENTS.md).
+// interval, 700 µs sort, 4096 migrations; see EXPERIMENTS.md). A row
+// whose mechanism fails names its error in place of its numbers; the
+// other rows still print, and the command exits 1.
 //
 // A MemPod replay of a recorded trace (-trace-in, -compare) spreads its
 // pods over every core (mempod.Options.PodShards 0); -compare rows replay
@@ -31,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -330,6 +333,9 @@ func resolveTrace(traceIn, traceOut string, record bool, wl, customPath string, 
 // scaled to the trace length as the full-scale experiments scale it
 // (exp.DefaultConfig, see EXPERIMENTS.md). When rows run concurrently
 // they already fill the cores, so each replays serially (PodShards 1).
+// A mechanism that fails gets a row naming its error instead of numbers;
+// every row that finished still prints, and the failures come back
+// joined as the error.
 func runCompare(w io.Writer, tr *mempod.Trace, opts mempod.Options, parallelism int) error {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -352,9 +358,6 @@ func runCompare(w io.Writer, tr *mempod.Trace, opts mempod.Options, parallelism 
 		}
 	}
 	results, err := runner.Run(tasks, runner.Options{Parallelism: parallelism})
-	if err != nil {
-		return err
-	}
 	var base mempod.Result
 	for i, m := range order {
 		if m == mempod.MechTLM {
@@ -364,6 +367,14 @@ func runCompare(w io.Writer, tr *mempod.Trace, opts mempod.Options, parallelism 
 	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s\n",
 		"mechanism", "AMMAT (ns)", "normalized", "fast %", "moved MB")
 	for i, m := range order {
+		if e := results[i].Err; e != nil {
+			// The runner prefixes the error with the row's mechanism.
+			if inner := errors.Unwrap(e); inner != nil {
+				e = inner
+			}
+			fmt.Fprintf(w, "%-10s failed: %v\n", m, e)
+			continue
+		}
 		res := results[i].Value
 		fmt.Fprintf(w, "%-10s %12.2f %12.3f %11.1f%% %12.1f\n",
 			m, res.AMMAT(), res.Normalized(base), 100*res.FastServiceFraction(),
@@ -372,5 +383,5 @@ func runCompare(w io.Writer, tr *mempod.Trace, opts mempod.Options, parallelism 
 	if opts.Results != nil {
 		fmt.Fprintf(os.Stderr, "mempodsim: result cache %s\n", opts.Results.Stats())
 	}
-	return nil
+	return err
 }

@@ -216,3 +216,43 @@ func TestCompareAppliesOptions(t *testing.T) {
 		t.Errorf("tuned THM row %s equals the default row: -cache-bytes ignored", got)
 	}
 }
+
+// TestCompareKeepsFinishedRows: when one mechanism fails, -compare still
+// prints every row that finished, exactly as a run without the failure
+// prints it, gives the failed mechanism a row naming its error, and
+// returns that error (the command exits 1). An out-of-range MemPod
+// counter width fails the MemPod row alone.
+func TestCompareKeepsFinishedRows(t *testing.T) {
+	tr, err := mempod.RecordTrace("mix5", 20_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good, bad bytes.Buffer
+	if err := runCompare(&good, tr, mempod.Options{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	err = runCompare(&bad, tr, mempod.Options{MemPod: mempod.MemPodOptions{CounterBits: 65}}, 2)
+	if err == nil || !strings.Contains(err.Error(), "counter width 65") {
+		t.Fatalf("error %v, want the MemPod row's counter-width error", err)
+	}
+	goodRows, badRows := strings.Split(good.String(), "\n"), strings.Split(bad.String(), "\n")
+	if len(goodRows) != len(badRows) {
+		t.Fatalf("failing table has %d lines, want %d:\n%s", len(badRows), len(goodRows), bad.String())
+	}
+	failed := 0
+	for i := range goodRows {
+		if f := strings.Fields(goodRows[i]); len(f) > 0 && f[0] == string(mempod.MechMemPod) {
+			failed++
+			if want := "MemPod     failed: mempod: counter width 65 bits"; badRows[i] != want {
+				t.Errorf("MemPod row %q, want %q", badRows[i], want)
+			}
+			continue
+		}
+		if badRows[i] != goodRows[i] {
+			t.Errorf("row %d = %q, want the unfailed run's %q", i, badRows[i], goodRows[i])
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d MemPod rows, want 1", failed)
+	}
+}

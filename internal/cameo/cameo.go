@@ -147,11 +147,11 @@ func slotOf(perm uint64, member, members int) int {
 // if that slot is slow, swap the line into the group's fast slot. CAMEO
 // manages lines, not frames: the global line index reassembles exactly
 // from the decoded page and line-in-page.
-func (c *CAMEO) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+func (c *CAMEO) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
 	ln := addr.Line(d.Page*addr.LinesPerPage + uint64(d.Line))
 	// CAMEO's locks only shed entries when their line is re-accessed;
 	// compact occasionally with the trace clock as the expiry floor.
-	c.swaps.Locks.MaybeCompact(r.Time)
+	c.swaps.Locks.MaybeCompact(arrival)
 	grp, member := c.groupOf(ln)
 	perm := c.perm(grp)
 	slot := slotOf(perm, member, c.members)
@@ -170,12 +170,12 @@ func (c *CAMEO) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.
 		c.pred.Update(grp, slot)
 	}
 	slotLine := c.lineOf(grp, slot)
-	done := c.backend.Sys.Access(c.geom.HomeLocation(slotLine), r.Write, start)
+	done := c.backend.Sys.Access(c.geom.HomeLocation(slotLine), d.Write, start)
 	if lockEnd > done {
 		done = lockEnd
 	}
 
-	if slot != 0 && (c.cfg.SwapOnWrite || !r.Write) {
+	if slot != 0 && (c.cfg.SwapOnWrite || !d.Write) {
 		c.swapIntoFast(grp, perm, slot, ln, slotLine, start)
 	}
 	return done

@@ -14,8 +14,8 @@ import (
 // access drives one request through c the way the engine does: with its
 // address decoded under the backend's geometry.
 func access(c *CAMEO, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r.Addr, &c.backend.Geom)
-	return c.Access(r, &d, at)
+	d := trace.Decode(r, &c.backend.Geom)
+	return c.Access(&d, r.Time, at)
 }
 
 func newCAMEO(t *testing.T) *CAMEO {

@@ -39,14 +39,14 @@ func BenchmarkMemPodAccess(b *testing.B) {
 	plane := make([]trace.Decoded, len(reqs))
 	for i := range reqs {
 		gen.Next(&reqs[i])
-		plane[i] = trace.Decode(reqs[i].Addr, &back.Geom)
+		plane[i] = trace.Decode(&reqs[i], &back.Geom)
 	}
 
 	// Warm up past the first interval boundaries so steady state includes
 	// a populated remap table and live migration queues.
 	at := clock.Time(0)
 	for i := range reqs[:1<<14] {
-		m.Access(&reqs[i], &plane[i], clock.Max(at, reqs[i].Time))
+		m.Access(&plane[i], reqs[i].Time, clock.Max(at, reqs[i].Time))
 	}
 
 	b.ReportAllocs()
@@ -57,6 +57,6 @@ func BenchmarkMemPodAccess(b *testing.B) {
 		if r.Time > at {
 			at = r.Time
 		}
-		m.Access(r, &plane[j], at)
+		m.Access(&plane[j], r.Time, at)
 	}
 }

@@ -276,8 +276,8 @@ func (m *MemPod) ResetPods() {
 
 // Scan implements mech.PodView: every request of the batch, whichever
 // pod owns it, passes the view's replicated touch filter.
-func (m *MemPod) Scan(cores []uint8, dec []trace.Decoded, touched []bool) {
-	m.scan.Scan(cores, dec, touched)
+func (m *MemPod) Scan(dec []trace.Decoded, touched []bool) {
+	m.scan.Scan(dec, touched)
 }
 
 // Finish implements mech.PodView: the view's pods run the interval
@@ -297,7 +297,7 @@ func (m *MemPod) Finish(t clock.Time) {
 // stall behind any in-flight swap of the page, and forward the line to its
 // current frame. Un-migrated pages (the identity remap, i.e. most of the
 // trace) are serviced at the decoded home channel/row.
-func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+func (m *MemPod) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 	for at >= m.next {
 		m.runInterval(m.next)
 		m.next += m.cfg.Interval
@@ -311,7 +311,7 @@ func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock
 		p.q.Drain(at, m)
 	}
 
-	if m.touch.Touch(r.Core, d.Page) {
+	if m.touch.Touch(d.Core, d.Page) {
 		// Direct dispatch for the common concrete tracker; the interface
 		// call is only paid by the Full Counters ablation.
 		if p.mea != nil {
@@ -341,18 +341,18 @@ func (m *MemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock
 	if uint32(f) == local {
 		// Identity remap: the page still lives in its home frame, whose
 		// channel/row the decode already resolved.
-		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
+		return clock.Max(m.backend.LineAt(d.Chan, d.Row, d.Write, start), lockEnd)
 	}
-	return clock.Max(m.backend.Line(podID, f, int(d.Line), r.Write, start), lockEnd)
+	return clock.Max(m.backend.Line(podID, f, int(d.Line), d.Write, start), lockEnd)
 }
 
 // AccessPod implements mech.PodView: Access for a request of a pod the
 // view owns, given the request's touch-filter verdict (Scan). The view's
 // own touch filter is primed to repeat the verdict, so the owned request
 // runs the serial Access unchanged.
-func (m *MemPod) AccessPod(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time {
-	m.touch.Prime(r.Core, d.Page, touched)
-	return m.Access(r, d, at)
+func (m *MemPod) AccessPod(d *trace.Decoded, at clock.Time, touched bool) clock.Time {
+	m.touch.Prime(d.Core, d.Page, touched)
+	return m.Access(d, at, at)
 }
 
 // Install implements mech.Installer for the pod's copy engine: chunk 0

@@ -15,8 +15,8 @@ import (
 // access drives one request through m the way the engine does: with its
 // address decoded under the backend's geometry.
 func access(m *MemPod, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r.Addr, &m.backend.Geom)
-	return m.Access(r, &d, at)
+	d := trace.Decode(r, &m.backend.Geom)
+	return m.Access(&d, r.Time, at)
 }
 
 func newTestPod(t *testing.T, cfg Config) *MemPod {

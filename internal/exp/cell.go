@@ -111,10 +111,9 @@ func (c Cell) newMechanism(b *mech.Backend) (mech.Mechanism, error) {
 // does (0 selects sim.DefaultWindow), and shards is sim.Engine.Shards: 1
 // for callers that already fill the cores with concurrent cells, 0 to let
 // a MemPod snapshot replay spread its pods over every core. A snapshot
-// replay (*trace.SnapshotStream) is upgraded to the snapshot's decoded
-// columns for this layout: the predecode plane and absolute time column
-// are built once per snapshot and shared by every cell replaying it, so
-// neither addresses nor varints are decoded per run.
+// replay (*trace.SnapshotStream) reads the snapshot's predecode plane for
+// this layout and its absolute time column, built once per snapshot and
+// shared by every cell replaying it (sim.Engine.Run).
 func (c Cell) Run(workload string, s trace.Stream, window, shards int) (stats.Result, error) {
 	sys, err := memsys.New(c.Layout, c.Fast, c.Slow)
 	if err != nil {
@@ -131,8 +130,5 @@ func (c Cell) Run(workload string, s trace.Stream, window, shards int) (stats.Re
 	defer mech.Release(m)
 	engine := sim.New(backend, m)
 	engine.Window, engine.Shards = window, shards
-	if ss, ok := s.(*trace.SnapshotStream); ok {
-		s = ss.Snapshot().DecodedStream(&backend.Geom)
-	}
 	return engine.Run(workload, s)
 }

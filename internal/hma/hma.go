@@ -168,7 +168,7 @@ func (h *HMA) Release() {
 // Access implements mech.Mechanism. For un-remapped pages (the identity
 // mapping, most of the trace) the decoded home channel/row services the
 // access directly; only migrated pages re-derive HomeFrame(slot).
-func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+func (h *HMA) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 	page := uint32(d.Page)
 	for at >= h.next {
 		h.runInterval(h.next)
@@ -179,7 +179,7 @@ func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	}
 
 	start := at
-	if h.touch.Touch(r.Core, uint64(page)) {
+	if h.touch.Touch(d.Core, uint64(page)) {
 		if c := h.counters.A[page]; c < h.counterMax {
 			h.counters.Set(page, c, c+1)
 		}
@@ -197,10 +197,10 @@ func (h *HMA) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	slot := addr.Page(h.remap.Get(page))
 	if uint64(slot) == uint64(page) {
 		// Identity remap: the decode already resolved the home location.
-		return clock.Max(h.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
+		return clock.Max(h.backend.LineAt(d.Chan, d.Row, d.Write, start), lockEnd)
 	}
 	pod, f := h.geom.HomeFrame(slot)
-	return clock.Max(h.backend.Line(pod, f, int(d.Line), r.Write, start), lockEnd)
+	return clock.Max(h.backend.Line(pod, f, int(d.Line), d.Write, start), lockEnd)
 }
 
 // pageCount pairs a page with its interval count for sorting.

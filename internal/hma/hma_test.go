@@ -14,8 +14,8 @@ import (
 // access drives one request through h the way the engine does: with its
 // address decoded under the backend's geometry.
 func access(h *HMA, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r.Addr, &h.backend.Geom)
-	return h.Access(r, &d, at)
+	d := trace.Decode(r, &h.backend.Geom)
+	return h.Access(&d, r.Time, at)
 }
 
 // testConfig shrinks the interval so tests cross boundaries quickly.

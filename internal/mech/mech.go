@@ -4,9 +4,9 @@
 // set-associative cache model used for bookkeeping state (§6.3.3).
 //
 // The engine calls one Mechanism method per trace request, Access, with
-// the request's address already decomposed (trace.Decode) under the
-// backend's layout: snapshot cursors lend their predecode plane, and the
-// engine decodes every other batch itself.
+// the request already decoded (trace.Decode) under the backend's layout:
+// a snapshot replay reads its predecode plane, and the engine decodes
+// every other batch itself.
 //
 // The concrete mechanisms live in their own packages: internal/core
 // (MemPod), internal/hma, internal/thm, internal/cameo and
@@ -27,10 +27,11 @@ import (
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
-	// Access services one demand request arriving at time `at` and
-	// returns its completion time (> at). d is r.Addr decomposed under
-	// the backend's layout (trace.Decode(r.Addr, &backend.Geom)).
-	Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
+	// Access services one demand request, issued at time `at`, and
+	// returns its completion time (> at). d is the request decoded under
+	// the backend's layout (trace.Decode(r, &backend.Geom)) and arrival
+	// its trace time (r.Time, <= at; the window may delay the issue).
+	Access(d *trace.Decoded, arrival, at clock.Time) clock.Time
 	// Stats returns the mechanism's migration counters.
 	Stats() MigStats
 }
@@ -82,13 +83,13 @@ type PodSplitter interface {
 // PodView is one worker's view of a split mechanism.
 type PodView interface {
 	// Scan passes a batch of the trace — every request, whichever pod
-	// owns it, given by its core and decomposition — through the view's
-	// per-core touch filter (TouchFilter) and records in touched[i]
-	// whether request i begins a page touch.
-	Scan(cores []uint8, dec []trace.Decoded, touched []bool)
+	// owns it — through the view's per-core touch filter (TouchFilter)
+	// and records in touched[i] whether request i begins a page touch.
+	Scan(dec []trace.Decoded, touched []bool)
 	// AccessPod is Mechanism.Access for a request of a pod the view
-	// owns, given its Scan verdict.
-	AccessPod(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time
+	// owns, given its Scan verdict. The request issues at its trace
+	// time, so at is also its arrival.
+	AccessPod(d *trace.Decoded, at clock.Time, touched bool) clock.Time
 	// Finish runs the interval boundaries up to t, the last request's
 	// time, that the view's pods have not run yet.
 	Finish(t clock.Time)

@@ -16,8 +16,8 @@ import (
 // access drives one request through s the way the engine does: with its
 // address decoded under the backend's geometry.
 func access(s *Static, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r.Addr, &s.backend.Geom)
-	return s.Access(r, &d, at)
+	d := trace.Decode(r, &s.backend.Geom)
+	return s.Access(&d, r.Time, at)
 }
 
 func testBackend(t *testing.T) *Backend {

@@ -24,8 +24,8 @@ func (s *Static) Name() string { return s.name }
 
 // Access implements Mechanism: with no migration, the decoded home
 // location is the final location — the access needs no address math.
-func (s *Static) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return s.backend.LineAt(d.Chan, d.Row, r.Write, at)
+func (s *Static) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
+	return s.backend.LineAt(d.Chan, d.Row, d.Write, at)
 }
 
 // Stats implements Mechanism. Static never migrates.

@@ -26,16 +26,16 @@ func (f *TouchFilter) Touch(core uint8, page uint64) bool {
 	return true
 }
 
-// Scan is Touch over a batch: request i, issued by cores[i] to the page
-// dec[i] decodes, sets touched[i]. It is branch-free, because whether a
-// request continues its core's touch is close to a coin flip over a whole
-// trace.
-func (f *TouchFilter) Scan(cores []uint8, dec []trace.Decoded, touched []bool) {
-	dec, touched = dec[:len(cores)], touched[:len(cores)]
-	for i, c := range cores {
-		v := dec[i].Page + 1
-		touched[i] = f.last[c] != v
-		f.last[c] = v
+// Scan is Touch over a batch: request i, decoded as dec[i], sets
+// touched[i]. It is branch-free, because whether a request continues its
+// core's touch is close to a coin flip over a whole trace.
+func (f *TouchFilter) Scan(dec []trace.Decoded, touched []bool) {
+	touched = touched[:len(dec)]
+	for i := range dec {
+		d := &dec[i]
+		v := d.Page + 1
+		touched[i] = f.last[d.Core] != v
+		f.last[d.Core] = v
 	}
 }
 

@@ -146,7 +146,7 @@ func (m *Migrant) Release() {
 
 // Access implements mech.Mechanism: identity-remapped pages (most of the
 // trace) service at the decoded home location.
-func (m *Migrant) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+func (m *Migrant) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 	page := uint32(d.Page)
 	for at >= m.next {
 		m.runEpoch(m.next)
@@ -156,17 +156,17 @@ func (m *Migrant) Access(r *trace.Request, d *trace.Decoded, at clock.Time) cloc
 		m.q.Drain(at, m)
 	}
 
-	if m.touch.Touch(r.Core, uint64(page)) {
+	if m.touch.Touch(d.Core, uint64(page)) {
 		m.observe(page, at)
 	}
 	lockEnd := m.q.Stall(uint64(page), at)
 	slot := addr.Page(m.remap.Get(page))
 	if uint64(slot) == uint64(page) {
 		// Identity remap: the decode already resolved the home location.
-		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, at), lockEnd)
+		return clock.Max(m.backend.LineAt(d.Chan, d.Row, d.Write, at), lockEnd)
 	}
 	pod, f := m.geom.HomeFrame(slot)
-	return clock.Max(m.backend.Line(pod, f, int(d.Line), r.Write, at), lockEnd)
+	return clock.Max(m.backend.Line(pod, f, int(d.Line), d.Write, at), lockEnd)
 }
 
 // observe bumps the page's epoch counter and, when a slow-resident page

@@ -42,19 +42,20 @@ type Engine struct {
 	// or negative selects min(GOMAXPROCS, pods), 1 forces the serial
 	// run, N asks for min(N, pods) workers. Only a pod-clustered
 	// mechanism (mech.PodSplitter) untouched since construction,
-	// replaying a decoded snapshot cursor (trace.Snapshot.DecodedStream),
-	// runs in parallel; every other run is serial whatever Shards says.
+	// replaying a snapshot cursor (*trace.SnapshotStream), runs in
+	// parallel; every other run is serial whatever Shards says.
 	Shards int
 
 	// ring is the outstanding-request window, kept across runs so repeated
 	// Run calls on one engine (benchmarks, sweeps) stay allocation-free.
 	ring []clock.Time
-	// batchBuf is Run's request batch, allocated on first use and reused:
-	// a stack array would escape through the stream interface call.
-	batchBuf []trace.Request
-	// decBuf is the scratch plane a batch is decoded into when its source
-	// lends no plane entries (plain streams, unbound snapshot cursors).
-	decBuf []trace.Decoded
+	// timeBuf and decBuf are the scratch time and plane batches a plain
+	// stream is read and decoded into, and req the request its Next
+	// fills: all allocated on first use and reused, as a local would
+	// escape through the stream interface call.
+	timeBuf []clock.Time
+	decBuf  []trace.Decoded
+	req     trace.Request
 
 	// podWorkers holds the pod-parallel workers' buffers across runs;
 	// workers is the worker count of the last Run, 0 when it was serial.
@@ -108,18 +109,20 @@ func shardWorkers(shards, pods int) int {
 // Run replays the stream to completion and returns the run's metrics.
 // The stream must be time-ordered (workload streams are).
 //
-// Every stream runs through one loop over BatchSize-request batches. A
-// *trace.SnapshotStream fills each batch and lends its predecode plane
-// entries; any other stream fills it through Next. A batch that arrives
-// without plane entries is decoded (trace.Decode) into a scratch plane
-// under the backend's geometry, so every request reaches the mechanism's
-// one Access method with its decomposition. On error Run returns the
-// partial Result up to the failing request; when the stall sum outgrows
-// clock.Duration, which Run checks once per batch, the partial Result
-// holds the batches before the one that overflowed.
+// The engine consumes a trace as two columns: each request's time and
+// its plane entry (trace.Decoded) under the backend's geometry. A
+// *trace.SnapshotStream is read straight from its snapshot's time column
+// and predecode plane (Snapshot.TimeColumn, Snapshot.Plane), from the
+// cursor's position on, and the cursor is drained when the run succeeds;
+// any other stream fills BatchSize-request scratch batches through Next
+// and trace.Decode. Every request then reaches the mechanism's one Access
+// method. On error Run returns the partial Result up to the failing
+// request; when the stall sum outgrows clock.Duration, which Run checks
+// once per BatchSize requests, the partial Result holds the batches
+// before the one that overflowed.
 //
-// A run that may go pod-parallel (see Shards) first tries runPods; the
-// Result and any error are the serial run's either way.
+// A snapshot run that may go pod-parallel (see Shards) first tries
+// runPods; the Result and any error are the serial run's either way.
 func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 	window := e.Window
 	if window == 0 {
@@ -127,24 +130,21 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 	}
 	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
 	e.workers = 0
-	if e.runPods(s, window, &res) {
-		return e.finish(res), nil
+	ss, snapshot := s.(*trace.SnapshotStream)
+	var times []clock.Time
+	var plane []trace.Decoded
+	if snapshot {
+		pos := ss.Pos()
+		plane = ss.Snapshot().Plane(&e.backend.Geom)[pos:]
+		times = ss.Snapshot().TimeColumn()[pos:]
 	}
-	var ring []clock.Time
-	if window > 0 {
-		if cap(e.ring) >= window {
-			ring = e.ring[:window]
-			for i := range ring {
-				ring[i] = 0
-			}
-		} else {
-			ring = make([]clock.Time, window)
-			e.ring = ring
+	if !snapshot || !e.runPods(times, plane, window, &res) {
+		if err := e.run(s, times, plane, window, &res); err != nil {
+			return res, err
 		}
 	}
-
-	if err := e.run(s, ring, window, &res); err != nil {
-		return res, err
+	if snapshot {
+		ss.Drain()
 	}
 	return e.finish(res), nil
 }
@@ -166,27 +166,23 @@ func (e *Engine) finish(res stats.Result) stats.Result {
 	return res
 }
 
-// runPods is the optimistic pod-parallel replay. Each of n workers reads
-// the whole snapshot column by column (work): requests of its own pods
-// issue at their trace times and are simulated through its view; every
-// request passes the view's touch filter. Pods share no mutable state, so
-// this is exactly the serial run as long as the window never holds a
-// request back — that is, as long as every request j completes by the
-// trace time of request j+window, which each worker checks for its own
-// requests against the snapshot's time column. The first worker to find
-// a violation, or any error, raises the shared abort flag; the others
-// notice at their next batch. An aborted attempt resets the mechanism and
-// memory system, rewinds the cursor and reports false, and Run replays
+// runPods is the optimistic pod-parallel replay of a snapshot's columns.
+// Each of n workers reads every request's time and plane entry (work):
+// requests of its own pods issue at their trace times and are simulated
+// through its view; every request passes the view's touch filter. Pods
+// share no mutable state, so this is exactly the serial run as long as
+// the window never holds a request back — that is, as long as every
+// request j completes by the trace time of request j+window, which each
+// worker checks for its own requests against the time column. The first
+// worker to find a violation, or any error, raises the shared abort flag;
+// the others notice at their next batch. An aborted attempt resets the
+// mechanism and memory system and reports false, and Run replays
 // serially, so every Result and every error is the serial one.
 //
 // runPods reports false without doing anything when the run cannot split:
-// not a decoded snapshot cursor, not a mech.PodSplitter, one worker, or a
-// mechanism or memory system that has already served requests.
-func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
-	ss, ok := s.(*trace.SnapshotStream)
-	if !ok {
-		return false
-	}
+// not a mech.PodSplitter, one worker, or a mechanism or memory system
+// that has already served requests.
+func (e *Engine) runPods(times []clock.Time, plane []trace.Decoded, window int, res *stats.Result) bool {
 	sp, ok := e.m.(mech.PodSplitter)
 	if !ok {
 		return false
@@ -196,15 +192,9 @@ func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
 	if n < 2 || !e.backend.Sys.Untouched() {
 		return false
 	}
-	start := *ss
-	cols, ok := ss.Columns()
-	if !ok {
-		return false
-	}
-	owner := assignPods(cols.Plane[cols.Pos:], pods, n)
+	owner := assignPods(plane, pods, n)
 	views := sp.SplitPods(owner)
 	if views == nil {
-		*ss = start
 		return false
 	}
 	if len(e.podWorkers) != n {
@@ -230,12 +220,12 @@ func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !pw.work(&cols, window) {
+			if !pw.work(times, plane, window) {
 				abort.Store(true)
 			}
 		}()
 	}
-	if !e.podWorkers[0].work(&cols, window) {
+	if !e.podWorkers[0].work(times, plane, window) {
 		abort.Store(true)
 	}
 	wg.Wait()
@@ -249,7 +239,6 @@ func (e *Engine) runPods(s trace.Stream, window int, res *stats.Result) bool {
 	if abort.Load() || !fits {
 		sp.ResetPods()
 		e.backend.Sys.Reset()
-		*ss = start
 		return false
 	}
 	sp.JoinPods(views)
@@ -298,25 +287,26 @@ func assignPods(plane []trace.Decoded, pods, n int) []int {
 	return owner
 }
 
-// run is Run's replay loop. Its accumulators live in locals, flushed to
-// res once per batch and before any error return.
-func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.Result) error {
-	if e.batchBuf == nil {
-		e.batchBuf = make([]trace.Request, BatchSize)
+// run is Run's serial replay loop, over a snapshot's columns (times and
+// plane, read BatchSize requests at a time) or, when times is nil, over
+// s through the scratch batches. Its accumulators live in locals, flushed
+// to res once per batch and before any error return.
+func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, window int, res *stats.Result) error {
+	if e.timeBuf == nil {
+		e.timeBuf = make([]clock.Time, BatchSize)
 		e.decBuf = make([]trace.Decoded, BatchSize)
 	}
-	buf, scratch := e.batchBuf, e.decBuf
-	geom := &e.backend.Geom
-	fill := func(dst []trace.Request) (int, []trace.Decoded) {
-		n := 0
-		for n < len(dst) && s.Next(&dst[n]) {
-			n++
+	var ring []clock.Time
+	if window > 0 {
+		if cap(e.ring) >= window {
+			ring = e.ring[:window]
+			clear(ring)
+		} else {
+			ring = make([]clock.Time, window)
+			e.ring = ring
 		}
-		return n, nil
 	}
-	if ss, ok := s.(*trace.SnapshotStream); ok {
-		fill = ss.NextBatchShared
-	}
+	geom := &e.backend.Geom
 
 	var lastArrival clock.Time
 	var requests uint64
@@ -325,30 +315,36 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 	// The ring position is a wrapping counter rather than Requests%window:
 	// the modulo would be two 64-bit divisions per request.
 	ringPos := 0
-	for {
-		n, dec := fill(buf)
-		if n == 0 {
-			break
-		}
-		batch := buf[:n]
-		if dec == nil {
-			dec = scratch[:n]
-			for i := range dec {
-				dec[i] = trace.Decode(batch[i].Addr, geom)
+	for pos := 0; ; {
+		var ts []clock.Time
+		var dec []trace.Decoded
+		if times != nil {
+			hi := min(pos+BatchSize, len(times))
+			ts, dec = times[pos:hi], plane[pos:hi]
+			pos = hi
+		} else {
+			r := &e.req
+			n := 0
+			for n < BatchSize && s.Next(r) {
+				e.timeBuf[n], e.decBuf[n] = r.Time, trace.Decode(r, geom)
+				n++
 			}
+			ts, dec = e.timeBuf[:n], e.decBuf[:n]
+		}
+		if len(ts) == 0 {
+			break
 		}
 		// Equal lengths let the compiler drop the dec[i] bounds check
 		// inside the loop.
-		dec = dec[:n]
-		for i := range batch {
-			r := &batch[i]
-			if r.Time < lastArrival {
+		dec = dec[:len(ts)]
+		for i, t := range ts {
+			if t < lastArrival {
 				return flush(res, requests, &stall, span, fmt.Errorf(
-					"sim: trace out of order at request %d (%v < %v)", requests, r.Time, lastArrival))
+					"sim: trace out of order at request %d (%v < %v)", requests, t, lastArrival))
 			}
-			lastArrival = r.Time
+			lastArrival = t
 
-			at := r.Time
+			at := t
 			if ring != nil {
 				// The request cannot issue until the request `window`
 				// back has completed.
@@ -356,7 +352,7 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 					at = gate
 				}
 			}
-			done := e.m.Access(r, &dec[i], at)
+			done := e.m.Access(&dec[i], t, at)
 			if done <= at {
 				return flush(res, requests, &stall, span, fmt.Errorf(
 					"sim: mechanism %s returned completion %v <= issue %v", e.m.Name(), done, at))
@@ -369,7 +365,7 @@ func (e *Engine) run(s trace.Stream, ring []clock.Time, window int, res *stats.R
 			}
 
 			requests++
-			stall.add(done - r.Time)
+			stall.add(done - t)
 			if done > span {
 				span = done
 			}
@@ -393,42 +389,41 @@ func flush(res *stats.Result, requests uint64, stall *stallSum, span clock.Durat
 	return err
 }
 
-// work is one pod-parallel worker's replay of the snapshot columns from
-// c.Pos on (see runPods), BatchSize requests at a time. Per batch, every
-// request passes the order check and the view's touch filter (Scan), and
-// the owned ones are gathered into pw.mine without a per-request branch on
-// ownership, which is a coin flip; then each owned request is reassembled,
-// issues at its trace time, and its completion is checked against the
-// trace time of the request window places behind it. The worker gives up
-// (false) at the first failed check — out-of-order time, a completion not
-// after its issue, a request the window would have gated, a stall sum
-// past clock.Duration's range — or at the
-// first batch after another worker has; the serial rerun then reports any
-// real error. On success the view finishes the trace's interval
-// boundaries and res holds the worker's share of the Result.
-func (pw *podWorker) work(c *trace.Columns, window int) bool {
+// work is one pod-parallel worker's replay of the snapshot columns (see
+// runPods), BatchSize requests at a time. Per batch, every request passes
+// the order check and the view's touch filter (Scan), and the owned ones
+// are gathered into pw.mine without a per-request branch on ownership,
+// which is a coin flip; then each owned request issues at its trace time,
+// and its completion is checked against the trace time of the request
+// window places behind it. The worker gives up (false) at the first
+// failed check — out-of-order time, a completion not after its issue, a
+// request the window would have gated, a stall sum past clock.Duration's
+// range — or at the first batch after another worker has; the serial
+// rerun then reports any real error. On success the view finishes the
+// trace's interval boundaries and res holds the worker's share of the
+// Result.
+func (pw *podWorker) work(times []clock.Time, plane []trace.Decoded, window int) bool {
 	if pw.mine == nil {
 		pw.touched = make([]bool, BatchSize)
 		pw.mine = make([]int32, BatchSize)
 	}
 	view, own := pw.view, pw.own
-	total := len(c.Times)
-	var r trace.Request
+	total := len(times)
 	var lastArrival clock.Time
 	var requests uint64
 	var stall stallSum
 	var span clock.Duration
-	for lo := c.Pos; lo < total; lo += BatchSize {
+	for lo := 0; lo < total; lo += BatchSize {
 		if pw.abort.Load() {
 			return false
 		}
 		hi := min(lo+BatchSize, total)
-		times, dec, cores := c.Times[lo:hi], c.Plane[lo:hi], c.Cores[lo:hi]
-		touched, mine := pw.touched[:len(times)], pw.mine[:len(times)]
-		dec, cores = dec[:len(times)], cores[:len(times)]
-		view.Scan(cores, dec, touched)
+		ts, dec := times[lo:hi], plane[lo:hi]
+		touched, mine := pw.touched[:len(ts)], pw.mine[:len(ts)]
+		dec = dec[:len(ts)]
+		view.Scan(dec, touched)
 		k := 0
-		for i, t := range times {
+		for i, t := range ts {
 			if t < lastArrival {
 				return false
 			}
@@ -437,16 +432,16 @@ func (pw *podWorker) work(c *trace.Columns, window int) bool {
 			k += int(own[dec[i].Pod])
 		}
 		for _, i := range mine[:k] {
-			c.Request(lo+int(i), &r)
-			done := view.AccessPod(&r, &dec[i], r.Time, touched[i])
-			if done <= r.Time {
+			t := ts[i]
+			done := view.AccessPod(&dec[i], t, touched[i])
+			if done <= t {
 				return false
 			}
-			if j := lo + int(i) + window; window > 0 && j < total && done > c.Times[j] {
+			if j := lo + int(i) + window; window > 0 && j < total && done > times[j] {
 				return false
 			}
 			requests++
-			stall.add(done - r.Time)
+			stall.add(done - t)
 			if done > span {
 				span = done
 			}

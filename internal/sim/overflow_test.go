@@ -21,7 +21,7 @@ type stallStub struct {
 }
 
 func (s *stallStub) Name() string { return "stall-stub" }
-func (s *stallStub) Access(_ *trace.Request, _ *trace.Decoded, at clock.Time) clock.Time {
+func (s *stallStub) Access(_ *trace.Decoded, _, at clock.Time) clock.Time {
 	return at + s.stall
 }
 func (s *stallStub) Stats() mech.MigStats { return mech.MigStats{} }
@@ -38,8 +38,8 @@ func (s *stallStub) ResetPods()              {}
 
 type stubView struct{ s *stallStub }
 
-func (stubView) Scan([]uint8, []trace.Decoded, []bool) {}
-func (v stubView) AccessPod(_ *trace.Request, _ *trace.Decoded, at clock.Time, _ bool) clock.Time {
+func (stubView) Scan([]trace.Decoded, []bool) {}
+func (v stubView) AccessPod(_ *trace.Decoded, at clock.Time, _ bool) clock.Time {
 	return at + v.s.stall
 }
 func (stubView) Finish(clock.Time) {}

@@ -222,20 +222,27 @@ func TestPodParallelFallbackOnGate(t *testing.T) {
 	}
 }
 
+// poisoned names the one request failingMemPod rejects: its trace time
+// and plane entry.
+type poisoned struct {
+	time clock.Time
+	dec  trace.Decoded
+}
+
 // failingMemPod is MemPod with one request poisoned: its Access, in the
 // serial run or in any pod-parallel view, returns a completion equal to
 // its issue time, which the engine rejects.
 type failingMemPod struct {
 	*core.MemPod
-	bad        trace.Request
+	bad        poisoned
 	viewAccess *atomic.Int64
 }
 
-func (f failingMemPod) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	if *r == f.bad {
+func (f failingMemPod) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
+	if (poisoned{arrival, *d}) == f.bad {
 		return at
 	}
-	return f.MemPod.Access(r, d, at)
+	return f.MemPod.Access(d, arrival, at)
 }
 
 func (f failingMemPod) SplitPods(owner []int) []mech.PodView {
@@ -256,16 +263,16 @@ func (f failingMemPod) JoinPods(views []mech.PodView) {
 
 type failingView struct {
 	mech.PodView
-	bad        trace.Request
+	bad        poisoned
 	viewAccess *atomic.Int64
 }
 
-func (v failingView) AccessPod(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time {
+func (v failingView) AccessPod(d *trace.Decoded, at clock.Time, touched bool) clock.Time {
 	v.viewAccess.Add(1)
-	if *r == v.bad {
+	if (poisoned{at, *d}) == v.bad {
 		return at
 	}
-	return v.PodView.AccessPod(r, d, at, touched)
+	return v.PodView.AccessPod(d, at, touched)
 }
 
 // TestPodParallelMechanismError poisons one mid-trace request: the
@@ -275,13 +282,15 @@ func TestPodParallelMechanismError(t *testing.T) {
 	const n = 20_000
 	w, heap, _ := paritySnapshots(t, n)
 	reqs := trace.Collect(w.MustStream(n, 11))
-	bad := reqs[12_345]
-	for i, r := range reqs[:12_345] {
-		if r == bad {
+	pc := podCases()[0]
+	g := pc.layout.Geom()
+	at := func(i int) poisoned { return poisoned{reqs[i].Time, trace.Decode(&reqs[i], &g)} }
+	bad := at(12_345)
+	for i := range reqs[:12_345] {
+		if at(i) == bad {
 			t.Fatalf("poisoned request repeats at %d", i)
 		}
 	}
-	pc := podCases()[0]
 	var viewAccess atomic.Int64
 	wrap := func(m *core.MemPod) mech.Mechanism { return failingMemPod{m, bad, &viewAccess} }
 	ref, _, refErr := runPodCase(t, pc, wrap, heap, 0, 1)

@@ -319,7 +319,7 @@ func (t *THM) pageOf(seg uint64, member int) addr.Page {
 // access path; but when the member still holds its home slot (most of the
 // trace), the decoded home channel/row services the access without
 // re-deriving HomeFrame.
-func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
+func (t *THM) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
 	page := addr.Page(d.Page)
 	if len(t.queue) > 0 && t.queue[0].start <= at {
 		t.drain(at)
@@ -327,7 +327,7 @@ func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	// Locks only shed entries when their page is re-accessed; compact the
 	// table occasionally using the trace clock as the expiry floor (no
 	// future request can query a lock before its own, later, trace time).
-	t.copier.Locks.MaybeCompact(r.Time)
+	t.copier.Locks.MaybeCompact(arrival)
 	seg, member := t.segmentOf(page)
 	s := &t.segments[seg]
 	if s.gen != t.gen {
@@ -350,7 +350,7 @@ func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	// Competing-counter update, once per page touch; may trigger a swap
 	// *after* this access.
 	trigger := false
-	if t.touch.Touch(r.Core, uint64(page)) {
+	if t.touch.Touch(d.Core, uint64(page)) {
 		trigger = t.updateCounter(s, member, slot)
 	}
 
@@ -360,10 +360,10 @@ func (t *THM) Access(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Ti
 	if slotPage == page {
 		// The member sits in its home slot: the decode already resolved
 		// the home location.
-		done = clock.Max(t.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
+		done = clock.Max(t.backend.LineAt(d.Chan, d.Row, d.Write, start), lockEnd)
 	} else {
 		pod, f := t.geom.HomeFrame(slotPage)
-		done = clock.Max(t.backend.Line(pod, f, int(d.Line), r.Write, start), lockEnd)
+		done = clock.Max(t.backend.Line(pod, f, int(d.Line), d.Write, start), lockEnd)
 	}
 
 	if trigger {

@@ -47,6 +47,8 @@ func TestPlaneMatchesGeom(t *testing.T) {
 				Chan:  uint16(loc.Channel),
 				Pod:   uint16(pod),
 				Line:  uint8(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage),
+				Core:  r.Core,
+				Write: r.Write,
 			}
 			if dec[i] != want {
 				t.Fatalf("layout %+v request %d: plane %+v, want %+v", l, i, dec[i], want)
@@ -179,48 +181,41 @@ func BenchmarkSnapshotBatchReplay(b *testing.B) {
 	}
 }
 
-// TestColumnsMatchNext reads part of a decoded cursor through Next, then
-// takes over the rest through Columns: Pos must name the next request,
-// the columns and Request must reproduce every request and its plane
-// entry, and the cursor must be left at the end. A cursor without a
-// bound plane refuses and stays where it was.
-func TestColumnsMatchNext(t *testing.T) {
+// TestPosDrainMatchNext reads part of a cursor through Next, then takes
+// over the rest from the snapshot's columns, as the simulation engine
+// does: Pos must name the next request, the time column and plane from
+// Pos on must reproduce every remaining request's time and decode, and
+// Drain must leave the cursor at the end. Both a varint cursor and a
+// decoded one (DecodedStream) qualify.
+func TestPosDrainMatchNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := addr.DefaultLayout()
 	g := l.Geom()
 	reqs := boundedReqs(rng, 1003, l)
 	snap := Record(NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
-	plane := snap.Plane(&g)
 
-	plain := snap.Stream()
-	var r Request
-	plain.Next(&r)
-	if _, ok := plain.Columns(); ok {
-		t.Fatal("Columns accepted a cursor without a bound plane")
-	}
-	if plain.Next(&r) && r != reqs[1] {
-		t.Fatalf("refused Columns moved the cursor: got %+v, want %+v", r, reqs[1])
-	}
-
-	ss := snap.DecodedStream(&g)
-	for i := 0; i < 300; i++ {
-		ss.Next(&r)
-	}
-	c, ok := ss.Columns()
-	if !ok || c.Pos != 300 {
-		t.Fatalf("Columns = ok %v, Pos %d; want ok at 300", ok, c.Pos)
-	}
-	if len(c.Times) != len(reqs) || len(c.Plane) != len(reqs) || len(c.Cores) != len(reqs) {
-		t.Fatalf("column lengths %d/%d/%d, want %d", len(c.Times), len(c.Plane), len(c.Cores), len(reqs))
-	}
-	for i := range reqs {
-		c.Request(i, &r)
-		if r != reqs[i] || c.Times[i] != reqs[i].Time || c.Cores[i] != reqs[i].Core || c.Plane[i] != plane[i] {
-			t.Fatalf("request %d: got %+v, want %+v", i, r, reqs[i])
+	for name, ss := range map[string]*SnapshotStream{"Stream": snap.Stream(), "DecodedStream": snap.DecodedStream(&g)} {
+		var r Request
+		for i := 0; i < 300; i++ {
+			ss.Next(&r)
 		}
-	}
-	if ss.Next(&r) {
-		t.Error("cursor not at the end after Columns")
+		if ss.Pos() != 300 {
+			t.Fatalf("%s: Pos = %d after 300 Next calls", name, ss.Pos())
+		}
+		times, plane := snap.TimeColumn()[ss.Pos():], snap.Plane(&g)[ss.Pos():]
+		for i, want := range reqs[300:] {
+			if times[i] != want.Time || plane[i] != Decode(&want, &g) {
+				t.Fatalf("%s: request %d: columns give %v/%+v, want %+v", name, 300+i, times[i], plane[i], want)
+			}
+		}
+		ss.Drain()
+		if ss.Next(&r) || ss.Pos() != len(reqs) {
+			t.Errorf("%s: cursor not at the end after Drain (Pos %d)", name, ss.Pos())
+		}
+		ss.Reset()
+		if !ss.Next(&r) || r != reqs[0] {
+			t.Errorf("%s: Reset after Drain replays %+v, want %+v", name, r, reqs[0])
+		}
 	}
 }

@@ -3,6 +3,8 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,7 +29,8 @@ var sidecarParentTime = time.Unix(1_700_000_000, 123_456_789)
 // the .plane and .times files of a small valid snapshot, which is then
 // opened (OpenMapped) and replayed through its decoded columns under a
 // Static mechanism. A sidecar that passes its checks must never make the
-// replay panic — the run either errors or completes.
+// replay panic — the run either errors or completes — and the plane the
+// open serves must never hold a write flag byte other than 0 or 1.
 func FuzzSidecarOpen(f *testing.F) {
 	if !trace.MapSupported() {
 		f.Skip("sidecars need mmap support")
@@ -85,6 +88,9 @@ func FuzzSidecarOpen(f *testing.F) {
 	f.Add(mutate(plane, func(b []byte) {
 		binary.LittleEndian.PutUint16(b[hdr+n/2*elem+int(unsafe.Offsetof(trace.Decoded{}.Pod)):], 0xffff)
 	}), times)
+	// A write flag byte that is no bool, outside the sampled entries:
+	// only the range check can reject it.
+	f.Add(mutate(plane, func(b []byte) { b[hdr+n/2*elem+int(unsafe.Offsetof(trace.Decoded{}.Write))] = 2 }), times)
 
 	// Iterations reuse the seed directory: the parent never changes, and
 	// each iteration overwrites both sidecars.
@@ -95,8 +101,11 @@ func FuzzSidecarOpen(f *testing.F) {
 		if err := os.WriteFile(path+".times", times, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Either outcome is fine; a panic fails the fuzz run.
-		replaySidecars(path)
+		// Either outcome is fine, except a served write flag that is no
+		// bool; a panic fails the fuzz run too.
+		if err := replaySidecars(path); errors.Is(err, errServedBadWrite) {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -113,8 +122,13 @@ func writeFuzzParent(t testing.TB, dir string, file []byte) string {
 	return path
 }
 
-// replaySidecars opens the snapshot at path and replays its decoded
-// columns under the default two-level layout's Static mechanism.
+// errServedBadWrite reports a plane entry served with a write flag byte
+// other than 0 or 1.
+var errServedBadWrite = errors.New("plane served a write flag that is no bool")
+
+// replaySidecars opens the snapshot at path, vets the write flag bytes of
+// the plane it serves, and replays its decoded columns under the default
+// two-level layout's Static mechanism.
 func replaySidecars(path string) error {
 	s, _, err := trace.OpenMapped(path)
 	if err != nil {
@@ -130,6 +144,11 @@ func replaySidecars(path string) error {
 		return err
 	}
 	b := mech.NewBackend(sys)
+	for i, d := range s.Plane(&b.Geom) {
+		if w := *(*uint8)(unsafe.Pointer(&d.Write)); w > 1 {
+			return fmt.Errorf("%w: entry %d holds %d", errServedBadWrite, i, w)
+		}
+	}
 	_, err = sim.New(b, mech.NewStatic("TLM", b)).Run("wl", s.DecodedStream(&b.Geom))
 	return err
 }

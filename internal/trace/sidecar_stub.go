@@ -12,7 +12,7 @@ import (
 // derived columns are just computed on the heap (the nomap differential
 // tests exercise exactly this path).
 
-func mapPlane(base string, parent parentStamp, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
+func mapPlane(s *Snapshot, g *addr.Geom) ([]Decoded, []byte, bool) {
 	return nil, nil, false
 }
 

@@ -3,6 +3,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,8 +18,8 @@ import (
 // planeWant computes the reference plane for a request slice.
 func planeWant(reqs []Request, g *addr.Geom) []Decoded {
 	want := make([]Decoded, len(reqs))
-	for i, r := range reqs {
-		want[i] = Decode(r.Addr, g)
+	for i := range reqs {
+		want[i] = Decode(&reqs[i], g)
 	}
 	return want
 }
@@ -300,15 +301,85 @@ func TestGeomFingerprintDistinguishesLayouts(t *testing.T) {
 }
 
 // TestPlaneSidecarCorruptEntryRecomputed pins the full range check on an
-// adopted plane sidecar: one mid-body entry with an out-of-range pod (the
-// sample check reads only the first and last 32 entries) must make the
-// open recompute the plane, not serve an entry that would index past the
-// mechanism's per-pod tables.
+// adopted plane sidecar: one mid-body entry with an out-of-range pod, or
+// with a write flag byte that is no bool (the sample check reads only the
+// first and last 32 entries), must make the open recompute the plane, not
+// serve an entry that would index past the mechanism's per-pod tables or
+// misread as a bool.
 func TestPlaneSidecarCorruptEntryRecomputed(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	l := addr.DefaultLayout()
 	g := l.Geom()
+	elem := int(unsafe.Sizeof(Decoded{}))
+	for _, tc := range []struct {
+		name  string
+		field uintptr
+		bytes []byte
+	}{
+		{"pod", unsafe.Offsetof(Decoded{}.Pod), []byte{0xff, 0xff}},
+		{"write", unsafe.Offsetof(Decoded{}.Write), []byte{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := boundedReqs(rng, 500, l)
+			path := writeSnapFile(t, t.TempDir(), "wl", reqs)
+			s1, _, err := OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1.Plane(&g)
+			s1.Release()
+
+			sc := planeSidecarPath(path, &g)
+			b, err := os.ReadFile(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := sidecarHdrSize + len(reqs)/2*elem + int(tc.field)
+			copy(b[at:], tc.bytes)
+			if err := os.WriteFile(sc, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, _, err := OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Release()
+			want := planeWant(reqs, &g)
+			got := s2.Plane(&g)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("plane[%d] = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			if b, err = os.ReadFile(sc); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(b[at:at+len(tc.bytes)], tc.bytes) {
+				t.Error("the corrupt sidecar was not rebuilt")
+			}
+		})
+	}
+}
+
+// TestPlaneSidecarOldLayoutRebuilt plants a plane sidecar in the layout
+// before entries carried their request's core and write flag: magic
+// "MPDP1", and those two bytes zero (they were padding). Everything else
+// in it is valid, and the requests the open samples (the first and last
+// 32) are core-0 reads, so only the magic tells the layouts apart. The
+// open must reject it and rebuild the sidecar in the current layout,
+// never serve the middle requests' cores and writes as zero.
+func TestPlaneSidecarOldLayoutRebuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	l := addr.DefaultLayout()
+	g := l.Geom()
 	reqs := boundedReqs(rng, 500, l)
+	for i := range reqs {
+		reqs[i].Core, reqs[i].Write = 0, false
+		if i >= 32 && i < len(reqs)-32 {
+			reqs[i].Core, reqs[i].Write = uint8(1+i%7), i%3 == 0
+		}
+	}
 	path := writeSnapFile(t, t.TempDir(), "wl", reqs)
 	s1, _, err := OpenMapped(path)
 	if err != nil {
@@ -322,9 +393,13 @@ func TestPlaneSidecarCorruptEntryRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	copy(b, "MPDP1\x00\x00\x00")
 	elem := int(unsafe.Sizeof(Decoded{}))
-	at := sidecarHdrSize + len(reqs)/2*elem + int(unsafe.Offsetof(Decoded{}.Pod))
-	b[at], b[at+1] = 0xff, 0xff
+	for i := range reqs {
+		e := sidecarHdrSize + i*elem
+		b[e+int(unsafe.Offsetof(Decoded{}.Core))] = 0
+		b[e+int(unsafe.Offsetof(Decoded{}.Write))] = 0
+	}
 	if err := os.WriteFile(sc, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +416,14 @@ func TestPlaneSidecarCorruptEntryRecomputed(t *testing.T) {
 			t.Fatalf("plane[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
+	if s2.planes[0].mapped == nil {
+		t.Error("the rebuilt plane is not served from its sidecar")
+	}
 	if b, err = os.ReadFile(sc); err != nil {
 		t.Fatal(err)
 	}
-	if b[at] == 0xff && b[at+1] == 0xff {
-		t.Error("the corrupt sidecar was not rebuilt")
+	if string(b[:8]) != planeMagic {
+		t.Errorf("sidecar magic %q after the open, want the rebuilt %q", b[:8], planeMagic)
 	}
 }
 

@@ -41,7 +41,7 @@ import (
 //	                   parent file size, parent mtime (ns)
 //	body:              count * element-size bytes, the raw column
 const (
-	planeMagic      = "MPDP1\x00\x00\x00"
+	planeMagic      = "MPDP2\x00\x00\x00"
 	timesMagic      = "MPTM1\x00\x00\x00"
 	sidecarHdrSize  = 56
 	sidecarArchMark = uint64(0x0102030405060708)
@@ -149,57 +149,61 @@ func planeSidecarPath(base string, g *addr.Geom) string {
 
 func timesSidecarPath(base string) string { return base + ".times" }
 
-// mapPlane serves the plane for the snapshot at base under g from its
+// mapPlane serves the plane for the mapped snapshot s under g from its
 // sidecar: a valid one maps in as is, and a missing or invalid one is
-// streamed from the address column into a fresh sidecar and mapped. It
-// returns the plane, its mapping (for Release to unmap) and whether
-// either step succeeded.
-func mapPlane(base string, parent parentStamp, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
-	if n == 0 {
+// streamed from the address, write and core columns into a fresh sidecar
+// and mapped. It returns the plane, its mapping (for Release to unmap)
+// and whether either step succeeded.
+func mapPlane(s *Snapshot, g *addr.Geom) ([]Decoded, []byte, bool) {
+	if s.n == 0 {
 		return nil, nil, false
 	}
-	if dec, m, ok := openPlaneSidecar(base, parent, g, addrs, n); ok {
+	if dec, m, ok := openPlaneSidecar(s, g); ok {
 		return dec, m, true
 	}
 	i := 0
-	return buildSidecar(planeSidecarPath(base, g), planeMagic, n, geomFingerprint(g), parent, func(dst []Decoded) {
+	return buildSidecar(planeSidecarPath(s.path, g), planeMagic, s.n, geomFingerprint(g), s.stamp, func(dst []Decoded) {
 		for j := range dst {
-			dst[j] = Decode(binary.LittleEndian.Uint64(addrs[8*i:]), g)
+			dst[j] = s.decodeAt(i, g)
 			i++
 		}
 	})
 }
 
-// openPlaneSidecar maps the plane sidecar for (base, g) if a valid one
-// exists. The first and last 32 entries must match fresh decodes of
-// addrs, the snapshot's address column, and every entry must index inside
-// g's geometry (planeInRange), so a corrupt entry can never send a
-// mechanism or a channel past its tables.
-func openPlaneSidecar(base string, parent parentStamp, g *addr.Geom, addrs []byte, n int) ([]Decoded, []byte, bool) {
-	m, body, ok := openSidecar(planeSidecarPath(base, g), planeMagic, int(unsafe.Sizeof(Decoded{})), n, geomFingerprint(g), parent)
+// openPlaneSidecar maps the plane sidecar for s under g if a valid one
+// exists. The first and last 32 entries must match fresh decodes of the
+// snapshot's columns, and every entry must index inside g's geometry and
+// hold a valid write flag (planeInRange), so a corrupt entry can never
+// send a mechanism or a channel past its tables.
+func openPlaneSidecar(s *Snapshot, g *addr.Geom) ([]Decoded, []byte, bool) {
+	n := s.n
+	m, body, ok := openSidecar(planeSidecarPath(s.path, g), planeMagic, int(unsafe.Sizeof(Decoded{})), n, geomFingerprint(g), s.stamp)
 	if !ok {
 		return nil, nil, false
 	}
 	dec := unsafe.Slice((*Decoded)(unsafe.Pointer(&body[0])), n)
+	// The range check runs first: it is what makes comparing the sampled
+	// entries (whose Write bytes it vets) well defined.
+	if !planeInRange(dec, g) {
+		munmapBytes(m)
+		return nil, nil, false
+	}
 	for i := 0; i < n; i++ {
 		if i == 32 && n > 64 {
 			i = n - 32 // the first and the last 32 entries
 		}
-		if dec[i] != Decode(binary.LittleEndian.Uint64(addrs[8*i:]), g) {
+		if dec[i] != s.decodeAt(i, g) {
 			munmapBytes(m)
 			return nil, nil, false
 		}
-	}
-	if !planeInRange(dec, g) {
-		munmapBytes(m)
-		return nil, nil, false
 	}
 	return dec, m, true
 }
 
 // planeInRange reports whether every plane entry lies inside g's
-// geometry: page, pod, home frame, channel, row and line each below its
-// count.
+// geometry — page, pod, home frame, channel, row and line each below its
+// count — and holds a write flag byte of 0 or 1. Any core byte is valid
+// (mech.TouchFilter keeps a register for each).
 func planeInRange(dec []Decoded, g *addr.Geom) bool {
 	pages, frames := g.TotalPagesN(), uint64(g.PagesPerPodN())
 	pods, chans := uint64(g.NumPods), uint64(g.Channels())
@@ -215,13 +219,16 @@ func planeInRange(dec []Decoded, g *addr.Geom) bool {
 	// Branch-free, as the check reads every entry of a multi-MB column:
 	// for x, bound < 2^63, x < bound exactly when x-bound wraps to a value
 	// with the top bit set; masking with ^x also rejects a Page at or
-	// above 2^63. The other fields are narrower than 32 bits.
+	// above 2^63. The other fields are narrower than 32 bits. The write
+	// flag is read as its raw byte: mapped memory may hold any value
+	// there, and only 0 and 1 are bools.
 	ok := ^uint64(0)
 	for i := range dec {
 		d := &dec[i]
+		w := *(*uint8)(unsafe.Pointer(&d.Write))
 		ok &= (d.Page - pages) &^ d.Page
 		ok &= (uint64(d.Pod) - pods) & (uint64(d.Frame) - frames) & (uint64(d.Chan) - chans) &
-			(uint64(d.Row) - rows) & (uint64(d.Line) - addr.LinesPerPage)
+			(uint64(d.Row) - rows) & (uint64(d.Line) - addr.LinesPerPage) & (uint64(w) - 2)
 	}
 	return ok>>63 == 1
 }

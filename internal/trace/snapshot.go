@@ -78,14 +78,17 @@ type Snapshot struct {
 	timeMapped []byte
 }
 
-// Decoded is the page/pod/home-frame/line decomposition of a request's
-// address under one addr.Layout (see Decode) — including the home frame's
-// channel/row placement, so an unmigrated access needs no address math at
-// all. A snapshot's predecode plane holds one per recorded request,
-// computed once per snapshot and layout instead of once per simulation
-// cell; the engine decodes the batches of plain streams and plane-less
-// cursors itself, into a scratch plane. 24 bytes, so a 256-entry batch
-// (6 KB) stays L1-resident.
+// Decoded is one request as the simulator consumes it: the
+// page/pod/home-frame/line decomposition of its address under one
+// addr.Layout (see Decode) — including the home frame's channel/row
+// placement, so an unmigrated access needs no address math at all — and
+// the issuing core and read/write direction the mechanisms' touch filters
+// and the memory system read. With the request's time it is everything a
+// mechanism sees; the raw address is not needed again. A snapshot's
+// predecode plane holds one per recorded request, computed once per
+// snapshot and layout instead of once per simulation cell; the engine
+// decodes the batches of plain streams itself, into a scratch plane.
+// 24 bytes, so a 256-entry batch (6 KB) stays L1-resident.
 type Decoded struct {
 	Page  uint64 // global page index (addr.PageOf)
 	Frame uint32 // home frame within the owning pod (addr.Layout.HomeFrame)
@@ -93,6 +96,8 @@ type Decoded struct {
 	Chan  uint16 // channel servicing the home frame (FrameLocation)
 	Pod   uint16 // owning pod
 	Line  uint8  // line index within the page, [0, addr.LinesPerPage)
+	Core  uint8  // issuing core (Request.Core)
+	Write bool   // writeback rather than demand read (Request.Write)
 }
 
 // plane is one cached predecode plane and the layout it was decoded under.
@@ -238,13 +243,14 @@ func (s *Snapshot) Stream() *SnapshotStream {
 	return &SnapshotStream{snap: s}
 }
 
-// Decode is the per-address decomposition every mechanism access starts
-// from: the address's page, home pod/frame, line-in-page and the home
-// frame's channel/row under g's layout. Plane entries, the sidecar open's
-// sample validation and the engine's per-batch decode of plain streams
-// all call it, so the decomposition has one definition.
-func Decode(a uint64, g *addr.Geom) Decoded {
-	p := addr.PageOf(addr.Addr(a))
+// Decode is the per-request form every mechanism access starts from:
+// the address's page, home pod/frame, line-in-page and the home frame's
+// channel/row under g's layout, plus the request's core and direction.
+// Plane entries, the sidecar open's sample validation and the engine's
+// per-batch decode of plain streams all call it, so the decomposition has
+// one definition. r.Time is not read.
+func Decode(r *Request, g *addr.Geom) Decoded {
+	p := addr.PageOf(addr.Addr(r.Addr))
 	pod, f := g.HomeFrame(p)
 	loc := g.FrameLocation(pod, f, 0)
 	return Decoded{
@@ -253,8 +259,21 @@ func Decode(a uint64, g *addr.Geom) Decoded {
 		Row:   uint32(loc.Row),
 		Chan:  uint16(loc.Channel),
 		Pod:   uint16(pod),
-		Line:  uint8(uint64(addr.LineOf(addr.Addr(a))) % addr.LinesPerPage),
+		Line:  uint8(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage),
+		Core:  r.Core,
+		Write: r.Write,
 	}
+}
+
+// decodeAt decodes recorded request i under g, straight from the
+// address, write and core columns.
+func (s *Snapshot) decodeAt(i int, g *addr.Geom) Decoded {
+	r := Request{
+		Addr:  binary.LittleEndian.Uint64(s.addrs[8*i:]),
+		Write: s.writes[i>>3]>>(uint(i)&7)&1 != 0,
+		Core:  s.cores[i],
+	}
+	return Decode(&r, g)
 }
 
 // Plane returns the snapshot's predecode plane for g's layout, computing
@@ -291,7 +310,7 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	}
 	pl := &s.planes[slot]
 	if s.path != "" {
-		if dec, m, ok := mapPlane(s.path, s.stamp, g, s.addrs, s.n); ok {
+		if dec, m, ok := mapPlane(s, g); ok {
 			*pl = plane{layout: g.Layout, valid: true, dec: dec, mapped: m}
 			return dec
 		}
@@ -302,9 +321,8 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	} else {
 		dec = dec[:s.n]
 	}
-	for i := 0; i < s.n; i++ {
-		a := binary.LittleEndian.Uint64(s.addrs[8*i:])
-		dec[i] = Decode(a, g)
+	for i := range dec {
+		dec[i] = s.decodeAt(i, g)
 	}
 	*pl = plane{layout: g.Layout, valid: true, dec: dec}
 	return dec
@@ -380,8 +398,9 @@ func uvarint(times []byte, off int) (v uint64, next int) {
 }
 
 // DecodedStream returns a replay cursor with the plane for g's layout and
-// the decoded time column bound, so batch replay is pure column reads with
-// no per-cell varint or address decoding.
+// the decoded time column bound, so NextBatch is pure column reads with
+// no varint or address decoding. The simulation engine needs no bound
+// plane: it reads a snapshot cursor's columns under its own geometry.
 func (s *Snapshot) DecodedStream(g *addr.Geom) *SnapshotStream {
 	return &SnapshotStream{snap: s, dec: s.Plane(g), times: s.TimeColumn()}
 }
@@ -390,8 +409,10 @@ func (s *Snapshot) DecodedStream(g *addr.Geom) *SnapshotStream {
 // allocation: it decodes one varint delta and indexes the columnar arrays.
 // NextBatch amortizes the cursor bookkeeping over whole batches and, when a
 // predecode plane is bound (DecodedStream), delivers each
-// request's Decoded entry alongside it. A copy of a SnapshotStream value
-// is an independent cursor at the same position.
+// request's Decoded entry alongside it. Readers that index the snapshot's
+// columns directly (the simulation engine) start at Pos and Drain the
+// cursor when done. A copy of a SnapshotStream value is an independent
+// cursor at the same position.
 type SnapshotStream struct {
 	snap  *Snapshot
 	dec   []Decoded    // bound predecode plane, nil if none
@@ -430,77 +451,21 @@ func (ss *SnapshotStream) Reset() {
 // Snapshot returns the snapshot the cursor replays.
 func (ss *SnapshotStream) Snapshot() *Snapshot { return ss.snap }
 
-// Columns is the column-by-column form of a decoded cursor's snapshot,
-// for readers that index requests directly instead of batch-copying them:
-// the pod-parallel engine's workers read every request's time, core and
-// plane entry but reassemble only the requests of their own pods. Times,
-// Plane and Cores have one read-only entry per request of the snapshot,
-// aliasing its shared columns; Pos is the first request the cursor had
-// not delivered.
-type Columns struct {
-	Times []clock.Time
-	Plane []Decoded
-	Cores []byte
-	Pos   int
-	snap  *Snapshot
-}
+// Pos returns the index of the next request the cursor delivers.
+func (ss *SnapshotStream) Pos() int { return ss.pos }
 
-// Columns returns the cursor's columns and advances the cursor to the end
-// of the snapshot: the caller takes over reading the remaining requests.
-// ok is false, and the cursor untouched, unless both the plane and the
-// time column are bound (DecodedStream).
-func (ss *SnapshotStream) Columns() (c Columns, ok bool) {
-	if ss.dec == nil || ss.times == nil {
-		return Columns{}, false
-	}
-	s := ss.snap
-	c = Columns{Times: ss.times[:s.n], Plane: ss.dec[:s.n], Cores: s.cores[:s.n], Pos: ss.pos, snap: s}
-	ss.pos = s.n
-	return c, true
-}
-
-// Request reassembles request i of the snapshot into r.
-func (c *Columns) Request(i int, r *Request) {
-	s := c.snap
-	*r = Request{
-		Addr:  binary.LittleEndian.Uint64(s.addrs[8*i:]),
-		Time:  c.Times[i],
-		Write: s.writes[i>>3]>>(uint(i)&7)&1 != 0,
-		Core:  c.Cores[i],
-	}
-}
+// Drain advances the cursor past the snapshot's last request, as if Next
+// had delivered every remaining one: for a reader that consumed them from
+// the columns (Snapshot.TimeColumn, Snapshot.Plane) instead.
+func (ss *SnapshotStream) Drain() { ss.pos = ss.snap.n }
 
 // NextBatch fills dst with up to len(dst) requests and returns how many
 // were produced (0 at end of stream). When a plane is bound and `plane` is
 // non-nil, plane[i] receives the predecoded form of dst[i]; plane must
 // then be at least len(dst) long. The request sequence is identical to
-// repeated Next calls, and the two may be mixed on one cursor.
+// repeated Next calls, and the two may be mixed on one cursor. A cursor
+// without a decoded time column fills its batch through Next.
 func (ss *SnapshotStream) NextBatch(dst []Request, plane []Decoded) int {
-	base := ss.pos
-	n := ss.fillBatch(dst)
-	if n > 0 && ss.dec != nil && plane != nil {
-		copy(plane[:n], ss.dec[base:base+n])
-	}
-	return n
-}
-
-// NextBatchShared is NextBatch without the plane copy, the simulation
-// engine's batch source for snapshot cursors. The batch's decoded entries
-// come back as a read-only subslice of the bound plane, valid until the
-// next cursor advance (nil when no plane is bound).
-func (ss *SnapshotStream) NextBatchShared(dst []Request) (int, []Decoded) {
-	base := ss.pos
-	n := ss.fillBatch(dst)
-	if n == 0 || ss.dec == nil {
-		return n, nil
-	}
-	return n, ss.dec[base : base+n]
-}
-
-// fillBatch advances the cursor by up to len(dst) requests, writing them
-// into dst, and returns the count. A cursor without a decoded time column
-// fills its batch through Next.
-func (ss *SnapshotStream) fillBatch(dst []Request) int {
 	if ss.times == nil {
 		n := 0
 		for n < len(dst) && ss.Next(&dst[n]) {
@@ -509,14 +474,11 @@ func (ss *SnapshotStream) fillBatch(dst []Request) int {
 		return n
 	}
 	s := ss.snap
-	n := s.n - ss.pos
+	base := ss.pos
+	n := min(s.n-base, len(dst))
 	if n <= 0 {
 		return 0
 	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	base := ss.pos
 	// Hoist the column slices so the per-request body indexes with
 	// compiler-visible bounds. Addr reads go through the little-endian
 	// byte column: byte-aligned loads, safe on mapped memory under the
@@ -535,6 +497,9 @@ func (ss *SnapshotStream) fillBatch(dst []Request) int {
 		}
 	}
 	ss.pos = base + n
+	if ss.dec != nil && plane != nil {
+		copy(plane[:n], ss.dec[base:base+n])
+	}
 	return n
 }
 

@@ -215,7 +215,7 @@ func (o Options) cell() (exp.Cell, error) {
 // recorded trace replays — funnels through here. When the run is
 // memoizable (o.Results set and id cacheable) the cache is consulted
 // first, and open is called only on a miss. Snapshot replays (RunTrace,
-// -compare) read the snapshot's decoded columns; see exp.Cell.Run.
+// -compare) read the snapshot's decoded columns; see sim.Engine.Run.
 func runStream(name string, o Options, id cellIdentity, open func() (trace.Stream, error)) (Result, error) {
 	cell, err := o.cell()
 	if err != nil {

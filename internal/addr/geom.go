@@ -37,7 +37,9 @@ func newDiv(d uint64) div {
 
 func (v div) div(x uint64) uint64 {
 	if v.pow2 {
-		return x >> v.shift
+		// The mask tells the compiler the shift is below 64, sparing
+		// the oversized-shift fixup.
+		return x >> (v.shift & 63)
 	}
 	return x / v.d
 }
@@ -66,6 +68,11 @@ func (v Divisor) Mod(x uint64) uint64 { return v.d.mod(x) }
 // Geom is a Layout with every derived quantity precomputed for the
 // per-request hot path. Build one with Layout.Geom after validation;
 // the zero value is not meaningful.
+//
+// The per-level quantities live in two-entry arrays indexed by level (0
+// fast, 1 slow), so a page's or frame's decomposition selects its level
+// once with a compare-select and then runs one body for both levels, not
+// one body per level behind a branch.
 type Geom struct {
 	Layout
 
@@ -75,18 +82,15 @@ type Geom struct {
 	fastPerPod uint32
 	slowPerPod uint32
 
-	fastCPP int // fast channels per pod
-	slowCPP int
+	pods div // NumPods
 
-	pods       div // NumPods
-	fastCh     div // FastChannels
-	slowCh     div // SlowChannels
-	dFastCPP   div
-	dSlowCPP   div
-	dFastPP    div // FastPagesPerPod
-	dSlowPP    div // SlowPagesPerPod
-	dFastRowPg div // FastPagesPerRow
-	dSlowRowPg div // SlowPagesPerRow
+	pageBase  [2]uint64 // first flat page of each level: 0, FastPages
+	frameBase [2]uint32 // first frame of each level: 0, FastPagesPerPod
+	chanBase  [2]int    // first channel of each level: 0, FastChannels
+	ch        [2]div    // channels (FastChannels, SlowChannels)
+	dCPP      [2]div    // channels per pod
+	dPP       [2]div    // pages per pod (FastPagesPerPod, SlowPagesPerPod)
+	dRowPg    [2]div    // pages per row (FastPagesPerRow, SlowPagesPerRow)
 }
 
 // Geom precomputes the layout's derived geometry. The layout should be
@@ -100,30 +104,46 @@ func (l Layout) Geom() Geom {
 		fastLines:  uint64(l.FastLines()),
 		fastPerPod: l.FastPagesPerPod(),
 		slowPerPod: l.SlowPagesPerPod(),
-		fastCPP:    0,
-		slowCPP:    0,
 		pods:       newDiv(uint64(l.NumPods)),
-		fastCh:     newDiv(uint64(l.FastChannels)),
-		slowCh:     newDiv(uint64(l.SlowChannels)),
 	}
-	if l.NumPods > 0 {
-		g.fastCPP = l.FastChannels / l.NumPods
-		g.slowCPP = l.SlowChannels / l.NumPods
+	g.pageBase = [2]uint64{0, g.fastPages}
+	g.frameBase = [2]uint32{0, g.fastPerPod}
+	g.chanBase = [2]int{0, l.FastChannels}
+	for lv, n := range [2]int{l.FastChannels, l.SlowChannels} {
+		g.ch[lv] = newDiv(uint64(n))
+		if l.NumPods > 0 {
+			g.dCPP[lv] = newDiv(uint64(n / l.NumPods))
+		}
 	}
-	g.dFastCPP = newDiv(uint64(g.fastCPP))
-	g.dSlowCPP = newDiv(uint64(g.slowCPP))
-	g.dFastPP = newDiv(uint64(g.fastPerPod))
-	g.dSlowPP = newDiv(uint64(g.slowPerPod))
-	g.dFastRowPg = newDiv(l.FastPagesPerRow())
-	g.dSlowRowPg = newDiv(l.SlowPagesPerRow())
+	g.dPP = [2]div{newDiv(uint64(g.fastPerPod)), newDiv(uint64(g.slowPerPod))}
+	g.dRowPg = [2]div{newDiv(l.FastPagesPerRow()), newDiv(l.SlowPagesPerRow())}
 	return g
 }
 
+// pageLevel returns the level (0 fast, 1 slow) page p's flat address lies
+// in: a compare and a select, no branch.
+func (g *Geom) pageLevel(p Page) int {
+	lv := 0
+	if uint64(p) >= g.fastPages {
+		lv = 1
+	}
+	return lv
+}
+
+// frameLevel returns the level (0 fast, 1 slow) of frame f within a pod.
+func (g *Geom) frameLevel(f Frame) int {
+	lv := 0
+	if uint32(f) >= g.fastPerPod {
+		lv = 1
+	}
+	return lv
+}
+
 // FastPagesPerRowN returns FastPagesPerRow without recomputing it.
-func (g *Geom) FastPagesPerRowN() uint64 { return g.dFastRowPg.d }
+func (g *Geom) FastPagesPerRowN() uint64 { return g.dRowPg[0].d }
 
 // SlowPagesPerRowN returns SlowPagesPerRow without recomputing it.
-func (g *Geom) SlowPagesPerRowN() uint64 { return g.dSlowRowPg.d }
+func (g *Geom) SlowPagesPerRowN() uint64 { return g.dRowPg[1].d }
 
 // IsFast mirrors Layout.IsFast.
 func (g *Geom) IsFast(p Page) bool { return uint64(p) < g.fastPages }
@@ -148,44 +168,43 @@ func (g *Geom) PagesPerPodN() uint32 { return g.fastPerPod + g.slowPerPod }
 
 // PodOf mirrors Layout.PodOf.
 func (g *Geom) PodOf(p Page) int {
-	if g.IsFast(p) {
-		return int(g.pods.mod(g.fastCh.mod(uint64(p))))
-	}
-	return int(g.pods.mod(g.slowCh.mod(uint64(p) - g.fastPages)))
+	lv := g.pageLevel(p)
+	return int(g.pods.mod(g.ch[lv].mod(uint64(p) - g.pageBase[lv])))
 }
 
 // HomeFrame mirrors Layout.HomeFrame.
 func (g *Geom) HomeFrame(p Page) (pod int, f Frame) {
-	if g.IsFast(p) {
-		pod = int(g.pods.mod(g.fastCh.mod(uint64(p))))
-		return pod, Frame(g.dFastPP.mod(g.pods.div(uint64(p))))
-	}
-	s := uint64(p) - g.fastPages
-	pod = int(g.pods.mod(g.slowCh.mod(s)))
-	f = Frame(uint64(g.fastPerPod) + g.dSlowPP.mod(g.pods.div(s)))
-	return pod, f
+	lv := g.pageLevel(p)
+	s := uint64(p) - g.pageBase[lv]
+	pod = int(g.pods.mod(g.ch[lv].mod(s)))
+	return pod, Frame(uint64(g.frameBase[lv]) + g.dPP[lv].mod(g.pods.div(s)))
+}
+
+// Home resolves page p's home placement in one call: its pod and home
+// frame (HomeFrame) and the channel and row holding that frame
+// (FrameLocation's Channel and Row). The level is selected once, so the
+// whole decomposition is one straight-line body.
+func (g *Geom) Home(p Page) (pod int, f Frame, ch int, row uint64) {
+	lv := g.pageLevel(p)
+	s := uint64(p) - g.pageBase[lv]
+	pod = int(g.pods.mod(g.ch[lv].mod(s)))
+	lf := g.dPP[lv].mod(g.pods.div(s)) // frame within the level
+	dc := g.dCPP[lv]
+	ch = g.chanBase[lv] + pod*int(dc.d) + int(dc.mod(lf))
+	return pod, Frame(uint64(g.frameBase[lv]) + lf), ch, g.dRowPg[lv].div(dc.div(lf))
 }
 
 // FrameLocation mirrors Layout.FrameLocation.
 func (g *Geom) FrameLocation(pod int, f Frame, li int) Location {
-	if g.IsFastFrame(f) {
-		ch := pod*g.fastCPP + int(g.dFastCPP.mod(uint64(uint32(f))))
-		slot := g.dFastCPP.div(uint64(uint32(f)))
-		return Location{
-			Channel: ch,
-			Fast:    true,
-			Row:     g.dFastRowPg.div(slot),
-			Col:     uint32(g.dFastRowPg.mod(slot))*LinesPerPage + uint32(li),
-		}
-	}
-	sf := uint64(uint32(f) - g.fastPerPod)
-	ch := g.FastChannels + pod*g.slowCPP + int(g.dSlowCPP.mod(sf))
-	slot := g.dSlowCPP.div(sf)
+	lv := g.frameLevel(f)
+	lf := uint64(uint32(f) - g.frameBase[lv])
+	dc, ppr := g.dCPP[lv], g.dRowPg[lv]
+	slot := dc.div(lf)
 	return Location{
-		Channel: ch,
-		Fast:    false,
-		Row:     g.dSlowRowPg.div(slot),
-		Col:     uint32(g.dSlowRowPg.mod(slot))*LinesPerPage + uint32(li),
+		Channel: g.chanBase[lv] + pod*int(dc.d) + int(dc.mod(lf)),
+		Fast:    lv == 0,
+		Row:     ppr.div(slot),
+		Col:     uint32(ppr.mod(slot))*LinesPerPage + uint32(li),
 	}
 }
 

@@ -74,6 +74,12 @@ func TestGeomMatchesLayout(t *testing.T) {
 			if got, want := g.FrameLocation(gp, gf, li), l.FrameLocation(lp, lf, li); got != want {
 				t.Fatalf("layout %+v: FrameLocation(%d,%d,%d) = %+v, want %+v", l, gp, gf, li, got, want)
 			}
+			hp, hf, hch, hrow := g.Home(p)
+			home := l.FrameLocation(lp, lf, 0)
+			if hp != lp || hf != lf || hch != home.Channel || hrow != home.Row {
+				t.Fatalf("layout %+v: Home(%d) = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
+					l, p, hp, hf, hch, hrow, lp, lf, home.Channel, home.Row)
+			}
 			ln := LineOfPage(p, li)
 			if got, want := g.HomeLocation(ln), l.HomeLocation(ln); got != want {
 				t.Fatalf("layout %+v: HomeLocation(%d) = %+v, want %+v", l, ln, got, want)

@@ -1,10 +1,17 @@
 package distrib
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,5 +127,81 @@ func FuzzCheckpointRestore(f *testing.F) {
 				t.Fatalf("done %d + leased %d + pending %d != total %d", s.Done, s.Leased, s.Pending, s.Total)
 			}
 		}
+	})
+}
+
+// protocolEndpoints are the POST endpoints FuzzProtocolDecode drives, in
+// the order its selector byte picks them.
+var protocolEndpoints = []string{pathLease, pathRenew, pathComplete}
+
+// bodyTransport answers every client request with one fixed 200 body,
+// so the client's response decode runs on it without a network.
+type bodyTransport []byte
+
+func (b bodyTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       io.NopCloser(bytes.NewReader(b)),
+	}, nil
+}
+
+// FuzzProtocolDecode feeds arbitrary bodies to the coordinator's lease,
+// renew and complete endpoints (Handler), on a small plan with one lease
+// ("l1", two cells) outstanding, and to the client's decode of each
+// response. Nothing may panic. A body the handler rejects must leave
+// Status exactly as it was, and every cell must stay in exactly one of
+// done, failed, leased or pending.
+func FuzzProtocolDecode(f *testing.F) {
+	seed, err := New(Config{Jobs: smallJobs(), LeaseTTL: time.Minute})
+	if err != nil {
+		f.Fatal(err)
+	}
+	grant := seed.Lease(LeaseRequest{Worker: "a", Max: 2})
+	done, err := json.Marshal(CompleteRequest{LeaseID: grant.LeaseID, Worker: "a", Cells: runCells(f, seed, grant, resultcache.New())})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), []byte(`{"worker":"b","max":3}`))
+	f.Add(uint8(0), []byte(`{"worker":"b","max":-1}`))
+	f.Add(uint8(1), []byte(`{"lease_id":"l1"}`))
+	f.Add(uint8(1), []byte(`{"lease_id":"l9"}`))
+	f.Add(uint8(2), done)
+	f.Add(uint8(2), []byte(`{"lease_id":"l1","worker":"b","cells":[{"index":0,"error":"boom"},{"index":1,"frame":"AAAA"},{"index":-1},{"index":99}]}`))
+	f.Add(uint8(2), []byte(`{"lease_id":"l1","cells":[{"index":1e30}]}`))
+	f.Add(uint8(2), []byte(`{"cells":null}`))
+	f.Add(uint8(0), []byte(`[1,2]`))
+	f.Add(uint8(1), []byte(``))
+	f.Add(uint8(2), []byte(`{"done":true,"lease_id":"l2","indices":[0,1],"ttl_ms":5,"retry_ms":-1}`))
+	f.Add(uint8(3), []byte(`{"spec":{"sim_version":1,"jobs":[{"experiment":"fig6"}]},"plan_fp":"12","total":4}`))
+
+	// A fixed clock keeps Status free of wall-clock fields (worker
+	// last-seen ages), so two snapshots compare exactly.
+	epoch := time.Unix(1, 0)
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		co, err := New(Config{Jobs: smallJobs(), LeaseTTL: time.Minute, Now: func() time.Time { return epoch }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		co.Lease(LeaseRequest{Worker: "a", Max: 2})
+		before := co.Status()
+		path := protocolEndpoints[int(which)%len(protocolEndpoints)]
+		rec := httptest.NewRecorder()
+		Handler(co).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		after := co.Status()
+		if rec.Code != http.StatusOK && !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s rejected the body (HTTP %d) but changed Status from %+v to %+v", path, rec.Code, before, after)
+		}
+		if after.Done+after.Failed+after.Leased+after.Pending != after.Total {
+			t.Fatalf("%s: done %d + failed %d + leased %d + pending %d != total %d",
+				path, after.Done, after.Failed, after.Leased, after.Pending, after.Total)
+		}
+
+		c := &client{base: "http://coordinator", hc: &http.Client{Transport: bodyTransport(body)}}
+		ctx := context.Background()
+		c.Spec(ctx)
+		c.Lease(ctx, LeaseRequest{Worker: "w", Max: 1})
+		c.Renew(ctx, RenewRequest{LeaseID: "l1"})
+		c.Complete(ctx, CompleteRequest{LeaseID: "l1", Worker: "w"})
 	})
 }

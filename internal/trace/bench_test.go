@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/clock"
 )
 
@@ -84,6 +86,30 @@ func BenchmarkSnapshotRecord(b *testing.B) {
 	for done := 0; done < b.N; done += len(reqs) {
 		src.Reset()
 		snap := Record(src, len(reqs))
+		snap.Release()
+	}
+}
+
+// BenchmarkPlaneBuild measures the heap plane build per request: the
+// span decoder, split over the cores for a snapshot this long. Each op
+// decodes one fresh plane. The layouts are the paper's two-level one and
+// its HBM-only reference, whose pages per pod are not a power of two.
+func BenchmarkPlaneBuild(b *testing.B) {
+	for _, l := range []addr.Layout{addr.DefaultLayout(), addr.FastOnlyLayout()} {
+		g := l.Geom()
+		reqs := benchReqs(1 << 20)
+		for i := range reqs {
+			reqs[i].Addr %= l.TotalBytes()
+		}
+		snap := Record(NewSliceStream(reqs), len(reqs))
+		snap.Plane(&g)
+		b.Run(fmt.Sprintf("slow=%dG", l.SlowBytes>>30), func(b *testing.B) {
+			b.ReportAllocs()
+			for done := 0; done < b.N; done += len(reqs) {
+				snap.planes[0].valid = false // keeps the buffer, like a pooled Record
+				snap.Plane(&g)
+			}
+		})
 		snap.Release()
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -216,6 +217,44 @@ func TestPosDrainMatchNext(t *testing.T) {
 		ss.Reset()
 		if !ss.Next(&r) || r != reqs[0] {
 			t.Errorf("%s: Reset after Drain replays %+v, want %+v", name, r, reqs[0])
+		}
+	}
+}
+
+// TestPlaneSplitBitIdentical asserts that a heap plane decoded in parts
+// over the cores (splitSpan) equals a per-entry Decode of every request,
+// at the lengths around the split threshold and on the layouts whose
+// divisors take different paths: the paper's two-level layout, its
+// single-level references (pages per pod not a power of two) and a layout
+// with no power-of-two divisor at all. Each length runs on the ambient
+// GOMAXPROCS and on three cores, an odd part count.
+func TestPlaneSplitBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	layouts := []addr.Layout{
+		addr.DefaultLayout(),
+		addr.FastOnlyLayout(),
+		addr.SlowOnlyLayout(),
+		{FastBytes: 3 * addr.PageBytes * 3 * 64, SlowBytes: 9 * addr.PageBytes * 3 * 64, FastChannels: 9, SlowChannels: 3, NumPods: 3},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, l := range layouts {
+			g := l.Geom()
+			for _, n := range []int{0, 1, splitMin - 1, splitMin + 1, 3*splitMin + 7} {
+				reqs := boundedReqs(rng, n, l)
+				snap := Record(NewSliceStream(reqs), n)
+				plane := snap.Plane(&g)
+				if len(plane) != n {
+					t.Fatalf("GOMAXPROCS %d, layout %+v, n %d: plane length %d", procs, l, n, len(plane))
+				}
+				for i := range reqs {
+					if want := Decode(&reqs[i], &g); plane[i] != want {
+						t.Fatalf("GOMAXPROCS %d, layout %+v, n %d: entry %d = %+v, want %+v", procs, l, n, i, plane[i], want)
+					}
+				}
+				snap.Release()
+			}
 		}
 	}
 }

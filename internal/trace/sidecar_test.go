@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -484,5 +485,29 @@ func TestSidecarBuildUnwritableDirFallsBack(t *testing.T) {
 	}
 	if ents, _ := os.ReadDir(dir); len(ents) > 1 {
 		t.Fatalf("failed builds left %d files beside the snapshot", len(ents)-1)
+	}
+}
+
+// TestPlaneSplitInRange drives planeInRange over a plane long enough to be
+// checked in parts (splitSpan), on three cores: the whole plane passes,
+// and one out-of-range entry fails the check wherever it lies, in the
+// first part, at a part boundary or in the last part.
+func TestPlaneSplitInRange(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(73))
+	l := addr.DefaultLayout()
+	g := l.Geom()
+	n := 3*splitMin + 7
+	plane := planeWant(boundedReqs(rng, n, l), &g)
+	if !planeInRange(plane, &g) {
+		t.Fatal("a decoded plane failed the range check")
+	}
+	for _, at := range []int{0, n / 3, n/3 - 1, n / 2, n - 1} {
+		bad := append([]Decoded(nil), plane...)
+		bad[at].Pod = 0xffff
+		if planeInRange(bad, &g) {
+			t.Errorf("an out-of-range pod at entry %d of %d passed the range check", at, n)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync"
 	"unsafe"
 
 	"repro/internal/addr"
@@ -161,12 +162,10 @@ func mapPlane(s *Snapshot, g *addr.Geom) ([]Decoded, []byte, bool) {
 	if dec, m, ok := openPlaneSidecar(s, g); ok {
 		return dec, m, true
 	}
-	i := 0
+	lo := 0
 	return buildSidecar(planeSidecarPath(s.path, g), planeMagic, s.n, geomFingerprint(g), s.stamp, func(dst []Decoded) {
-		for j := range dst {
-			dst[j] = s.decodeAt(i, g)
-			i++
-		}
+		s.decodeSpan(dst, lo, g)
+		lo += len(dst)
 	})
 }
 
@@ -188,11 +187,12 @@ func openPlaneSidecar(s *Snapshot, g *addr.Geom) ([]Decoded, []byte, bool) {
 		munmapBytes(m)
 		return nil, nil, false
 	}
+	var want [1]Decoded
 	for i := 0; i < n; i++ {
 		if i == 32 && n > 64 {
 			i = n - 32 // the first and the last 32 entries
 		}
-		if dec[i] != s.decodeAt(i, g) {
+		if s.decodeSpan(want[:], i, g); dec[i] != want[0] {
 			munmapBytes(m)
 			return nil, nil, false
 		}
@@ -203,7 +203,9 @@ func openPlaneSidecar(s *Snapshot, g *addr.Geom) ([]Decoded, []byte, bool) {
 // planeInRange reports whether every plane entry lies inside g's
 // geometry — page, pod, home frame, channel, row and line each below its
 // count — and holds a write flag byte of 0 or 1. Any core byte is valid
-// (mech.TouchFilter keeps a register for each).
+// (mech.TouchFilter keeps a register for each). The check reads the whole
+// column, split over the cores like a heap plane's decode (splitSpan);
+// the plane is in range when every part is.
 func planeInRange(dec []Decoded, g *addr.Geom) bool {
 	pages, frames := g.TotalPagesN(), uint64(g.PagesPerPodN())
 	pods, chans := uint64(g.NumPods), uint64(g.Channels())
@@ -222,14 +224,21 @@ func planeInRange(dec []Decoded, g *addr.Geom) bool {
 	// above 2^63. The other fields are narrower than 32 bits. The write
 	// flag is read as its raw byte: mapped memory may hold any value
 	// there, and only 0 and 1 are bools.
+	var mu sync.Mutex
 	ok := ^uint64(0)
-	for i := range dec {
-		d := &dec[i]
-		w := *(*uint8)(unsafe.Pointer(&d.Write))
-		ok &= (d.Page - pages) &^ d.Page
-		ok &= (uint64(d.Pod) - pods) & (uint64(d.Frame) - frames) & (uint64(d.Chan) - chans) &
-			(uint64(d.Row) - rows) & (uint64(d.Line) - addr.LinesPerPage) & (uint64(w) - 2)
-	}
+	splitSpan(len(dec), func(lo, hi int) {
+		part := ^uint64(0)
+		for i := lo; i < hi; i++ {
+			d := &dec[i]
+			w := *(*uint8)(unsafe.Pointer(&d.Write))
+			part &= (d.Page - pages) &^ d.Page
+			part &= (uint64(d.Pod) - pods) & (uint64(d.Frame) - frames) & (uint64(d.Chan) - chans) &
+				(uint64(d.Row) - rows) & (uint64(d.Line) - addr.LinesPerPage) & (uint64(w) - 2)
+		}
+		mu.Lock()
+		ok &= part
+		mu.Unlock()
+	})
 	return ok>>63 == 1
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"repro/internal/addr"
@@ -154,7 +155,9 @@ func putSnapshot(s *Snapshot) {
 
 // Record drains up to n requests from s into a packed Snapshot. It is the
 // capture half of the record/replay pair; Snapshot.Stream is the replay
-// half, and replaying yields the recorded requests bit-for-bit.
+// half, and replaying yields the recorded requests bit-for-bit. Record
+// also fills the absolute time column (TimeColumn) as it encodes the
+// varint deltas.
 func Record(s Stream, n int) *Snapshot {
 	snap := getSnapshot()
 	if cap(snap.addrs) < 8*n {
@@ -162,21 +165,25 @@ func Record(s Stream, n int) *Snapshot {
 		snap.writes = make([]byte, 0, 8*((n+63)/64))
 		snap.cores = make([]byte, 0, n)
 	}
+	if cap(snap.timeCol) < n {
+		snap.timeCol = make([]clock.Time, 0, n)
+	}
 	snap.times = snap.times[:0]
 	snap.addrs = snap.addrs[:0]
 	snap.writes = snap.writes[:0]
 	snap.cores = snap.cores[:0]
+	snap.timeCol = snap.timeCol[:0]
 	snap.n = 0
 	for i := range snap.planes {
 		snap.planes[i].valid = false
 	}
-	snap.timeValid = false
 
 	var r Request
 	var prev clock.Time
 	var wword uint64
 	for snap.n < n && s.Next(&r) {
 		snap.times = binary.AppendUvarint(snap.times, uint64(r.Time)-uint64(prev))
+		snap.timeCol = append(snap.timeCol, r.Time)
 		prev = r.Time
 		snap.addrs = binary.LittleEndian.AppendUint64(snap.addrs, r.Addr)
 		snap.cores = append(snap.cores, r.Core)
@@ -192,6 +199,9 @@ func Record(s Stream, n int) *Snapshot {
 	if snap.n&63 != 0 {
 		snap.writes = binary.LittleEndian.AppendUint64(snap.writes, wword)
 	}
+	// The absolute time column is the recorded times themselves, so
+	// TimeColumn serves it without decoding a varint.
+	snap.timeValid = true
 	return snap
 }
 
@@ -246,34 +256,73 @@ func (s *Snapshot) Stream() *SnapshotStream {
 // Decode is the per-request form every mechanism access starts from:
 // the address's page, home pod/frame, line-in-page and the home frame's
 // channel/row under g's layout, plus the request's core and direction.
-// Plane entries, the sidecar open's sample validation and the engine's
-// per-batch decode of plain streams all call it, so the decomposition has
-// one definition. r.Time is not read.
+// It is one step of the span decoder (decodeEntry), which also fills
+// plane entries and the sidecar open's sample check, so the
+// decomposition has one definition. r.Time is not read.
 func Decode(r *Request, g *addr.Geom) Decoded {
-	p := addr.PageOf(addr.Addr(r.Addr))
-	pod, f := g.HomeFrame(p)
-	loc := g.FrameLocation(pod, f, 0)
-	return Decoded{
+	var d Decoded
+	decodeEntry(&d, r.Addr, r.Core, r.Write, g)
+	return d
+}
+
+// decodeEntry writes the plane entry of the request at address a, issued
+// by core (a write when write is set), into *d in place.
+func decodeEntry(d *Decoded, a uint64, core uint8, write bool, g *addr.Geom) {
+	p := addr.PageOf(addr.Addr(a))
+	pod, f, ch, row := g.Home(p)
+	*d = Decoded{
 		Page:  uint64(p),
 		Frame: uint32(f),
-		Row:   uint32(loc.Row),
-		Chan:  uint16(loc.Channel),
+		Row:   uint32(row),
+		Chan:  uint16(ch),
 		Pod:   uint16(pod),
-		Line:  uint8(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage),
-		Core:  r.Core,
-		Write: r.Write,
+		Line:  uint8(a / addr.LineBytes % addr.LinesPerPage),
+		Core:  core,
+		Write: write,
 	}
 }
 
-// decodeAt decodes recorded request i under g, straight from the
+// decodeSpan is the span decoder: it writes the plane entries of recorded
+// requests [lo, lo+len(dst)) under g into dst, in place, straight from the
 // address, write and core columns.
-func (s *Snapshot) decodeAt(i int, g *addr.Geom) Decoded {
-	r := Request{
-		Addr:  binary.LittleEndian.Uint64(s.addrs[8*i:]),
-		Write: s.writes[i>>3]>>(uint(i)&7)&1 != 0,
-		Core:  s.cores[i],
+func (s *Snapshot) decodeSpan(dst []Decoded, lo int, g *addr.Geom) {
+	// Hoisted column slices give the loop compiler-visible bounds.
+	addrs := s.addrs[8*lo : 8*(lo+len(dst))]
+	cores := s.cores[lo : lo+len(dst)]
+	writes := s.writes
+	for k := range dst {
+		i := lo + k
+		decodeEntry(&dst[k], binary.LittleEndian.Uint64(addrs[8*k:]), cores[k],
+			writes[i>>3]>>(uint(i)&7)&1 != 0, g)
 	}
-	return Decode(&r, g)
+}
+
+// splitMin is the shortest span worth splitting over the cores: below it
+// the goroutine handoff costs more than the decode it would share. A span
+// of at least splitMin entries is split into one part per core
+// (runtime.GOMAXPROCS), so each part is at least splitMin/GOMAXPROCS long.
+const splitMin = 1 << 15
+
+// splitSpan runs f over [0, n) in contiguous parts, one per core when n
+// is at least splitMin, and returns once every part has finished. The
+// calling goroutine runs the first part itself. f must only write state
+// that belongs to its own part.
+func splitSpan(n int, f func(lo, hi int)) {
+	parts := runtime.GOMAXPROCS(0)
+	if n < splitMin || parts <= 1 {
+		f(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < parts; k++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			f(lo, hi)
+		}(n*k/parts, n*(k+1)/parts)
+	}
+	f(0, n/parts)
+	wg.Wait()
 }
 
 // Plane returns the snapshot's predecode plane for g's layout, computing
@@ -281,8 +330,10 @@ func (s *Snapshot) decodeAt(i int, g *addr.Geom) Decoded {
 // cached per layout (the experiment matrix mixes the standard two-level
 // layout with single-level reference layouts), so all cells sharing a
 // layout share one decode pass; computation is single-flight under the
-// snapshot's lock. The returned slice is read-only and lives exactly as
-// long as the snapshot: Release recycles the plane buffers with it.
+// snapshot's lock, and a heap plane's span is decoded on every core
+// (splitSpan) before Plane returns. The returned slice is read-only and
+// lives exactly as long as the snapshot: Release recycles the plane
+// buffers with it.
 //
 // For a snapshot mapped from a store file (OpenMapped), the plane itself
 // is store-backed: a valid sidecar next to the file maps in zero-copy,
@@ -321,15 +372,14 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	} else {
 		dec = dec[:s.n]
 	}
-	for i := range dec {
-		dec[i] = s.decodeAt(i, g)
-	}
+	splitSpan(s.n, func(lo, hi int) { s.decodeSpan(dec[lo:hi], lo, g) })
 	*pl = plane{layout: g.Layout, valid: true, dec: dec}
 	return dec
 }
 
-// TimeColumn returns the snapshot's absolute timestamps as a dense column,
-// decoding the varint deltas once on first request. Like Plane, the column
+// TimeColumn returns the snapshot's absolute timestamps as a dense column.
+// A recorded snapshot's column was filled by Record; a read or mapped one
+// decodes the varint deltas once on first request. Like Plane, the column
 // is shared by every cursor over the snapshot (single-flight under a lock)
 // and its buffer recycles with the snapshot, so the six mechanism cells
 // replaying one workload pay one decode pass instead of six — and for a

@@ -239,3 +239,77 @@ func TestSnapshotMatchesSliceStream(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordFillsTimeColumn asserts that Record fills the absolute time
+// column as it encodes, so TimeColumn decodes no varint for a recorded
+// snapshot, and that the column equals the varint decode of the same
+// snapshot once saved and read back (ReadSnapshot) or mapped
+// (OpenMapped). The trace holds runs of equal timestamps and gaps up to
+// 2^56 fs, whose deltas take nine varint bytes. A pooled snapshot's
+// second, shorter recording must not keep the first one's column.
+func TestRecordFillsTimeColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	reqs := randomOrderedReqs(rng, 3000)
+	var now clock.Time
+	for i := range reqs {
+		switch i % 5 {
+		case 0, 1: // equal to the previous timestamp
+		case 2:
+			now += 1 << 56 >> (i % 7 * 8)
+		default:
+			now += clock.Time(rng.Int63n(1 << 30))
+		}
+		reqs[i].Time = now
+	}
+	snap := Record(NewSliceStream(reqs), len(reqs))
+	if !snap.timeValid {
+		t.Fatal("Record left the time column to a later varint decode")
+	}
+	col := snap.TimeColumn()
+	if len(col) != len(reqs) {
+		t.Fatalf("time column length %d, want %d", len(col), len(reqs))
+	}
+	for i, r := range reqs {
+		if col[i] != r.Time {
+			t.Fatalf("recorded time column[%d] = %d, want %d", i, col[i], r.Time)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, "wl", snap); err != nil {
+		t.Fatal(err)
+	}
+	read, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, _, err := OpenMapped(writeSnapFile(t, t.TempDir(), "wl", reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Release()
+	for name, s := range map[string]*Snapshot{"ReadSnapshot": read, "OpenMapped": mapped} {
+		got := s.TimeColumn()
+		if len(got) != len(col) {
+			t.Fatalf("%s: time column length %d, want %d", name, len(got), len(col))
+		}
+		for i := range col {
+			if got[i] != col[i] {
+				t.Fatalf("%s: time column[%d] = %d, recorded %d", name, i, got[i], col[i])
+			}
+		}
+	}
+	snap.Release()
+
+	short := reqs[:100]
+	snap = Record(NewSliceStream(short), len(short))
+	defer snap.Release()
+	if col = snap.TimeColumn(); len(col) != len(short) {
+		t.Fatalf("re-recorded time column length %d, want %d", len(col), len(short))
+	}
+	for i, r := range short {
+		if col[i] != r.Time {
+			t.Fatalf("re-recorded time column[%d] = %d, want %d", i, col[i], r.Time)
+		}
+	}
+}

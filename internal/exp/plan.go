@@ -262,54 +262,63 @@ func (p *Plan) RunCells(indices []int, opts RunCellsOptions) []CellRun {
 
 // runCells is the one cell executor behind the matrix, the oracle study
 // and distributed leases. It:
-//   - probes the result cache for every cell (a hit pins the entry, so the
-//     later lookup cannot miss);
-//   - counts one trace use per distinct missing key, so each snapshot is
-//     generated once and freed at its last use, and a fully warm batch
-//     acquires none;
-//   - runs the cells in submission order on a bounded runner pool, each a
-//     task keyed "name/workload" with mechanism and workload pprof labels
-//     (`go tool pprof -tagfocus mechanism=MemPod` isolates one builder);
-//   - serves each cell through GetOrRun with decode as its payload
-//     decoder, so a served payload that decode rejects is recomputed once
-//     and heals the store.
+//   - serves every cell it can from the result cache in one pass over the
+//     batch's distinct keys, on opts.Parallelism goroutines: each key is
+//     looked up once (in memory, then in the store), decoded with decode
+//     and fills the slot of every cell that has it;
+//   - counts one trace use per distinct key left unserved, so each
+//     snapshot is generated once and freed at its last use, and a fully
+//     warm batch acquires none;
+//   - runs the unserved cells in submission order on a bounded runner
+//     pool, each a task keyed "name/workload" with mechanism and workload
+//     pprof labels (`go tool pprof -tagfocus mechanism=MemPod` isolates
+//     one builder);
+//   - computes each through GetOrRun with decode as its payload decoder,
+//     so a served payload that decode rejects is recomputed once and heals
+//     the store.
 //
-// Results keep cell order; the error joins every cell failure.
+// Results keep cell order; the error joins every cell failure. progress
+// sees the served cells after the serve pass, then each computed cell, so
+// done runs from 1 to len(cells) whatever the cache held.
 func runCells[T any](cells []planCell, opts RunCellsOptions, progress func(done, total int), decode func(planCell, []byte) (T, error)) ([]runner.Result[T], error) {
 	traces, results := opts.Traces, opts.Results
 	if traces == nil {
 		traces = tracecache.New()
 	}
-	// With a result cache, duplicate keys collapse to a single use (the
-	// cache runs them single-flight, so only the first acquires the trace).
-	counted := make([]bool, len(cells))
+	out := make([]runner.Result[T], len(cells))
+	var pending []int // cells left to compute, in cell order
+	if results != nil {
+		pending = serveCells(cells, results, opts.Parallelism, func(i int, payload []byte) (err error) {
+			out[i].Value, err = decode(cells[i], payload)
+			return err
+		})
+	} else {
+		for i := range cells {
+			pending = append(pending, i)
+		}
+	}
+	// With a result cache, cells sharing a key collapse to a single use (the
+	// cache computes them single-flight, so only the first acquires the
+	// trace).
 	uses := make(map[tracecache.Key]int)
-	probed := make(map[resultcache.CellKey]bool)
-	for i, cell := range cells {
+	counted := make(map[resultcache.CellKey]bool)
+	for _, i := range pending {
 		if results != nil {
-			if probed[cell.key] || results.Probe(cell.key) {
+			if counted[cells[i].key] {
 				continue
 			}
-			probed[cell.key] = true
+			counted[cells[i].key] = true
 		}
-		counted[i] = true
-		uses[cell.tkey]++
+		uses[cells[i].tkey]++
 	}
-	tasks := make([]runner.Task[T], len(cells))
-	for i, cell := range cells {
-		counted := counted[i]
-		tasks[i] = runner.Task[T]{
+	tasks := make([]runner.Task[T], len(pending))
+	for ti, i := range pending {
+		cell := cells[i]
+		tasks[ti] = runner.Task[T]{
 			Key:    cell.name + "/" + cell.key.Workload,
 			Labels: []string{"mechanism", cell.name, "workload", cell.key.Workload},
 			Run: func() (v T, err error) {
-				compute := func() ([]byte, error) {
-					if counted {
-						return cell.compute(traces, uses[cell.tkey])
-					}
-					// A cell the cache answered declared no trace use; if
-					// its payload is rejected, recompute on a private one.
-					return cell.compute(tracecache.New(), 1)
-				}
+				compute := func() ([]byte, error) { return cell.compute(traces, uses[cell.tkey]) }
 				valid := func(payload []byte) (err error) {
 					v, err = decode(cell, payload)
 					return err
@@ -326,5 +335,61 @@ func runCells[T any](cells []planCell, opts RunCellsOptions, progress func(done,
 			},
 		}
 	}
-	return runner.Run(tasks, runner.Options{Parallelism: opts.Parallelism, OnProgress: progress})
+	served := len(cells) - len(pending)
+	var onProgress func(done, total int)
+	if progress != nil {
+		for done := 1; done <= served; done++ {
+			progress(done, len(cells))
+		}
+		onProgress = func(done, _ int) { progress(served+done, len(cells)) }
+	}
+	runs, err := runner.Run(tasks, runner.Options{Parallelism: opts.Parallelism, OnProgress: onProgress})
+	for ti, i := range pending {
+		out[i] = runs[ti]
+	}
+	return out, err
+}
+
+// serveCells is runCells' serve pass. It groups cells by key and has
+// results.Serve answer each distinct key once, as runner tasks on
+// parallelism workers, with accept filling the slot of every cell of the
+// key. It returns the indices of the cells it could not serve, in cell
+// order.
+func serveCells(cells []planCell, results *resultcache.Cache, parallelism int, accept func(i int, payload []byte) error) []int {
+	var groups [][]int // cell indices by distinct key, in first-seen order
+	group := make([]int, len(cells))
+	at := make(map[resultcache.CellKey]int, len(cells))
+	for i, cell := range cells {
+		g, ok := at[cell.key]
+		if !ok {
+			g = len(groups)
+			at[cell.key] = g
+			groups = append(groups, nil)
+		}
+		group[i] = g
+		groups[g] = append(groups[g], i)
+	}
+	tasks := make([]runner.Task[bool], len(groups))
+	for g, idx := range groups {
+		tasks[g].Run = func() (bool, error) {
+			return results.Serve(cells[idx[0]].key, len(idx), func(payload []byte) error {
+				for _, i := range idx {
+					if err := accept(i, payload); err != nil {
+						return err
+					}
+				}
+				return nil
+			}), nil
+		}
+	}
+	// A panicking decoder fails its serve task and leaves its cells
+	// unserved; their runner tasks then report the panic per cell.
+	served, _ := runner.Run(tasks, runner.Options{Parallelism: parallelism})
+	var pending []int
+	for i := range cells {
+		if !served[group[i]].Value {
+			pending = append(pending, i)
+		}
+	}
+	return pending
 }

@@ -106,24 +106,96 @@ func storePath(dir, canon string) string {
 // the same key line for this key (ParseKey admits only canonical
 // renderings), so the store path skips ParseKey.
 func (c *Cache) loadStored(dir, canon string) ([]byte, bool) {
-	b, err := os.ReadFile(storePath(dir, canon))
+	b, err := readFile(storePath(dir, canon))
 	if err != nil {
 		return nil, false
 	}
+	stored, payload, err := decodeFrame(b)
+	ok := err == nil && string(stored) == canon
 	c.mu.Lock()
 	c.stats.BytesRead += int64(len(b))
-	c.mu.Unlock()
-	stored, payload, err := decodeFrame(b)
-	if err != nil || string(stored) != canon {
-		c.mu.Lock()
+	if ok {
+		c.stats.DiskLoads++
+	} else {
 		c.stats.Stale++
-		c.mu.Unlock()
-		return nil, false
+	}
+	c.mu.Unlock()
+	return payload, ok
+}
+
+// lookup is the one read path of every entry point: it returns canon's
+// resident entry (possibly still in flight), or else loads its store file
+// and pins the payload resident. It counts no Hit or Miss; loadStored
+// counts the read. Without claim, a key neither holds returns nil. With
+// claim, lookup installs an in-flight entry before it reads the store, so
+// concurrent GetOrRun calls share one read and one compute; when the store
+// misses too it returns that entry with owned set, and the caller must
+// fill it.
+func (c *Cache) lookup(canon string, claim bool) (e *entry, owned bool) {
+	c.mu.Lock()
+	e, ok := c.entries[canon]
+	dir := c.dir
+	if !ok && claim {
+		e = &entry{ready: make(chan struct{})}
+		c.entries[canon] = e
+	}
+	c.mu.Unlock()
+	if ok {
+		return e, false
+	}
+	var payload []byte
+	if dir != "" {
+		payload, ok = c.loadStored(dir, canon)
+	}
+	switch {
+	case !ok:
+		return e, claim
+	case claim:
+		e.payload = payload
+		close(e.ready)
+		return e, false
+	}
+	e = &entry{ready: make(chan struct{}), payload: payload}
+	close(e.ready)
+	c.mu.Lock()
+	// Another goroutine may have raced an entry in; keep the first.
+	if prev, exists := c.entries[canon]; exists {
+		e = prev
+	} else {
+		c.entries[canon] = e
+	}
+	c.mu.Unlock()
+	return e, false
+}
+
+// fill runs the compute for the in-flight entry e the caller owns,
+// publishes the outcome to e's waiters and persists an accepted payload.
+// A failed run or a payload valid rejects forgets the entry, so a later
+// call retries. A heal (the recompute of a rejected payload) counts no
+// Miss: GetOrRun counted it Stale instead.
+func (c *Cache) fill(canon string, e *entry, run func() ([]byte, error), valid func([]byte) error, heal bool) ([]byte, error) {
+	payload, err := run()
+	if err == nil {
+		err = valid(payload)
 	}
 	c.mu.Lock()
-	c.stats.DiskLoads++
+	if !heal {
+		c.stats.Misses++
+	}
+	e.payload, e.err = payload, err
+	if err != nil && c.entries[canon] == e {
+		delete(c.entries, canon)
+	}
+	dir := c.dir
 	c.mu.Unlock()
-	return payload, true
+	close(e.ready)
+	if err != nil {
+		return nil, err
+	}
+	if dir != "" {
+		c.persist(dir, canon, payload)
+	}
+	return payload, nil
 }
 
 // persist writes the framed entry atomically next to its final name,
@@ -162,31 +234,30 @@ func writeAtomic(dir, path string, b []byte) error {
 // loadable from the store (in which case the entry is pinned resident, so
 // a subsequent GetOrRun is guaranteed to hit without touching the disk
 // again). Probe itself never counts a Hit or Miss; callers use it to plan
-// work — the experiment matrix probes every cell first so trace-snapshot
-// use counts cover exactly the cells that will simulate.
+// work.
 func (c *Cache) Probe(key CellKey) bool {
-	canon := key.Canonical()
-	c.mu.Lock()
-	_, ok := c.entries[canon]
-	dir := c.dir
-	c.mu.Unlock()
-	if ok {
-		return true
-	}
-	if dir == "" {
+	e, _ := c.lookup(key.Canonical(), false)
+	return e != nil
+}
+
+// Serve answers, without computing anything, the n cells of a batch that
+// share key: from memory (waiting for a compute in flight) or from the
+// store, pinning the entry resident. accept, the batch's payload decoder,
+// must take the payload; Serve then counts n Hits and returns true. A key
+// it cannot answer returns false and counts only the store read, as Probe
+// would. A rejected payload stays resident, so the GetOrRun that follows
+// for those cells counts its Hit and Stale and heals the store.
+func (c *Cache) Serve(key CellKey, n int, accept func([]byte) error) bool {
+	e, _ := c.lookup(key.Canonical(), false)
+	if e == nil {
 		return false
 	}
-	payload, ok := c.loadStored(dir, canon)
-	if !ok {
+	<-e.ready
+	if e.err != nil || accept(e.payload) != nil {
 		return false
 	}
-	e := &entry{ready: make(chan struct{}), payload: payload}
-	close(e.ready)
 	c.mu.Lock()
-	// Another goroutine may have raced an entry in; keep the first.
-	if _, exists := c.entries[canon]; !exists {
-		c.entries[canon] = e
-	}
+	c.stats.Hits += n
 	c.mu.Unlock()
 	return true
 }
@@ -200,10 +271,12 @@ func (c *Cache) Probe(key CellKey) bool {
 //
 // Each of checks (typically the one payload decoder) must accept the
 // payload. A served payload one rejects (impossible for entries this
-// process wrote; conceivable for a hand-edited store mid-run) is evicted,
-// counted Stale and recomputed with run, and the fresh payload heals the
-// store: the cache never fails a run. A payload this call computed itself
-// is never recomputed, so run is called at most once per call.
+// process wrote; conceivable for a hand-edited store mid-run) is counted
+// Stale and recomputed with run, single-flight like a miss, and the fresh
+// payload replaces it resident and heals the store: the cache never fails
+// a run. A payload this call computed itself is never recomputed, so run
+// is called at most once per call; if a check rejects it, the call fails
+// and the entry is forgotten.
 func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error), checks ...func([]byte) error) ([]byte, error) {
 	valid := func(payload []byte) error {
 		for _, check := range checks {
@@ -214,78 +287,34 @@ func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error), checks ...func
 		return nil
 	}
 	canon := key.Canonical()
-	ran := false
-	payload, err := c.getOrRun(canon, func() ([]byte, error) {
-		ran = true
-		return run()
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err = valid(payload); err == nil {
-		return payload, nil
-	}
-	if ran {
-		return nil, err
+	e, owned := c.lookup(canon, true)
+	if owned {
+		return c.fill(canon, e, run, valid, false)
 	}
 	c.mu.Lock()
-	delete(c.entries, canon)
-	c.stats.Stale++
-	dir := c.dir
+	c.stats.Hits++
 	c.mu.Unlock()
-	if payload, err = run(); err != nil {
-		return nil, err
-	}
-	if err = valid(payload); err != nil {
-		return nil, err
-	}
-	if dir != "" {
-		c.persist(dir, canon, payload)
-	}
-	return payload, nil
-}
-
-// getOrRun is GetOrRun for a rendered canonical key line.
-func (c *Cache) getOrRun(canon string, run func() ([]byte, error)) ([]byte, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[canon]; ok {
-		c.stats.Hits++
-		c.mu.Unlock()
+	for {
 		<-e.ready
-		return e.payload, e.err
+		if e.err != nil {
+			return nil, e.err
+		}
+		if valid(e.payload) == nil {
+			return e.payload, nil
+		}
+		c.mu.Lock()
+		if cur, ok := c.entries[canon]; ok && cur != e {
+			// Another call already replaced the rejected entry.
+			c.mu.Unlock()
+			e = cur
+			continue
+		}
+		c.stats.Stale++
+		e = &entry{ready: make(chan struct{})}
+		c.entries[canon] = e
+		c.mu.Unlock()
+		return c.fill(canon, e, run, valid, true)
 	}
-	e := &entry{ready: make(chan struct{})}
-	c.entries[canon] = e
-	dir := c.dir
-	c.mu.Unlock()
-
-	payload, fromDisk := []byte(nil), false
-	if dir != "" {
-		payload, fromDisk = c.loadStored(dir, canon)
-	}
-	var err error
-	if !fromDisk {
-		payload, err = run()
-	}
-	c.mu.Lock()
-	if fromDisk {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
-	e.payload, e.err = payload, err
-	if err != nil {
-		delete(c.entries, canon)
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	if err != nil {
-		return nil, err
-	}
-	if !fromDisk && dir != "" {
-		c.persist(dir, canon, payload)
-	}
-	return payload, nil
 }
 
 // ResultCell is GetOrRun specialized to KindResult payloads: compute is a
@@ -340,37 +369,10 @@ func (c *Cache) Put(key CellKey, payload []byte) {
 // counted; coordinators use it to adopt prior results without perturbing
 // the run's own statistics.
 func (c *Cache) Lookup(key CellKey) ([]byte, bool) {
-	canon := key.Canonical()
-	c.mu.Lock()
-	e, ok := c.entries[canon]
-	dir := c.dir
-	c.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				return e.payload, true
-			}
-		default:
-		}
+	e, _ := c.lookup(key.Canonical(), false)
+	if e == nil {
 		return nil, false
 	}
-	if dir == "" {
-		return nil, false
-	}
-	payload, ok := c.loadStored(dir, canon)
-	if !ok {
-		return nil, false
-	}
-	e = &entry{ready: make(chan struct{}), payload: payload}
-	close(e.ready)
-	c.mu.Lock()
-	if prev, exists := c.entries[canon]; exists {
-		e = prev
-	} else {
-		c.entries[canon] = e
-	}
-	c.mu.Unlock()
 	select {
 	case <-e.ready:
 		if e.err == nil {

@@ -1,14 +1,18 @@
 package resultcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/mech"
@@ -607,5 +611,116 @@ func TestGetOrRunChecksHeal(t *testing.T) {
 	other.Seed++
 	if _, err := New().GetOrRun(other, func() ([]byte, error) { runs++; return []byte("bad"), nil }, check); err == nil || runs != 1 {
 		t.Fatalf("fresh bad payload: err %v after %d runs, want an error after one", err, runs)
+	}
+}
+
+// TestCacheStoreReadFailsClosed holds the store reader to os.ReadFile's
+// outcomes. For each entry at a key's store path, readFile must return
+// os.ReadFile's bytes or fail where it fails, and a fresh handle's Probe
+// must hit or miss as stated, counting the bytes os.ReadFile reads and a
+// Stale for every rejected file.
+func TestCacheStoreReadFailsClosed(t *testing.T) {
+	key := testKey()
+	canon := key.Canonical()
+	good := encodeFrame(canon, EncodeResult(testResult()))
+	other := key
+	other.Seed++
+	// sized is a frame for key exactly n bytes long.
+	sized := func(n int) []byte {
+		return encodeFrame(canon, make([]byte, n-(len(fileMagic)+2+len(canon)+4+8)))
+	}
+	file := func(b []byte) func(string) error {
+		return func(path string) error { return os.WriteFile(path, b, 0o644) }
+	}
+	for _, tc := range []struct {
+		name       string
+		write      func(path string) error
+		hit, stale bool
+	}{
+		{"absent", func(string) error { return nil }, false, false},
+		{"empty", file(nil), false, true},
+		{"exactly the first buffer", file(sized(firstRead)), true, false},
+		{"longer than the first buffer", file(sized(3*firstRead + 17)), true, false},
+		{"directory", func(path string) error { return os.Mkdir(path, 0o755) }, false, false},
+		{"truncated frame", file(good[:len(good)-3]), false, true},
+		{"embedded key differs", file(encodeFrame(other.Canonical(), EncodeResult(testResult()))), false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := storePath(dir, canon)
+			if err := tc.write(path); err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := os.ReadFile(path)
+			got, err := readFile(path)
+			if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+				t.Fatalf("readFile: %d bytes, err %v; os.ReadFile: %d bytes, err %v", len(got), err, len(want), wantErr)
+			}
+			c := New()
+			c.SetDir(dir)
+			if hit := c.Probe(key); hit != tc.hit {
+				t.Fatalf("Probe = %v, want %v", hit, tc.hit)
+			}
+			var wantStats Stats
+			if wantErr == nil {
+				wantStats.BytesRead = int64(len(want))
+			}
+			if tc.hit {
+				wantStats.DiskLoads = 1
+			}
+			if tc.stale {
+				wantStats.Stale = 1
+			}
+			if s := c.Stats(); s != wantStats {
+				t.Fatalf("stats %#v, want %#v", s, wantStats)
+			}
+		})
+	}
+}
+
+// TestCacheHealSingleFlight: concurrent GetOrRun calls that find one
+// rejected payload share a single recompute, like concurrent misses, so a
+// batch's cells sharing a key acquire their trace once. Every call counts
+// its Hit, the rejected payload one Stale, and nothing a Miss.
+func TestCacheHealSingleFlight(t *testing.T) {
+	const callers = 8
+	key := testKey()
+	good := EncodeResult(testResult())
+	check := func(p []byte) error { _, err := DecodeResult(p); return err }
+	c := New()
+	c.Put(key, []byte("poisoned"))
+	var runs atomic.Int32
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := c.GetOrRun(key, func() ([]byte, error) {
+				runs.Add(1)
+				<-release
+				return good, nil
+			}, check)
+			if err != nil || !bytes.Equal(got, good) {
+				t.Errorf("healed payload %x, err %v", got, err)
+			}
+		}()
+	}
+	// Hold the recompute until every caller has looked the key up. The
+	// deadline only bounds a broken cache's wait; the counts below hold
+	// however the callers interleave.
+	for deadline := time.Now().Add(time.Second); c.Stats().Hits < callers && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d recomputes, want 1", n)
+	}
+	if s := c.Stats(); s.Hits != callers || s.Stale != 1 || s.Misses != 0 {
+		t.Fatalf("stats %+v, want %d hits, 1 stale, no misses", s, callers)
+	}
+	if got, ok := c.Lookup(key); !ok || !bytes.Equal(got, good) {
+		t.Fatalf("healed entry not resident: %x, %v", got, ok)
 	}
 }

@@ -88,13 +88,14 @@ func diffResults(t *testing.T, label string, got, want stats.Result) {
 // TestBatchedEngineBitIdentical drives every mechanism (plus the
 // bookkeeping-cache MemPod variant) over a mixed workload four ways — a
 // plain SliceStream (batches filled through Next, decoded by the engine),
-// the snapshot cursor without a predecode plane (lent batches, decoded by
-// the engine), the cursor with the plane bound (lent batches and plane
-// entries), and a replay of the on-disk snapshot — and requires
-// field-identical Results. Each runs at the default window, at window 32
-// (interval boundaries land mid-batch with gating active) and unlimited
-// (no gating). The batch sources differ only in where the decode comes
-// from, never in what the mechanism sees.
+// a bare snapshot cursor (Stream), a cursor with the plane bound
+// (DecodedStream) and a replay of the on-disk snapshot — and requires
+// field-identical Results. The engine reads each snapshot cursor's time
+// column and predecode plane under its own geometry, whatever the cursor
+// has bound. Each runs at the default window, at window 32 (interval
+// boundaries land mid-batch with gating active) and unlimited (no
+// gating). The batch sources differ only in where the decode comes from,
+// never in what the mechanism sees.
 func TestBatchedEngineBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -157,8 +158,9 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 
 // TestEngineRunAllocFree pins the steady-state hot path allocation-free
 // for every mechanism, on both batch sources: a reset DecodedStream
-// (lent plane entries) and a reset SliceStream (batches filled through
-// Next and decoded into the engine's scratch plane). Each Run replays the same trace on a
+// (the engine indexes the snapshot's time column and plane) and a reset
+// SliceStream (batches filled through Next and decoded into the engine's
+// scratch plane). Each Run replays the same trace on a
 // persistent backend+mechanism pair, as sweeps and benchmarks do. A few
 // warm-up runs let the mechanisms' tables reach their working size; after
 // that the only allocations left are the amortized doublings of the

@@ -194,17 +194,26 @@ func (g *Geom) Home(p Page) (pod int, f Frame, ch int, row uint64) {
 	return pod, Frame(uint64(g.frameBase[lv]) + lf), ch, g.dRowPg[lv].div(dc.div(lf))
 }
 
-// FrameLocation mirrors Layout.FrameLocation.
-func (g *Geom) FrameLocation(pod int, f Frame, li int) Location {
+// FrameChannel returns the channel and row holding frame f of pod `pod`
+// (FrameLocation's Channel and Row): every line of a page shares them, so
+// a caller that issues many lines of one frame resolves it once.
+func (g *Geom) FrameChannel(pod int, f Frame) (ch int, row uint64) {
 	lv := g.frameLevel(f)
 	lf := uint64(uint32(f) - g.frameBase[lv])
-	dc, ppr := g.dCPP[lv], g.dRowPg[lv]
-	slot := dc.div(lf)
+	dc := g.dCPP[lv]
+	return g.chanBase[lv] + pod*int(dc.d) + int(dc.mod(lf)), g.dRowPg[lv].div(dc.div(lf))
+}
+
+// FrameLocation mirrors Layout.FrameLocation.
+func (g *Geom) FrameLocation(pod int, f Frame, li int) Location {
+	ch, row := g.FrameChannel(pod, f)
+	lv := g.frameLevel(f)
+	slot := g.dCPP[lv].div(uint64(uint32(f) - g.frameBase[lv]))
 	return Location{
-		Channel: g.chanBase[lv] + pod*int(dc.d) + int(dc.mod(lf)),
+		Channel: ch,
 		Fast:    lv == 0,
-		Row:     ppr.div(slot),
-		Col:     uint32(ppr.mod(slot))*LinesPerPage + uint32(li),
+		Row:     row,
+		Col:     uint32(g.dRowPg[lv].mod(slot))*LinesPerPage + uint32(li),
 	}
 }
 

@@ -74,6 +74,12 @@ func TestGeomMatchesLayout(t *testing.T) {
 			if got, want := g.FrameLocation(gp, gf, li), l.FrameLocation(lp, lf, li); got != want {
 				t.Fatalf("layout %+v: FrameLocation(%d,%d,%d) = %+v, want %+v", l, gp, gf, li, got, want)
 			}
+			// A frame of another pod too: copies resolve both slots.
+			op := rng.Intn(l.NumPods)
+			want := l.FrameLocation(op, lf, 0)
+			if ch, row := g.FrameChannel(op, gf); ch != want.Channel || row != want.Row {
+				t.Fatalf("layout %+v: FrameChannel(%d,%d) = (%d,%d), want %+v", l, op, gf, ch, row, want)
+			}
 			hp, hf, hch, hrow := g.Home(p)
 			home := l.FrameLocation(lp, lf, 0)
 			if hp != lp || hf != lf || hch != home.Channel || hrow != home.Row {

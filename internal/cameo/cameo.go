@@ -12,6 +12,7 @@ package cameo
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/addr"
 	"repro/internal/clock"
@@ -52,7 +53,7 @@ type CAMEO struct {
 	identity uint64
 	fast     uint64 // fast line count
 	dFast    addr.Divisor
-	swaps    mech.CopyQueue // for its lock check only; locks keyed by flat line
+	swaps    mech.CopyQueue // line swaps (CopyLine); locks keyed by flat line
 	pred     *llp
 	mispred  uint64
 }
@@ -70,6 +71,9 @@ func New(cfg Config, b *mech.Backend) (*CAMEO, error) {
 	if ratio+1 > 16 {
 		return nil, fmt.Errorf("cameo: ratio %d exceeds 4-bit member encoding", ratio)
 	}
+	if l.TotalBytes()/addr.LineBytes > math.MaxUint32 {
+		return nil, fmt.Errorf("cameo: %d B memory has more lines than 32-bit lock keys", l.TotalBytes())
+	}
 	c := &CAMEO{
 		cfg:     cfg,
 		backend: b,
@@ -80,6 +84,7 @@ func New(cfg Config, b *mech.Backend) (*CAMEO, error) {
 		fast:    uint64(l.FastLines()),
 		dFast:   addr.NewDivisor(uint64(l.FastLines())),
 	}
+	c.swaps.Init(b, mech.GlobalPod)
 	for i := 0; i < c.members; i++ {
 		c.identity |= uint64(i) << (4 * i)
 	}
@@ -183,27 +188,24 @@ func (c *CAMEO) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
 
 // swapIntoFast performs CAMEO's event-triggered swap of the accessed
 // line (currently in `slot` of its group) with the group's fast slot:
-// the copy traffic, the permutation update, the locks on both moving
-// lines, and the counters.
+// the permutation update, and a one-line copy between the two lines' home
+// pages that locks both moving lines until it lands.
 func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line, start clock.Time) {
 	fastLine := c.lineOf(grp, 0)
-	end := c.backend.SwapLines(
-		c.geom.HomeLocation(fastLine),
-		c.geom.HomeLocation(slotLine),
-		start,
-	)
 	evicted := c.lineOf(grp, memberAt(perm, 0))
 	newPerm := perm
 	ma, mb := uint64(memberAt(perm, 0)), uint64(memberAt(perm, slot))
 	newPerm &^= 0xF | 0xF<<(4*slot)
 	newPerm |= mb | ma<<(4*slot)
 	c.groups.Set(uint32(grp), c.groups.A[grp], newPerm)
-	c.swaps.Locks.Put(uint64(ln), end)
-	c.swaps.Locks.Put(uint64(evicted), end)
+	// MC-to-MC swaps cross the switch (§4.4): the queue is GlobalPod's.
+	c.swaps.CopyLine(mech.Swap{
+		From:  uint32(addr.PageOfLine(fastLine)),
+		To:    uint32(addr.PageOfLine(slotLine)),
+		LockA: uint32(ln),
+		LockB: uint32(evicted),
+	}, start)
 	c.swaps.Stats.PageMigrations++ // one line promoted per event
-	c.swaps.Stats.LineMigrations += 2
-	c.swaps.Stats.GlobalMoveLines += 2 // MC-to-MC swaps cross the switch (§4.4)
-	c.swaps.Stats.BytesMoved += 2 * addr.LineBytes
 }
 
 // CheckInvariants verifies that every touched group's slot assignment is a

@@ -170,24 +170,6 @@ func (t *LockTable) Raise(key uint64, end clock.Time) {
 	t.insert(key, end)
 }
 
-// Put sets key's lock to exactly end, overwriting any current value —
-// the plain map-assignment idiom (CAMEO re-locks a line at its newest
-// swap's completion, even if an older lock reached further). end must be
-// positive; a zero end would be indistinguishable from absence.
-func (t *LockTable) Put(key uint64, end clock.Time) {
-	if t.ends != nil {
-		i := t.slot(key)
-		for t.ends[i] != 0 {
-			if t.keys[i] == key {
-				t.ends[i] = end
-				return
-			}
-			i = (i + 1) & t.mask
-		}
-	}
-	t.insert(key, end)
-}
-
 // insert adds a key known to be absent, growing at 3/4 load so probe
 // chains stay short.
 func (t *LockTable) insert(key uint64, end clock.Time) {

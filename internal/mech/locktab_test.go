@@ -28,8 +28,8 @@ func TestLockTableMatchesMap(t *testing.T) {
 	const keys = 40
 	for step := 0; step < 50000; step++ {
 		k := uint64(rng.Intn(keys))
-		switch rng.Intn(6) {
-		case 0, 1: // Raise, as CopyQueue.CopyChunk does per chunk
+		switch rng.Intn(5) {
+		case 0, 1: // Raise, as the CopyQueue's copy step does
 			end := clock.Time(1 + rng.Intn(1000))
 			if end > ref[k] {
 				ref[k] = end
@@ -52,10 +52,6 @@ func TestLockTableMatchesMap(t *testing.T) {
 			lt.Sweep(b)
 		case 4:
 			checkGet(k)
-		case 5: // overwriting assignment, as CAMEO's swap path does
-			end := clock.Time(1 + rng.Intn(1000))
-			ref[k] = end
-			lt.Put(k, end)
 		}
 		if lt.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, map has %d", step, lt.Len(), len(ref))
@@ -122,7 +118,7 @@ func TestLockTableGetActiveMatchesIdiom(t *testing.T) {
 	const keys = 40
 	for step := 0; step < 50000; step++ {
 		k := uint64(rng.Intn(keys))
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0, 1: // the access-path probe
 			at := clock.Time(rng.Intn(1000))
 			var want clock.Time
@@ -150,10 +146,6 @@ func TestLockTableGetActiveMatchesIdiom(t *testing.T) {
 				}
 			}
 			lt.Sweep(b)
-		case 4: // CAMEO's overwriting assignment
-			end := clock.Time(1 + rng.Intn(1000))
-			ref[k] = end
-			lt.Put(k, end)
 		}
 		if lt.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, map has %d", step, lt.Len(), len(ref))
@@ -259,16 +251,12 @@ func TestLockTablePropertyBackwardShiftDelete(t *testing.T) {
 						if got := lt.GetActive(k, at); got != want {
 							t.Fatalf("step %d: GetActive(%d, %d) = %d, want %d", step, k, at, got, want)
 						}
-					case 4, 5:
+					case 4, 5, 6:
 						end := clock.Time(1 + rng.Intn(1000))
 						if end > ref[k] {
 							ref[k] = end
 						}
 						lt.Raise(k, end)
-					case 6:
-						end := clock.Time(1 + rng.Intn(1000))
-						ref[k] = end
-						lt.Put(k, end)
 					case 7:
 						if got, want := lt.Get(k), ref[k]; got != want {
 							t.Fatalf("step %d: Get(%d) = %d, want %d", step, k, got, want)

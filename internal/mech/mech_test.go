@@ -48,9 +48,10 @@ func TestStaticRoutesHome(t *testing.T) {
 
 func TestSwapPagesMovesWholePages(t *testing.T) {
 	b := testBackend(t)
-	fastFrame := addr.Frame(0)
-	slowFrame := addr.Frame(b.Layout.FastPagesPerPod())
-	end := b.swapChunk(0, fastFrame, 0, slowFrame, addr.LinesPerPage, 0)
+	var q CopyQueue
+	q.Init(b, 0)
+	q.copyLines(Swap{From: 0, To: b.Geom.FastPerPod(), LockA: 1, LockB: 2}, addr.LinesPerPage, 0)
+	end := q.Busy
 	if end <= 0 {
 		t.Fatal("swap completed instantly")
 	}
@@ -68,7 +69,7 @@ func TestSwapPagesMovesWholePages(t *testing.T) {
 	}
 }
 
-// TestSwapChunkMatchesLineSequence pins a swap chunk's timing to the
+// TestSwapChunkMatchesLineSequence pins the copy step's timing to the
 // paper's datapath spelled out one line at a time: the chunk's reads of
 // both slots interleaved at `at`, then the write-backs of both issued at
 // the last read's completion. The slot pairs cover two channels (fast
@@ -102,18 +103,20 @@ func TestSwapChunkMatchesLineSequence(t *testing.T) {
 			for _, n := range []int{1, 4, addr.LinesPerPage} {
 				t.Run(fmt.Sprintf("%s/%s/%d", sp.slow.Name, pr.name, n), func(t *testing.T) {
 					got, ref := newBackend(), newBackend()
-					var slotA, slotB addr.Page
-					podA, fa, podB, fb := 1, pr.fa, 1, pr.fb
+					sw := Swap{From: uint32(pr.fa), To: uint32(pr.fb)}
+					pod, podA, fa, podB, fb := 1, 1, pr.fa, 1, pr.fb
 					if pr.global {
 						// A fast home page of pod 0 and a slow home page of
 						// the last pod: the copy crosses pods.
-						slotA = addr.Page(l.FastPages()) - 1
-						slotB = addr.Page(l.FastPages()) + 7
-						podA, fa = got.Geom.HomeFrame(slotA)
-						podB, fb = got.Geom.HomeFrame(slotB)
+						sw.From, sw.To = uint32(l.FastPages())-1, uint32(l.FastPages())+7
+						podA, fa = ref.Geom.HomeFrame(addr.Page(sw.From))
+						podB, fb = ref.Geom.HomeFrame(addr.Page(sw.To))
+						pod = GlobalPod
 					}
-					chA, rowA := ref.lineLoc(podA, fa)
-					chB, rowB := ref.lineLoc(podB, fb)
+					var q CopyQueue
+					q.Init(got, pod)
+					chA, rowA := ref.Geom.FrameChannel(podA, fa)
+					chB, rowB := ref.Geom.FrameChannel(podB, fb)
 					if (pr.name == "same-channel") != (chA == chB) {
 						t.Fatalf("%s pair resolved to channels %d and %d", pr.name, chA, chB)
 					}
@@ -122,7 +125,9 @@ func TestSwapChunkMatchesLineSequence(t *testing.T) {
 					// bus state is part of the comparison.
 					at := clock.Time(100)
 					for round := 0; round < 3; round++ {
-						end := got.swapChunk(podA, fa, podB, fb, n, at)
+						sw.LockA, sw.LockB = uint32(2*round+1), uint32(2*round+2)
+						q.copyLines(sw, n, at)
+						end := q.Locks.Get(uint64(sw.LockA))
 						want := at
 						for i := 0; i < n; i++ {
 							want = max(want, ref.Sys.AccessChannel(chA, rowA, false, at))
@@ -146,20 +151,6 @@ func TestSwapChunkMatchesLineSequence(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-func TestSwapLines(t *testing.T) {
-	b := testBackend(t)
-	la := b.Layout.HomeLocation(0)
-	lb := b.Layout.HomeLocation(addr.Line(uint64(b.Layout.FastPages()) * addr.LinesPerPage))
-	end := b.SwapLines(la, lb, 0)
-	if end <= 0 {
-		t.Fatal("line swap completed instantly")
-	}
-	total := b.Sys.FastStats().Accesses() + b.Sys.SlowStats().Accesses()
-	if total != 4 {
-		t.Errorf("line swap issued %d accesses, want 4", total)
 	}
 }
 

@@ -155,64 +155,6 @@ const segmentsPerBlock = 10
 // interleave with demand traffic at the memory controllers.
 const chunkGap = 100 * clock.Nanosecond
 
-// swapChunk is one queued unit of copy work: a chunk of a swap between
-// two physical page slots. Swaps overlap freely (THM has no central
-// migration engine); chunks issue at their paced start times, ordered
-// globally by a min-heap so channel traffic stays in time order.
-type swapChunk struct {
-	start clock.Time
-	sw    mech.Swap
-}
-
-// chunkQueue is a min-heap of swap chunks by start time. It transcribes
-// container/heap's sift algorithms onto the concrete type: start times
-// tie (chunks of concurrent swaps share paced offsets), so the pop order
-// among equal keys is a property of the exact heap algorithm and is
-// observable through lock and channel state. A different — even valid —
-// heap would reorder tied chunks and change simulated timings.
-type chunkQueue []swapChunk
-
-func (q *chunkQueue) push(c swapChunk) {
-	*q = append(*q, c)
-	// container/heap.Push: up(len-1).
-	h := *q
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(h[j].start < h[i].start) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *chunkQueue) pop() swapChunk {
-	// container/heap.Pop: Swap(0, n-1), down(0, n-1), strip the tail.
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].start < h[j1].start {
-			j = j2
-		}
-		if !(h[j].start < h[i].start) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	c := h[n]
-	*q = h[:n]
-	return c
-}
-
 // THM implements mech.Mechanism.
 type THM struct {
 	cfg      Config
@@ -226,12 +168,10 @@ type THM struct {
 	idSlots  uint64
 	fast     uint64 // fast page count
 	dFast    addr.Divisor
-	copier   mech.CopyQueue // chunk step and locks (by flat page) only
+	copier   mech.CopyQueue // per-segment swaps; locks keyed by flat page
 	cache    *mech.Cache
 	touch    mech.TouchFilter
 	maxCount uint8
-
-	queue chunkQueue
 }
 
 // New builds a THM over the backend's two-level memory. The slow capacity
@@ -273,6 +213,7 @@ func New(cfg Config, b *mech.Backend) (*THM, error) {
 		t.cache = mech.NewCache(cfg.CacheBytes, cfg.CacheWays)
 	}
 	t.copier.Init(b, mech.GlobalPod)
+	t.copier.ByStart = true // segments copy concurrently, no central engine
 	return t, nil
 }
 
@@ -321,8 +262,8 @@ func (t *THM) pageOf(seg uint64, member int) addr.Page {
 // re-deriving HomeFrame.
 func (t *THM) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
 	page := addr.Page(d.Page)
-	if len(t.queue) > 0 && t.queue[0].start <= at {
-		t.drain(at)
+	if t.copier.Due(at) {
+		t.copier.Drain(at, t)
 	}
 	// Locks only shed entries when their page is re-accessed; compact the
 	// table occasionally using the trace clock as the expiry floor (no
@@ -367,7 +308,10 @@ func (t *THM) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
 	}
 
 	if trigger {
-		t.swap(seg, s, slot, start)
+		// The winner swaps into the fast slot: its copy is queued as
+		// paced chunks, and chunk 0, due now, installs it (Install).
+		t.copier.Schedule(start, mech.SwapChunks*chunkGap, uint32(seg), uint32(slot))
+		t.copier.Drain(start, t)
 	}
 	return done
 }
@@ -408,32 +352,19 @@ func (t *THM) updateCounter(s *segment, member, slot int) bool {
 	return false
 }
 
-// swap exchanges the fast slot with the winner's slot: the permutation
-// updates immediately, the copy traffic is queued as paced chunks, and
-// both data pages stay locked until the last chunk completes.
-func (t *THM) swap(seg uint64, s *segment, winnerSlot int, at clock.Time) {
-	fastSlotPage := t.pageOf(seg, 0)
-	winnerSlotPage := t.pageOf(seg, winnerSlot)
+// Install implements mech.Installer: chunk 0 of the swap of segment
+// segID's fast slot with winnerSlot updates the permutation, and both
+// data pages stay locked until the last chunk completes.
+func (t *THM) Install(_ int, segID, winnerSlot uint32, _ clock.Time) (mech.Swap, bool) {
+	seg, win := uint64(segID), int(winnerSlot)
+	s := &t.segments[seg]
 	// The data pages being moved are the members occupying those slots.
 	slots := t.effSlots(s)
 	evicted := t.pageOf(seg, memberAt(slots, 0))
-	winner := t.pageOf(seg, memberAt(slots, winnerSlot))
-	s.slots = swapSlotsVal(slots, 0, winnerSlot)
-	sw := mech.Swap{From: uint32(fastSlotPage), To: uint32(winnerSlotPage), LockA: uint32(evicted), LockB: uint32(winner)}
-	for ch := 0; ch < mech.SwapChunks; ch++ {
-		t.queue.push(swapChunk{at + clock.Duration(ch)*chunkGap, sw})
-	}
-	t.copier.Stats.PageMigrations++
-	t.drain(at)
-}
-
-// drain executes queued copy chunks whose start time has arrived, in
-// start order.
-func (t *THM) drain(now clock.Time) {
-	for len(t.queue) > 0 && t.queue[0].start <= now {
-		c := t.queue.pop()
-		t.copier.CopyChunk(c.sw, c.start)
-	}
+	winner := t.pageOf(seg, memberAt(slots, win))
+	s.slots = swapSlotsVal(slots, 0, win)
+	sw := mech.Swap{From: uint32(t.pageOf(seg, 0)), To: uint32(t.pageOf(seg, win)), LockA: uint32(evicted), LockB: uint32(winner)}
+	return sw, true
 }
 
 // CheckInvariants verifies that every segment's slot assignment is a
@@ -473,4 +404,5 @@ func (t *THM) SlotOfPage(p addr.Page) int {
 var (
 	_ mech.Mechanism = (*THM)(nil)
 	_ mech.Releaser  = (*THM)(nil)
+	_ mech.Installer = (*THM)(nil)
 )

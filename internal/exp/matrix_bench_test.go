@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/resultcache"
-	"repro/internal/tracecache"
 )
 
 // BenchmarkMatrix measures the experiment matrix at increasing worker
@@ -19,26 +18,10 @@ import (
 func BenchmarkMatrix(b *testing.B) {
 	c := tinyConfig()
 	c.Requests = 30_000
-	// All variants share one snapshot disk store, so each workload's trace
-	// is generated exactly once and every iteration replays it from a
-	// mapped MPS1 file. That isolates the simulation cells from trace
-	// generation (cmd/experiments itself regenerates every trace per run);
-	// the prewarm populates the store outside the timer: without it, CI's
-	// -benchtime=1x smoke run would time cold generation and trip the hard
-	// bench gate.
-	c.Traces = tracecache.New()
-	c.Traces.SetDir(b.TempDir())
 	// TLM, MemPod, HMA, THM over three workloads: a 12-cell grid, the
 	// same shape as the Fig8 sweep subset.
 	builders := c.baselineBuilders(dram.HBM(), dram.DDR4_1600())[:4]
 	cells := len(builders) * len(c.Workloads)
-	{
-		warm := c
-		warm.Parallelism = 1
-		if _, err := warm.matrix(builders); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for _, j := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			cfg := c
@@ -64,8 +47,6 @@ func BenchmarkMatrix(b *testing.B) {
 func BenchmarkMatrixWarm(b *testing.B) {
 	c := tinyConfig()
 	c.Requests = 30_000
-	c.Traces = tracecache.New()
-	c.Traces.SetDir(b.TempDir())
 	store := b.TempDir()
 	builders := c.baselineBuilders(dram.HBM(), dram.DDR4_1600())[:4]
 	cells := len(builders) * len(c.Workloads)

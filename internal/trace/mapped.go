@@ -74,8 +74,8 @@ func OpenMapped(path string) (*Snapshot, string, error) {
 
 // parentStamp identifies the exact on-disk snapshot a sidecar derives
 // from: its byte size and modification time when it was opened.
-// tracecache persists snapshots by rename, so a regenerated parent always
-// changes the stamp and orphans the old sidecars.
+// Rewriting or replacing the snapshot file changes the stamp and orphans
+// the old sidecars.
 type parentStamp struct {
 	size  int64
 	mtime int64

@@ -204,8 +204,8 @@ func TestReleasedSharedSnapshotDoesNotPoisonPool(t *testing.T) {
 }
 
 // BenchmarkSnapshotReplayMapped measures the zero-copy replay loop over a
-// store-mapped snapshot — the steady-state per-request cost of a cached
-// matrix cell with a disk store. The acceptance bar is 0 allocs/op.
+// mapped snapshot file — the steady-state per-request cost of replaying a
+// saved trace (mempod.OpenTrace). The acceptance bar is 0 allocs/op.
 func BenchmarkSnapshotReplayMapped(b *testing.B) {
 	reqs := benchReqs(1 << 16)
 	path := writeSnapFile(b, b.TempDir(), "wl", reqs)

@@ -24,9 +24,6 @@ package tracecache
 
 import (
 	"fmt"
-	"net/url"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/trace"
@@ -46,11 +43,6 @@ type Stats struct {
 	Hits      int // acquisitions served from a resident snapshot
 	Live      int // snapshots currently resident
 	Peak      int // maximum snapshots ever resident at once
-
-	// Disk-store activity (zero unless SetDir enabled the store).
-	Persisted   int   // snapshots written to the store
-	Mapped      int   // snapshots served zero-copy from mapped store files
-	MappedBytes int64 // cumulative column bytes mapped instead of copied
 }
 
 // Cache is a single-flight, use-counted snapshot cache. The zero value is
@@ -61,11 +53,6 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	stats   Stats
-	// dir, when non-empty, is the disk store: generated snapshots persist
-	// there as MPS1 files, and later misses for the same key reload them —
-	// memory-mapped where the platform allows (trace.OpenMapped) — instead
-	// of regenerating the trace.
-	dir string
 }
 
 type entry struct {
@@ -80,96 +67,6 @@ type entry struct {
 // New returns an empty cache.
 func New() *Cache {
 	return &Cache{entries: make(map[Key]*entry)}
-}
-
-// SetDir enables the disk-backed snapshot store rooted at dir (which must
-// exist). With a store, each key's trace is generated at most once per
-// store lifetime rather than once per batch: a miss first tries the
-// store's MPS1 file for the key — opened zero-copy via trace.OpenMapped
-// where supported — and only generates (then persists) on a store miss.
-// Callers sharing one store directory across processes get the same
-// amortization; files are written atomically (temp file + rename), so a
-// concurrent reader sees either the old complete file or the new one.
-func (c *Cache) SetDir(dir string) {
-	c.mu.Lock()
-	c.dir = dir
-	c.mu.Unlock()
-}
-
-// storeName is the store filename for a key: the workload name (escaped —
-// mix names are clean, but workload names are data here, not paths) plus
-// the request count and seed, which together pin the exact sequence.
-func storeName(k Key) string {
-	return fmt.Sprintf("%s-r%d-s%d.mps1", url.PathEscape(k.Workload), k.Requests, k.Seed)
-}
-
-// openStored tries the store file for key, validating that its recorded
-// identity matches (a stale or hand-renamed file regenerates instead of
-// silently replaying the wrong trace).
-func openStored(path string, key Key) (*trace.Snapshot, bool) {
-	s, name, err := trace.OpenMapped(path)
-	if err != nil {
-		return nil, false
-	}
-	if name != key.Workload || s.Len() != key.Requests {
-		s.Release()
-		return nil, false
-	}
-	return s, true
-}
-
-// persist writes the snapshot to the store atomically.
-func persist(path, name string, s *trace.Snapshot) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := trace.WriteSnapshot(tmp, name, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// load produces the snapshot for a cache miss: from the disk store when
-// one is configured (generating and persisting on a store miss), plainly
-// from gen otherwise. The bool reports whether the result is file-mapped.
-func (c *Cache) load(key Key, gen func() (*trace.Snapshot, error)) (*trace.Snapshot, bool, error) {
-	c.mu.Lock()
-	dir := c.dir
-	c.mu.Unlock()
-	if dir == "" {
-		s, err := gen()
-		return s, false, err
-	}
-	path := filepath.Join(dir, storeName(key))
-	if s, ok := openStored(path, key); ok {
-		return s, s.Mapped(), nil
-	}
-	s, err := gen()
-	if err != nil {
-		return nil, false, err
-	}
-	if persist(path, key.Workload, s) == nil {
-		c.mu.Lock()
-		c.stats.Persisted++
-		c.mu.Unlock()
-		if ms, ok := openStored(path, key); ok && ms.Mapped() {
-			// Serve even the generating batch from the mapping; the heap
-			// buffers go straight back to the recording pool.
-			s.Release()
-			return ms, true, nil
-		} else if ok {
-			ms.Release()
-		}
-	}
-	// Store write or reopen failed (read-only dir, no mmap): the generated
-	// heap snapshot is always a correct answer.
-	return s, false, nil
 }
 
 // Acquire returns the snapshot for key, recording it via gen if no
@@ -216,14 +113,11 @@ func (c *Cache) Acquire(key Key, uses int, gen func() (*trace.Snapshot, error)) 
 	}
 	c.mu.Unlock()
 
-	snap, mapped, err := c.load(key, gen)
+	snap, err := gen()
 	c.mu.Lock()
 	e.snap, e.err = snap, err
 	if err != nil {
 		delete(c.entries, key)
-	} else if mapped {
-		c.stats.Mapped++
-		c.stats.MappedBytes += int64(snap.Size())
 	}
 	c.mu.Unlock()
 	close(e.ready)

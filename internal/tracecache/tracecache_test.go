@@ -2,9 +2,6 @@ package tracecache
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,173 +265,5 @@ func TestCacheStressConcurrentClaimants(t *testing.T) {
 	release()
 	if got := c.Stats(); got.Generated != keys+1 || got.Live != 0 {
 		t.Errorf("after regeneration: %+v, want Generated %d, Live 0", got, keys+1)
-	}
-}
-
-// storedFiles lists the .mps1 files in a store directory.
-func storedFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".mps1") {
-			names = append(names, e.Name())
-		}
-	}
-	return names
-}
-
-// TestStorePersistAndReload exercises the disk store end to end: the
-// first cache generates and persists; a second cache over the same
-// directory serves the key from the store without calling its generator,
-// mapped (with mapped-byte accounting) where the platform supports it.
-func TestStorePersistAndReload(t *testing.T) {
-	dir := t.TempDir()
-	key := Key{Workload: "mix5", Requests: 512, Seed: 7}
-	want := genReqs(512, 7)
-
-	c1 := New()
-	c1.SetDir(dir)
-	var calls1 atomic.Int32
-	s1, rel1, err := c1.Acquire(key, 1, snapGen(512, 7, &calls1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := trace.Collect(s1.Stream())
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("first acquire: request %d differs", i)
-		}
-	}
-	rel1()
-	if st := c1.Stats(); st.Generated != 1 || st.Persisted != 1 {
-		t.Fatalf("first cache stats %+v, want Generated=1 Persisted=1", st)
-	}
-	if files := storedFiles(t, dir); len(files) != 1 {
-		t.Fatalf("store holds %v, want one .mps1 file", files)
-	}
-
-	c2 := New()
-	c2.SetDir(dir)
-	var calls2 atomic.Int32
-	s2, rel2, err := c2.Acquire(key, 1, snapGen(512, 7, &calls2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel2()
-	if calls2.Load() != 0 {
-		t.Fatalf("second cache regenerated (%d generator calls), want store load", calls2.Load())
-	}
-	got = trace.Collect(s2.Stream())
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("store reload: request %d differs", i)
-		}
-	}
-	st := c2.Stats()
-	if trace.MapSupported() {
-		if st.Mapped != 1 || st.MappedBytes != int64(s2.Size()) || !s2.Mapped() {
-			t.Fatalf("stats %+v (snapshot mapped=%v), want Mapped=1 MappedBytes=%d", st, s2.Mapped(), s2.Size())
-		}
-	} else if st.Mapped != 0 {
-		t.Fatalf("stats %+v, want Mapped=0 without mmap support", st)
-	}
-	if st.Persisted != 0 {
-		t.Fatalf("stats %+v, want Persisted=0 on a store hit", st)
-	}
-}
-
-// TestStoreCorruptFileRegenerates corrupts the stored snapshot between
-// cache lifetimes: the next acquire must fall back to the generator, and
-// the store must end up with a fresh valid file.
-func TestStoreCorruptFileRegenerates(t *testing.T) {
-	dir := t.TempDir()
-	key := Key{Workload: "mix5", Requests: 256, Seed: 3}
-
-	c1 := New()
-	c1.SetDir(dir)
-	s1, rel1, err := c1.Acquire(key, 1, snapGen(256, 3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s1
-	rel1()
-	files := storedFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("store holds %v", files)
-	}
-	path := filepath.Join(dir, files[0])
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := New()
-	c2.SetDir(dir)
-	var calls atomic.Int32
-	s2, rel2, err := c2.Acquire(key, 1, snapGen(256, 3, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel2()
-	if calls.Load() != 1 {
-		t.Fatalf("generator called %d times, want 1 (corrupt store file)", calls.Load())
-	}
-	want := genReqs(256, 3)
-	got := trace.Collect(s2.Stream())
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("request %d differs after regeneration", i)
-		}
-	}
-	if st := c2.Stats(); st.Persisted != 1 {
-		t.Fatalf("stats %+v, want the regenerated snapshot re-persisted", st)
-	}
-}
-
-// TestStoreWrongIdentityRegenerates plants a valid snapshot file whose
-// recorded workload does not match the key it is named for: the store
-// must refuse it rather than replay the wrong trace.
-func TestStoreWrongIdentityRegenerates(t *testing.T) {
-	dir := t.TempDir()
-	keyA := Key{Workload: "aaa", Requests: 128, Seed: 1}
-	keyB := Key{Workload: "bbb", Requests: 128, Seed: 1}
-
-	c1 := New()
-	c1.SetDir(dir)
-	genA := func() (*trace.Snapshot, error) {
-		s := trace.Record(trace.NewSliceStream(genReqs(128, 1)), 128)
-		return s, nil
-	}
-	_, relA, err := c1.Acquire(keyA, 1, genA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relA()
-	files := storedFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("store holds %v", files)
-	}
-	// Masquerade keyA's file as keyB's.
-	if err := os.Rename(filepath.Join(dir, files[0]), filepath.Join(dir, storeName(keyB))); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := New()
-	c2.SetDir(dir)
-	var calls atomic.Int32
-	_, relB, err := c2.Acquire(keyB, 1, snapGen(128, 99, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relB()
-	if calls.Load() != 1 {
-		t.Fatalf("generator called %d times, want 1 (identity mismatch)", calls.Load())
 	}
 }

@@ -43,7 +43,8 @@ func BenchmarkMatrix(b *testing.B) {
 // hundred payload bytes per cell, and assembles the table). Each
 // iteration uses a fresh in-memory Cache over the same store directory,
 // so it times the cross-process path (read + checksum + decode), not
-// resident-map lookups.
+// resident-map lookups. j=1 serves the cells on the calling goroutine,
+// j=2 on two runner workers.
 func BenchmarkMatrixWarm(b *testing.B) {
 	c := tinyConfig()
 	c.Requests = 30_000
@@ -59,18 +60,21 @@ func BenchmarkMatrixWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := c
-		cfg.Parallelism = 1
-		cfg.Results = resultcache.New()
-		cfg.Results.SetDir(store)
-		if _, err := cfg.matrix(builders); err != nil {
-			b.Fatal(err)
-		}
-		if s := cfg.Results.Stats(); s.Misses != 0 {
-			b.Fatalf("warm pass simulated %d cells", s.Misses)
-		}
+	for _, j := range []int{1, 2} {
+		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := c
+				cfg.Parallelism = j
+				cfg.Results = resultcache.New()
+				cfg.Results.SetDir(store)
+				if _, err := cfg.matrix(builders); err != nil {
+					b.Fatal(err)
+				}
+				if s := cfg.Results.Stats(); s.Misses != 0 {
+					b.Fatalf("warm pass simulated %d cells", s.Misses)
+				}
+			}
+			b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
+		})
 	}
-	b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
 }

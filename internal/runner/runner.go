@@ -6,8 +6,9 @@
 // sweeps — are embarrassingly parallel: each cell constructs its own
 // memsys.System, mech.Backend and sim.Engine and shares nothing mutable
 // with its neighbours. This package provides the one concurrency primitive
-// the repository needs to exploit that: Run fans a fixed task list out to
-// at most Parallelism goroutines, writes each result into its
+// the repository needs to exploit that: Run lets at most Parallelism
+// workers, the calling goroutine among them, claim task indices from a
+// shared cursor in submission order, writes each result into its
 // submission-order slot, and aggregates every task error with errors.Join
 // instead of aborting on the first failure.
 //
@@ -16,7 +17,7 @@
 // Provided each task is self-contained (it must build all mutable state
 // itself — see internal/exp.Cell.Run for the canonical example), the
 // output of Run is bit-identical for any Parallelism, including 1, which
-// degenerates to strict serial execution in submission order.
+// runs every task on the caller's goroutine in submission order.
 package runner
 
 import (
@@ -26,6 +27,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 )
 
 // Task is one independent unit of work. Run must not share mutable state
@@ -62,53 +64,51 @@ type Options struct {
 }
 
 // Run executes every task and returns one Result per task, in submission
-// order regardless of scheduling. Failures never abort the batch: every
-// task is attempted, failed slots carry their error (and a zero Value),
-// and the second return value joins all task errors via errors.Join (nil
-// when everything succeeded). A panicking task is recovered into an error
-// so one broken cell cannot take down a long sweep.
+// order regardless of scheduling. Workers claim the next unclaimed index
+// from an atomic cursor until none are left, so tasks start in submission
+// order; the calling goroutine is one of the at most Parallelism workers,
+// so Parallelism 1 starts no goroutine. Failures never abort the batch:
+// every task is attempted, failed slots carry their error (and a zero
+// Value), and the second return value joins all task errors via
+// errors.Join (nil when everything succeeded). A panicking task is
+// recovered into an error so one broken cell cannot take down a long sweep.
 func Run[T any](tasks []Task[T], opts Options) ([]Result[T], error) {
 	results := make([]Result[T], len(tasks))
-	if len(tasks) == 0 {
-		return results, nil
-	}
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers = min(workers, len(tasks))
 
 	var (
+		next atomic.Int64 // the cursor: index of the next unclaimed task
 		wg   sync.WaitGroup
 		mu   sync.Mutex // serializes OnProgress and the done counter
 		done int
 	)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(tasks); i = int(next.Add(1) - 1) {
+			v, err := runOne(tasks[i])
+			if err != nil && tasks[i].Key != "" {
+				err = fmt.Errorf("%s: %w", tasks[i].Key, err)
+			}
+			results[i] = Result[T]{Value: v, Err: err}
+			if opts.OnProgress != nil {
+				mu.Lock()
+				done++
+				opts.OnProgress(done, len(tasks))
+				mu.Unlock()
+			}
+		}
+	}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				v, err := runOne(tasks[i])
-				if err != nil && tasks[i].Key != "" {
-					err = fmt.Errorf("%s: %w", tasks[i].Key, err)
-				}
-				results[i] = Result[T]{Value: v, Err: err}
-				if opts.OnProgress != nil {
-					mu.Lock()
-					done++
-					opts.OnProgress(done, len(tasks))
-					mu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 
 	errs := make([]error, 0, len(results))

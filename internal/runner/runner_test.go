@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // square tasks: task i returns i*i, so result order is checkable.
@@ -222,5 +224,95 @@ func TestTaskLabelsPropagateErrors(t *testing.T) {
 	}
 	if results[2].Err == nil || !strings.Contains(results[2].Err.Error(), "kaboom") {
 		t.Errorf("labeled panic not recovered: %v", results[2].Err)
+	}
+}
+
+// TestRunParallelClaimsEachTaskOnce asserts the claim cursor hands every
+// index to exactly one worker, at worker counts below, at and far above
+// the core count, and that results still land in submission order.
+func TestRunParallelClaimsEachTaskOnce(t *testing.T) {
+	const n = 1000
+	for _, par := range []int{1, 2, 3, 64} {
+		runs := make([]atomic.Int32, n)
+		tasks := make([]Task[int], n)
+		for i := range tasks {
+			i := i
+			tasks[i] = Task[int]{Run: func() (int, error) {
+				runs[i].Add(1)
+				return i, nil
+			}}
+		}
+		results, err := Run(tasks, Options{Parallelism: par})
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		for i := range runs {
+			if c := runs[i].Load(); c != 1 {
+				t.Fatalf("par=%d: task %d ran %d times", par, i, c)
+			}
+			if results[i].Value != i {
+				t.Fatalf("par=%d: slot %d holds task %d's result", par, i, results[i].Value)
+			}
+		}
+	}
+}
+
+// TestRunSerialRunsOnCaller asserts Parallelism 1 runs every task on the
+// calling goroutine: no goroutine exists during a task that did not exist
+// before Run.
+func TestRunSerialRunsOnCaller(t *testing.T) {
+	// Let goroutines that earlier tests' batches left exiting finish, so
+	// the count below is steady.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+	tasks := make([]Task[int], 8)
+	for i := range tasks {
+		tasks[i] = Task[int]{Run: func() (int, error) { return runtime.NumGoroutine(), nil }}
+	}
+	results, err := Run(tasks, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Value != before {
+			t.Fatalf("task %d saw %d goroutines, %d before Run", i, r.Value, before)
+		}
+	}
+}
+
+// BenchmarkRunTinyTasks times the runner's own per-task cost: 512 tasks
+// of about 1 µs of arithmetic each, the scale of a warm serve-pass task
+// (one store file read and decoded), serially and on two workers.
+//
+//	go test ./internal/runner -bench RunTinyTasks -run '^$' -cpu 2
+func BenchmarkRunTinyTasks(b *testing.B) {
+	const n = 512
+	tasks := make([]Task[uint64], n)
+	for i := range tasks {
+		seed := uint64(i)
+		tasks[i] = Task[uint64]{Run: func() (uint64, error) {
+			x := seed
+			for k := 0; k < 700; k++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			return x, nil
+		}}
+	}
+	for _, j := range []int{1, 2} {
+		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(tasks, Options{Parallelism: j}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/task")
+		})
 	}
 }

@@ -152,7 +152,7 @@ func slotOf(perm uint64, member, members int) int {
 // if that slot is slow, swap the line into the group's fast slot. CAMEO
 // manages lines, not frames: the global line index reassembles exactly
 // from the decoded page and line-in-page.
-func (c *CAMEO) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
+func (c *CAMEO) Access(d *trace.Decoded, arrival, at clock.Time, _ bool) clock.Time {
 	ln := addr.Line(d.Page*addr.LinesPerPage + uint64(d.Line))
 	// CAMEO's locks only shed entries when their line is re-accessed;
 	// compact occasionally with the trace clock as the expiry floor.

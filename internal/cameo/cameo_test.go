@@ -12,10 +12,11 @@ import (
 )
 
 // access drives one request through c the way the engine does: with its
-// address decoded under the backend's geometry.
+// address decoded under the backend's geometry. CAMEO ignores the touch
+// verdict.
 func access(c *CAMEO, r *trace.Request, at clock.Time) clock.Time {
 	d := trace.Decode(r, &c.backend.Geom)
-	return c.Access(&d, r.Time, at)
+	return c.Access(&d, r.Time, at, true)
 }
 
 func newCAMEO(t *testing.T) *CAMEO {

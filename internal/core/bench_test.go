@@ -15,8 +15,8 @@ import (
 // BenchmarkMemPodAccess measures the steady-state demand path: tracker
 // observation, remap lookup, lock check and the DRAM access, with interval
 // boundaries and migrations occurring at their natural rate. The requests
-// are decoded into a plane outside the timer, so each op is exactly the
-// Access call the engine makes. The acceptance bar for the
+// are decoded into a plane, and passed through a touch filter, outside the
+// timer, so each op is exactly the Access call the engine makes. The acceptance bar for the
 // allocation-free hot path is 0 allocs/op here.
 func BenchmarkMemPodAccess(b *testing.B) {
 	back := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
@@ -41,12 +41,15 @@ func BenchmarkMemPodAccess(b *testing.B) {
 		gen.Next(&reqs[i])
 		plane[i] = trace.Decode(&reqs[i], &back.Geom)
 	}
+	touched := make([]bool, len(reqs))
+	var touch mech.TouchFilter
+	touch.Scan(plane, touched)
 
 	// Warm up past the first interval boundaries so steady state includes
 	// a populated remap table and live migration queues.
 	at := clock.Time(0)
 	for i := range reqs[:1<<14] {
-		m.Access(&plane[i], reqs[i].Time, clock.Max(at, reqs[i].Time))
+		m.Access(&plane[i], reqs[i].Time, clock.Max(at, reqs[i].Time), touched[i])
 	}
 
 	b.ReportAllocs()
@@ -57,6 +60,6 @@ func BenchmarkMemPodAccess(b *testing.B) {
 		if r.Time > at {
 			at = r.Time
 		}
-		m.Access(&plane[j], r.Time, at)
+		m.Access(&plane[j], r.Time, at, touched[j])
 	}
 }

@@ -115,23 +115,18 @@ type pod struct {
 // mech.PodSplitter.
 //
 // A pod-parallel view (SplitPods) is a shallow copy: it shares the pods
-// and the backend, keeps its own touch filter, interval cursor and
-// statistics, and runs interval boundaries only for the pods it owns. The
-// mechanism itself owns every pod.
+// and the backend, keeps its own interval cursor and statistics, and runs
+// interval boundaries only for the pods it owns. The mechanism itself owns
+// every pod, and the engine drives a view through the same Access.
 type MemPod struct {
 	cfg     Config
 	backend *mech.Backend
 	layout  addr.Layout
 	geom    *addr.Geom
 	pods    []pod
-	touch   mech.TouchFilter
-	// scan is a view's replicated touch filter, which sees every request
-	// (Scan); a view's touch filter only repeats scan's verdicts for its
-	// own requests (AccessPod).
-	scan  mech.TouchFilter
-	next  clock.Time // next interval boundary
-	stats mech.MigStats
-	mine  []int // the pods runInterval serves, ascending
+	next    clock.Time // next interval boundary
+	stats   mech.MigStats
+	mine    []int // the pods runInterval serves, ascending
 }
 
 // New builds a MemPod over the backend's two-level memory.
@@ -225,11 +220,11 @@ func (m *MemPod) Release() {
 // Pods implements mech.PodSplitter.
 func (m *MemPod) Pods() int { return len(m.pods) }
 
-// SplitPods implements mech.PodSplitter. A MemPod that has served no
-// access has an all-zero touch filter: every Access records its core's
-// page there.
+// SplitPods implements mech.PodSplitter. It declines once an interval
+// boundary has run; an access before the first boundary leaves its trace
+// in the memory system, which the engine checks is untouched.
 func (m *MemPod) SplitPods(owner []int) []mech.PodView {
-	if len(owner) != len(m.pods) || m.touch != (mech.TouchFilter{}) || m.next != m.cfg.Interval {
+	if len(owner) != len(m.pods) || m.next != m.cfg.Interval {
 		return nil
 	}
 	views := make([]*MemPod, slices.Max(owner)+1)
@@ -256,7 +251,7 @@ func (m *MemPod) SplitPods(owner []int) []mech.PodView {
 // and sum (the copy engines' own are the pods', which Stats adds).
 func (m *MemPod) JoinPods(views []mech.PodView) {
 	v0 := views[0].(*MemPod)
-	m.touch, m.next = v0.scan, v0.next
+	m.next = v0.next
 	m.stats = mech.MigStats{}
 	for _, v := range views {
 		m.stats.Add(v.(*MemPod).stats)
@@ -269,15 +264,8 @@ func (m *MemPod) JoinPods(views []mech.PodView) {
 func (m *MemPod) ResetPods() {
 	m.Release()
 	m.initPods()
-	m.touch = mech.TouchFilter{}
 	m.next = m.cfg.Interval
 	m.stats = mech.MigStats{}
-}
-
-// Scan implements mech.PodView: every request of the batch, whichever
-// pod owns it, passes the view's replicated touch filter.
-func (m *MemPod) Scan(dec []trace.Decoded, touched []bool) {
-	m.scan.Scan(dec, touched)
 }
 
 // Finish implements mech.PodView: the view's pods run the interval
@@ -292,12 +280,13 @@ func (m *MemPod) Finish(t clock.Time) {
 	}
 }
 
-// Access implements mech.Mechanism: observe the page in the pod's MEA
-// unit, consult the remap table (through the cache model if enabled),
-// stall behind any in-flight swap of the page, and forward the line to its
-// current frame. Un-migrated pages (the identity remap, i.e. most of the
-// trace) are serviced at the decoded home channel/row.
-func (m *MemPod) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
+// Access implements mech.Mechanism and mech.PodView: observe a touched
+// page in the pod's MEA unit, consult the remap table (through the cache
+// model if enabled), stall behind any in-flight swap of the page, and
+// forward the line to its current frame. Un-migrated pages (the identity
+// remap, i.e. most of the trace) are serviced at the decoded home
+// channel/row.
+func (m *MemPod) Access(d *trace.Decoded, _, at clock.Time, touched bool) clock.Time {
 	for at >= m.next {
 		m.runInterval(m.next)
 		m.next += m.cfg.Interval
@@ -311,7 +300,7 @@ func (m *MemPod) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 		p.q.Drain(at, m)
 	}
 
-	if m.touch.Touch(d.Core, d.Page) {
+	if touched {
 		// Direct dispatch for the common concrete tracker; the interface
 		// call is only paid by the Full Counters ablation.
 		if p.mea != nil {
@@ -344,15 +333,6 @@ func (m *MemPod) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 		return clock.Max(m.backend.LineAt(d.Chan, d.Row, d.Write, start), lockEnd)
 	}
 	return clock.Max(m.backend.Line(podID, f, int(d.Line), d.Write, start), lockEnd)
-}
-
-// AccessPod implements mech.PodView: Access for a request of a pod the
-// view owns, given the request's touch-filter verdict (Scan). The view's
-// own touch filter is primed to repeat the verdict, so the owned request
-// runs the serial Access unchanged.
-func (m *MemPod) AccessPod(d *trace.Decoded, at clock.Time, touched bool) clock.Time {
-	m.touch.Prime(d.Core, d.Page, touched)
-	return m.Access(d, at, at)
 }
 
 // Install implements mech.Installer for the pod's copy engine: chunk 0

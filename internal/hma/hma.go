@@ -101,9 +101,8 @@ type HMA struct {
 	inverted   *tab.U32 // fast slot -> resident flat page
 	cache      *mech.Cache
 
-	touch mech.TouchFilter
-	next  clock.Time     // next boundary
-	q     mech.CopyQueue // the OS copy loop; locks keyed by flat page
+	next clock.Time     // next boundary
+	q    mech.CopyQueue // the OS copy loop; locks keyed by flat page
 
 	// Boundary-pass scratch, reused across intervals.
 	hot     []pageCount
@@ -168,7 +167,7 @@ func (h *HMA) Release() {
 // Access implements mech.Mechanism. For un-remapped pages (the identity
 // mapping, most of the trace) the decoded home channel/row services the
 // access directly; only migrated pages re-derive HomeFrame(slot).
-func (h *HMA) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
+func (h *HMA) Access(d *trace.Decoded, _, at clock.Time, touched bool) clock.Time {
 	page := uint32(d.Page)
 	for at >= h.next {
 		h.runInterval(h.next)
@@ -179,7 +178,7 @@ func (h *HMA) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 	}
 
 	start := at
-	if h.touch.Touch(d.Core, uint64(page)) {
+	if touched {
 		if c := h.counters.A[page]; c < h.counterMax {
 			h.counters.Set(page, c, c+1)
 		}

@@ -11,11 +11,20 @@ import (
 	"repro/internal/trace"
 )
 
+// testHMA is a HMA with the touch filter the engine would keep for it.
+type testHMA struct {
+	*HMA
+	touch mech.TouchFilter
+}
+
 // access drives one request through h the way the engine does: with its
-// address decoded under the backend's geometry.
-func access(h *HMA, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r, &h.backend.Geom)
-	return h.Access(&d, r.Time, at)
+// address decoded under the backend's geometry and its touch verdict
+// from a filter that sees every request h serves.
+func access(h *testHMA, r *trace.Request, at clock.Time) clock.Time {
+	d := []trace.Decoded{trace.Decode(r, &h.backend.Geom)}
+	var touched [1]bool
+	h.touch.Scan(d, touched[:])
+	return h.Access(&d[0], r.Time, at, touched[0])
 }
 
 // testConfig shrinks the interval so tests cross boundaries quickly.
@@ -26,14 +35,14 @@ func testConfig() Config {
 	return c
 }
 
-func newHMA(t *testing.T, cfg Config) *HMA {
+func newHMA(t *testing.T, cfg Config) *testHMA {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
 	h, err := New(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return &testHMA{HMA: h}
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -4,9 +4,10 @@
 // set-associative cache model used for bookkeeping state (§6.3.3).
 //
 // The engine calls one Mechanism method per trace request, Access, with
-// the request already decoded (trace.Decode) under the backend's layout:
-// a snapshot replay reads its predecode plane, and the engine decodes
-// every other batch itself.
+// the request already decoded (trace.Decode) under the backend's layout
+// (a snapshot replay reads its predecode plane, and the engine decodes
+// every other batch itself) and with its touch verdict, which the
+// engine's TouchFilter produces.
 //
 // The concrete mechanisms live in their own packages: internal/core
 // (MemPod), internal/hma, internal/thm, internal/cameo and
@@ -31,7 +32,10 @@ type Mechanism interface {
 	// returns its completion time (> at). d is the request decoded under
 	// the backend's layout (trace.Decode(r, &backend.Geom)) and arrival
 	// its trace time (r.Time, <= at; the window may delay the issue).
-	Access(d *trace.Decoded, arrival, at clock.Time) clock.Time
+	// touched is the engine's TouchFilter verdict for the request: true
+	// when it begins a new page touch for its core, so a tracking
+	// mechanism counts it once per touch. CAMEO and Static ignore it.
+	Access(d *trace.Decoded, arrival, at clock.Time, touched bool) clock.Time
 	// Stats returns the mechanism's migration counters.
 	Stats() MigStats
 }
@@ -56,20 +60,21 @@ func Release(m Mechanism) {
 // PodSplitter is optionally implemented by pod-clustered mechanisms whose
 // pods share no mutable state (MemPod: each pod owns its tracker, remap
 // and inverted tables, cache, locks, migration queue and channels). The
-// only state such a mechanism keeps across pods is a function of the
-// request sequence alone — the per-core touch filter and the interval
-// cursor — so workers that each replay the whole trace can simulate
-// disjoint pod sets concurrently, provided every request issues at its
-// trace time (internal/sim checks that it does). Each worker drives its
-// view through Scan over every batch, AccessPod for its own pods'
-// requests and Finish at the end of the trace.
+// only state such a mechanism keeps across pods is its interval cursor, a
+// function of the request times alone, so workers that each replay the
+// whole trace can simulate disjoint pod sets concurrently, provided every
+// request issues at its trace time (internal/sim checks that it does).
+// Each worker passes every request through its own TouchFilter, drives
+// its view through Access for its own pods' requests and calls Finish at
+// the end of the trace.
 type PodSplitter interface {
 	// Pods returns the number of pods.
 	Pods() int
 	// SplitPods returns one view per worker over the shared pods: view w
 	// owns the pods p with owner[p] == w, for owner of length Pods()
-	// naming every worker 0..n-1. It returns nil unless the mechanism is
-	// untouched since construction (or ResetPods).
+	// naming every worker 0..n-1. It returns nil when the mechanism has
+	// crossed an interval boundary since construction (or ResetPods); the
+	// caller checks that its memory system is untouched too.
 	SplitPods(owner []int) []PodView
 	// JoinPods folds views that each replayed the whole trace back into
 	// the mechanism: their statistics are merged and the replicated
@@ -82,14 +87,10 @@ type PodSplitter interface {
 
 // PodView is one worker's view of a split mechanism.
 type PodView interface {
-	// Scan passes a batch of the trace — every request, whichever pod
-	// owns it — through the view's per-core touch filter (TouchFilter)
-	// and records in touched[i] whether request i begins a page touch.
-	Scan(dec []trace.Decoded, touched []bool)
-	// AccessPod is Mechanism.Access for a request of a pod the view
-	// owns, given its Scan verdict. The request issues at its trace
-	// time, so at is also its arrival.
-	AccessPod(d *trace.Decoded, at clock.Time, touched bool) clock.Time
+	// Access is Mechanism.Access for a request of a pod the view owns,
+	// issued at its trace time (at == arrival), with the verdict of a
+	// touch filter that has seen every request of the trace.
+	Access(d *trace.Decoded, arrival, at clock.Time, touched bool) clock.Time
 	// Finish runs the interval boundaries up to t, the last request's
 	// time, that the view's pods have not run yet.
 	Finish(t clock.Time)

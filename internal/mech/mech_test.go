@@ -14,10 +14,11 @@ import (
 )
 
 // access drives one request through s the way the engine does: with its
-// address decoded under the backend's geometry.
+// address decoded under the backend's geometry. Static ignores the touch
+// verdict.
 func access(s *Static, r *trace.Request, at clock.Time) clock.Time {
 	d := trace.Decode(r, &s.backend.Geom)
-	return s.Access(&d, r.Time, at)
+	return s.Access(&d, r.Time, at, true)
 }
 
 func testBackend(t *testing.T) *Backend {

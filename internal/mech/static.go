@@ -24,7 +24,7 @@ func (s *Static) Name() string { return s.name }
 
 // Access implements Mechanism: with no migration, the decoded home
 // location is the final location — the access needs no address math.
-func (s *Static) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
+func (s *Static) Access(d *trace.Decoded, _, at clock.Time, _ bool) clock.Time {
 	return s.backend.LineAt(d.Chan, d.Row, d.Write, at)
 }
 

@@ -12,23 +12,18 @@ import "repro/internal/trace"
 //
 // The filter applies identically to every tracking scheme in the
 // comparison (MEA, THM's competing counters, HMA's full counters), so it
-// never biases the mechanism comparison.
+// never biases the mechanism comparison. It lives in the engine, not in
+// the mechanisms: each engine worker keeps one, sees every request of
+// the trace through Scan, and hands each request's verdict to
+// Mechanism.Access as its touched argument.
 type TouchFilter struct {
 	last [256]uint64 // per-core last page + 1 (0 = none)
 }
 
-// Touch reports whether this access begins a new page touch for the core.
-func (f *TouchFilter) Touch(core uint8, page uint64) bool {
-	if f.last[core] == page+1 {
-		return false
-	}
-	f.last[core] = page + 1
-	return true
-}
-
-// Scan is Touch over a batch: request i, decoded as dec[i], sets
-// touched[i]. It is branch-free, because whether a request continues its
-// core's touch is close to a coin flip over a whole trace.
+// Scan passes a batch of the trace through the filter: request i, decoded
+// as dec[i], sets touched[i] when it begins a new page touch for its core.
+// It is branch-free, because whether a request continues its core's touch
+// is close to a coin flip over a whole trace.
 func (f *TouchFilter) Scan(dec []trace.Decoded, touched []bool) {
 	touched = touched[:len(dec)]
 	for i := range dec {
@@ -37,14 +32,4 @@ func (f *TouchFilter) Scan(dec []trace.Decoded, touched []bool) {
 		touched[i] = f.last[d.Core] != v
 		f.last[d.Core] = v
 	}
-}
-
-// Prime makes the next Touch(core, page) report touched, whatever the
-// filter saw before; that Touch leaves the filter as it would any other.
-func (f *TouchFilter) Prime(core uint8, page uint64, touched bool) {
-	v := page + 1
-	if touched {
-		v = 0 // no page: the next Touch starts a new one
-	}
-	f.last[core] = v
 }

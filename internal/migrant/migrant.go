@@ -93,10 +93,9 @@ type Migrant struct {
 	inverted   *tab.U32      // fast slot -> resident flat page
 	targeted   *tab.EpochSet // fast slots already chosen as victims this epoch
 
-	touch mech.TouchFilter
-	next  clock.Time     // next epoch boundary
-	hand  uint32         // clock-hand position over fast slots
-	q     mech.CopyQueue // the OS copy path; locks keyed by flat page
+	next clock.Time     // next epoch boundary
+	hand uint32         // clock-hand position over fast slots
+	q    mech.CopyQueue // the OS copy path; locks keyed by flat page
 }
 
 // New builds a Migrant over the backend's two-level memory.
@@ -146,7 +145,7 @@ func (m *Migrant) Release() {
 
 // Access implements mech.Mechanism: identity-remapped pages (most of the
 // trace) service at the decoded home location.
-func (m *Migrant) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
+func (m *Migrant) Access(d *trace.Decoded, _, at clock.Time, touched bool) clock.Time {
 	page := uint32(d.Page)
 	for at >= m.next {
 		m.runEpoch(m.next)
@@ -156,7 +155,7 @@ func (m *Migrant) Access(d *trace.Decoded, _, at clock.Time) clock.Time {
 		m.q.Drain(at, m)
 	}
 
-	if m.touch.Touch(d.Core, uint64(page)) {
+	if touched {
 		m.observe(page, at)
 	}
 	lockEnd := m.q.Stall(uint64(page), at)

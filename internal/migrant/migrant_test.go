@@ -12,21 +12,30 @@ import (
 	"repro/internal/trace"
 )
 
-// access drives one request through m the way the engine does: with its
-// address decoded under the backend's geometry.
-func access(m *Migrant, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r, &m.backend.Geom)
-	return m.Access(&d, r.Time, at)
+// testMigrant is a Migrant with the touch filter the engine would keep for it.
+type testMigrant struct {
+	*Migrant
+	touch mech.TouchFilter
 }
 
-func newMigrant(t *testing.T, cfg Config) *Migrant {
+// access drives one request through m the way the engine does: with its
+// address decoded under the backend's geometry and its touch verdict
+// from a filter that sees every request m serves.
+func access(m *testMigrant, r *trace.Request, at clock.Time) clock.Time {
+	d := []trace.Decoded{trace.Decode(r, &m.backend.Geom)}
+	var touched [1]bool
+	m.touch.Scan(d, touched[:])
+	return m.Access(&d[0], r.Time, at, touched[0])
+}
+
+func newMigrant(t *testing.T, cfg Config) *testMigrant {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
 	m, err := New(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return &testMigrant{Migrant: m}
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -46,8 +47,18 @@ type Engine struct {
 	// parallel; every other run is serial whatever Shards says.
 	Shards int
 
-	// ring is the outstanding-request window, kept across runs so repeated
-	// Run calls on one engine (benchmarks, sweeps) stay allocation-free.
+	// workers are the replay's workers (see run), kept across runs so
+	// repeated Run calls on one engine (benchmarks, sweeps) stay
+	// allocation-free. workers[0] is the serial run, the worker that owns
+	// every pod, and the first worker of a pod-parallel run. Its touch
+	// filter sees every request the engine replays, so it persists for
+	// the engine's lifetime, like the mechanism's state.
+	workers []worker
+	// parallel is the worker count of the last Run, 0 when it was serial.
+	parallel int
+
+	// ring is the serial run's outstanding-request window, kept across
+	// runs like the workers.
 	ring []clock.Time
 	// timeBuf and decBuf are the scratch time and plane batches a plain
 	// stream is read and decoded into, and req the request its Next
@@ -56,25 +67,51 @@ type Engine struct {
 	timeBuf []clock.Time
 	decBuf  []trace.Decoded
 	req     trace.Request
-
-	// podWorkers holds the pod-parallel workers' buffers across runs;
-	// workers is the worker count of the last Run, 0 when it was serial.
-	podWorkers []podWorker
-	workers    int
 }
 
-// podWorker is one worker of a pod-parallel run (see runPods, work).
-type podWorker struct {
-	// view simulates the requests of the pods the worker owns
-	// (own[pod] == 1); abort is shared by the run's workers.
-	view    mech.PodView
-	own     []uint8
+// accessor is the one access method run drives: the mechanism's own
+// (mech.Mechanism) or a pod view's (mech.PodView).
+type accessor interface {
+	Access(d *trace.Decoded, arrival, at clock.Time, touched bool) clock.Time
+}
+
+// worker is one replay of the trace (see run). It passes every request
+// through its touch filter and simulates, through acc, the requests of
+// the pods it owns (own[pod] == 1).
+type worker struct {
+	acc accessor
+	own []uint8
+	// abort is shared by the workers of a pod-parallel run; it is nil
+	// for the serial run.
 	abort   *atomic.Bool
-	touched []bool  // Scan's verdicts for the batch
+	touch   mech.TouchFilter
+	touched []bool  // the touch filter's verdicts for the batch
 	mine    []int32 // batch indices of the owned requests
-	// res is the worker's share of the Result.
-	res stats.Result
+	// res is the worker's share of the Result (Requests, TotalStall,
+	// Span), and last the trace time of the last request it read.
+	res  stats.Result
+	last clock.Time
 }
+
+// assign points w at acc for the pods p with owner[p] == id, out of pods
+// in all; a nil owner gives w every pod.
+func (w *worker) assign(acc accessor, abort *atomic.Bool, pods int, owner []int, id int) {
+	w.acc, w.abort = acc, abort
+	if len(w.own) != pods {
+		w.own = make([]uint8, pods)
+	}
+	for p := range w.own {
+		w.own[p] = 0
+		if owner == nil || owner[p] == id {
+			w.own[p] = 1
+		}
+	}
+}
+
+// errAbandoned ends a pod worker's replay at a request the window would
+// have held back, or after another worker has given up. runPods then
+// falls back to the serial run, so it never reaches a caller.
+var errAbandoned = errors.New("sim: pod-parallel replay abandoned")
 
 // stallSum is a run's Σ (completion − trace arrival) in 128 bits, so a
 // sum beyond clock.Duration's range is reported rather than wrapped.
@@ -93,7 +130,7 @@ func (s *stallSum) total() (clock.Duration, bool) {
 
 // New returns an engine for the mechanism built over the backend.
 func New(b *mech.Backend, m mech.Mechanism) *Engine {
-	return &Engine{backend: b, m: m}
+	return &Engine{backend: b, m: m, workers: make([]worker, 1)}
 }
 
 // shardWorkers resolves an Engine.Shards value for a mechanism with the
@@ -115,7 +152,8 @@ func shardWorkers(shards, pods int) int {
 // and predecode plane (Snapshot.TimeColumn, Snapshot.Plane), from the
 // cursor's position on, and the cursor is drained when the run succeeds;
 // any other stream fills BatchSize-request scratch batches through Next
-// and trace.Decode. Every request then reaches the mechanism's one Access
+// and trace.Decode. Either way one loop (run) passes every request
+// through the engine's touch filter and into the mechanism's one Access
 // method. On error Run returns the partial Result up to the failing
 // request; when the stall sum outgrows clock.Duration, which Run checks
 // once per BatchSize requests, the partial Result holds the batches
@@ -129,7 +167,7 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 		window = DefaultWindow
 	}
 	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
-	e.workers = 0
+	e.parallel = 0
 	ss, snapshot := s.(*trace.SnapshotStream)
 	var times []clock.Time
 	var plane []trace.Decoded
@@ -139,7 +177,11 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 		times = ss.Snapshot().TimeColumn()[pos:]
 	}
 	if !snapshot || !e.runPods(times, plane, window, &res) {
-		if err := e.run(s, times, plane, window, &res); err != nil {
+		w := &e.workers[0]
+		w.assign(e.m, nil, e.backend.Layout.NumPods, nil, 0)
+		err := e.run(w, s, times, plane, window)
+		res.Requests, res.TotalStall, res.Span = w.res.Requests, w.res.TotalStall, w.res.Span
+		if err != nil {
 			return res, err
 		}
 	}
@@ -167,17 +209,19 @@ func (e *Engine) finish(res stats.Result) stats.Result {
 }
 
 // runPods is the optimistic pod-parallel replay of a snapshot's columns.
-// Each of n workers reads every request's time and plane entry (work):
-// requests of its own pods issue at their trace times and are simulated
-// through its view; every request passes the view's touch filter. Pods
-// share no mutable state, so this is exactly the serial run as long as
-// the window never holds a request back — that is, as long as every
+// Each of n workers reads every request's time and plane entry (run):
+// every request passes the worker's touch filter, and the requests of its
+// own pods issue at their trace times and are simulated through its view.
+// Pods share no mutable state, so this is exactly the serial run as long
+// as the window never holds a request back — that is, as long as every
 // request j completes by the trace time of request j+window, which each
 // worker checks for its own requests against the time column. The first
 // worker to find a violation, or any error, raises the shared abort flag;
 // the others notice at their next batch. An aborted attempt resets the
-// mechanism and memory system and reports false, and Run replays
-// serially, so every Result and every error is the serial one.
+// mechanism, the memory system and worker 0's touch filter and reports
+// false, and Run replays serially, so every Result and every error is the
+// serial one. After a successful attempt worker 0's filter, which saw
+// every request, carries on as the serial run's.
 //
 // runPods reports false without doing anything when the run cannot split:
 // not a mech.PodSplitter, one worker, or a mechanism or memory system
@@ -197,41 +241,38 @@ func (e *Engine) runPods(times []clock.Time, plane []trace.Decoded, window int, 
 	if views == nil {
 		return false
 	}
-	if len(e.podWorkers) != n {
-		e.podWorkers = make([]podWorker, n)
+	for len(e.workers) < n {
+		e.workers = append(e.workers, worker{})
 	}
+	ws := e.workers[:n]
+	start := ws[0].touch
 	var abort atomic.Bool
+	work := func(w *worker, view mech.PodView) {
+		if e.run(w, nil, times, plane, window) != nil {
+			abort.Store(true)
+			return
+		}
+		view.Finish(w.last)
+	}
 	var wg sync.WaitGroup
-	for w := range e.podWorkers {
-		pw := &e.podWorkers[w]
-		pw.view, pw.abort = views[w], &abort
-		if len(pw.own) != pods {
-			pw.own = make([]uint8, pods)
-		}
-		for p := range pw.own {
-			pw.own[p] = 0
-			if owner[p] == w {
-				pw.own[p] = 1
-			}
-		}
-		if w == 0 {
+	for i := range ws {
+		w := &ws[i]
+		w.assign(views[i], &abort, pods, owner, i)
+		if i == 0 {
 			continue // runs on this goroutine below
 		}
+		w.touch = start
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !pw.work(times, plane, window) {
-				abort.Store(true)
-			}
+			work(w, views[i])
 		}()
 	}
-	if !e.podWorkers[0].work(times, plane, window) {
-		abort.Store(true)
-	}
+	work(&ws[0], views[0])
 	wg.Wait()
 	var stall stallSum
-	for w := range e.podWorkers {
-		stall.add(e.podWorkers[w].res.TotalStall)
+	for i := range ws {
+		stall.add(ws[i].res.TotalStall)
 	}
 	total, fits := stall.total()
 	// An overflowing sum is reported by the serial rerun, with the
@@ -239,16 +280,17 @@ func (e *Engine) runPods(times []clock.Time, plane []trace.Decoded, window int, 
 	if abort.Load() || !fits {
 		sp.ResetPods()
 		e.backend.Sys.Reset()
+		ws[0].touch = start
 		return false
 	}
 	sp.JoinPods(views)
-	for w := range e.podWorkers {
-		r := &e.podWorkers[w].res
+	for i := range ws {
+		r := &ws[i].res
 		res.Requests += r.Requests
 		res.Span = max(res.Span, r.Span)
 	}
 	res.TotalStall = total
-	e.workers = n
+	e.parallel = n
 	return true
 }
 
@@ -287,25 +329,41 @@ func assignPods(plane []trace.Decoded, pods, n int) []int {
 	return owner
 }
 
-// run is Run's serial replay loop, over a snapshot's columns (times and
-// plane, read BatchSize requests at a time) or, when times is nil, over
-// s through the scratch batches. Its accumulators live in locals, flushed
-// to res once per batch and before any error return.
-func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, window int, res *stats.Result) error {
-	if e.timeBuf == nil {
+// run is the engine's one per-request loop: w's replay of the trace, over
+// a snapshot's columns (times and plane, read BatchSize requests at a
+// time) or, when times is nil, over s through the scratch batches. Per
+// batch, every request passes the order check and w's touch filter, and
+// the owned ones are gathered into w.mine without a per-request branch on
+// ownership, which is a coin flip for a pod worker. Then each owned
+// request issues through w.acc with its touch verdict:
+//   - the serial run (w.abort nil) owns every pod and issues each request
+//     once the request window places behind it has completed (the ring);
+//   - a pod worker issues at trace time and gives up (errAbandoned) when
+//     the request completes after the trace time of the request window
+//     places after it, or at the first batch after another worker has
+//     given up.
+//
+// Its accumulators live in locals, flushed to w.res once per batch and
+// before any error return; on success w.last is the last request's time.
+func (e *Engine) run(w *worker, s trace.Stream, times []clock.Time, plane []trace.Decoded, window int) error {
+	if w.mine == nil {
+		w.touched = make([]bool, BatchSize)
+		w.mine = make([]int32, BatchSize)
+	}
+	if times == nil && e.timeBuf == nil {
 		e.timeBuf = make([]clock.Time, BatchSize)
 		e.decBuf = make([]trace.Decoded, BatchSize)
 	}
 	var ring []clock.Time
-	if window > 0 {
-		if cap(e.ring) >= window {
-			ring = e.ring[:window]
-			clear(ring)
-		} else {
-			ring = make([]clock.Time, window)
-			e.ring = ring
+	if w.abort == nil && window > 0 {
+		if cap(e.ring) < window {
+			e.ring = make([]clock.Time, window)
 		}
+		ring = e.ring[:window]
+		clear(ring)
 	}
+	gated := w.abort != nil && window > 0
+	acc, own := w.acc, w.own
 	geom := &e.backend.Geom
 
 	var lastArrival clock.Time
@@ -315,13 +373,15 @@ func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, 
 	// The ring position is a wrapping counter rather than Requests%window:
 	// the modulo would be two 64-bit divisions per request.
 	ringPos := 0
-	for pos := 0; ; {
-		var ts []clock.Time
-		var dec []trace.Decoded
+	var ts []clock.Time
+	var dec []trace.Decoded
+	for lo := 0; ; lo += len(ts) {
+		if w.abort != nil && w.abort.Load() {
+			return errAbandoned
+		}
 		if times != nil {
-			hi := min(pos+BatchSize, len(times))
-			ts, dec = times[pos:hi], plane[pos:hi]
-			pos = hi
+			hi := min(lo+BatchSize, len(times))
+			ts, dec = times[lo:hi], plane[lo:hi]
 		} else {
 			r := &e.req
 			n := 0
@@ -334,16 +394,22 @@ func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, 
 		if len(ts) == 0 {
 			break
 		}
-		// Equal lengths let the compiler drop the dec[i] bounds check
-		// inside the loop.
+		// Equal lengths let the compiler drop the dec[i] bounds check.
 		dec = dec[:len(ts)]
+		mine, k, n := w.mine[:len(ts)], 0, len(ts)
 		for i, t := range ts {
 			if t < lastArrival {
-				return flush(res, requests, &stall, span, fmt.Errorf(
-					"sim: trace out of order at request %d (%v < %v)", requests, t, lastArrival))
+				n = i // the batch ends before the violation
+				break
 			}
 			lastArrival = t
-
+			mine[k] = int32(i)
+			k += int(own[dec[i].Pod])
+		}
+		touched := w.touched[:n]
+		w.touch.Scan(dec[:n], touched)
+		for _, i := range mine[:k] {
+			t := ts[i]
 			at := t
 			if ring != nil {
 				// The request cannot issue until the request `window`
@@ -352,9 +418,9 @@ func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, 
 					at = gate
 				}
 			}
-			done := e.m.Access(&dec[i], t, at)
+			done := acc.Access(&dec[i], t, at, touched[i])
 			if done <= at {
-				return flush(res, requests, &stall, span, fmt.Errorf(
+				return w.flush(requests, &stall, span, fmt.Errorf(
 					"sim: mechanism %s returned completion %v <= issue %v", e.m.Name(), done, at))
 			}
 			if ring != nil {
@@ -362,6 +428,8 @@ func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, 
 				if ringPos++; ringPos == window {
 					ringPos = 0
 				}
+			} else if j := lo + int(i) + window; gated && j < len(times) && done > times[j] {
+				return errAbandoned
 			}
 
 			requests++
@@ -370,96 +438,33 @@ func (e *Engine) run(s trace.Stream, times []clock.Time, plane []trace.Decoded, 
 				span = done
 			}
 		}
-		if err := flush(res, requests, &stall, span, nil); err != nil {
+		if err := w.flush(requests, &stall, span, nil); err != nil {
 			return err
 		}
+		if n < len(ts) {
+			return fmt.Errorf("sim: trace out of order at request %d (%v < %v)", requests, ts[n], lastArrival)
+		}
 	}
+	w.last = lastArrival
 	return nil
 }
 
-// flush writes run's accumulators into res and returns err, unless the
-// stall sum has overflowed: then res keeps what the last flush wrote and
-// the overflow is the error.
-func flush(res *stats.Result, requests uint64, stall *stallSum, span clock.Duration, err error) error {
+// flush writes run's accumulators into w.res and returns err, unless the
+// stall sum has overflowed: then w.res keeps what the last flush wrote
+// and the overflow is the error.
+func (w *worker) flush(requests uint64, stall *stallSum, span clock.Duration, err error) error {
 	total, ok := stall.total()
 	if !ok {
 		return fmt.Errorf("sim: total stall overflows int64 femtoseconds by request %d", requests)
 	}
-	res.Requests, res.TotalStall, res.Span = requests, total, span
+	w.res.Requests, w.res.TotalStall, w.res.Span = requests, total, span
 	return err
-}
-
-// work is one pod-parallel worker's replay of the snapshot columns (see
-// runPods), BatchSize requests at a time. Per batch, every request passes
-// the order check and the view's touch filter (Scan), and the owned ones
-// are gathered into pw.mine without a per-request branch on ownership,
-// which is a coin flip; then each owned request issues at its trace time,
-// and its completion is checked against the trace time of the request
-// window places behind it. The worker gives up (false) at the first
-// failed check — out-of-order time, a completion not after its issue, a
-// request the window would have gated, a stall sum past clock.Duration's
-// range — or at the first batch after another worker has; the serial
-// rerun then reports any real error. On success the view finishes the
-// trace's interval boundaries and res holds the worker's share of the
-// Result.
-func (pw *podWorker) work(times []clock.Time, plane []trace.Decoded, window int) bool {
-	if pw.mine == nil {
-		pw.touched = make([]bool, BatchSize)
-		pw.mine = make([]int32, BatchSize)
-	}
-	view, own := pw.view, pw.own
-	total := len(times)
-	var lastArrival clock.Time
-	var requests uint64
-	var stall stallSum
-	var span clock.Duration
-	for lo := 0; lo < total; lo += BatchSize {
-		if pw.abort.Load() {
-			return false
-		}
-		hi := min(lo+BatchSize, total)
-		ts, dec := times[lo:hi], plane[lo:hi]
-		touched, mine := pw.touched[:len(ts)], pw.mine[:len(ts)]
-		dec = dec[:len(ts)]
-		view.Scan(dec, touched)
-		k := 0
-		for i, t := range ts {
-			if t < lastArrival {
-				return false
-			}
-			lastArrival = t
-			mine[k] = int32(i)
-			k += int(own[dec[i].Pod])
-		}
-		for _, i := range mine[:k] {
-			t := ts[i]
-			done := view.AccessPod(&dec[i], t, touched[i])
-			if done <= t {
-				return false
-			}
-			if j := lo + int(i) + window; window > 0 && j < total && done > times[j] {
-				return false
-			}
-			requests++
-			stall.add(done - t)
-			if done > span {
-				span = done
-			}
-		}
-		if _, ok := stall.total(); !ok {
-			return false
-		}
-	}
-	view.Finish(lastArrival)
-	totalStall, _ := stall.total()
-	pw.res = stats.Result{Requests: requests, TotalStall: totalStall, Span: span}
-	return true
 }
 
 // ParallelBlocks returns the number of workers the last Run replayed on,
 // or 0 when it ran serially (including a pod-parallel attempt that fell
 // back).
-func (e *Engine) ParallelBlocks() uint64 { return uint64(e.workers) }
+func (e *Engine) ParallelBlocks() uint64 { return uint64(e.parallel) }
 
 // MustRun is Run for known-good streams; it panics on error.
 func (e *Engine) MustRun(workload string, s trace.Stream) stats.Result {

@@ -218,3 +218,59 @@ func TestBaselineMechanismsRunCleanly(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoRunsEqualOneRun replays a mix5 snapshot in two Runs on one
+// engine, the first half through a plain stream and the second half from
+// the snapshot cursor with Shards 2, and holds them to one whole-trace
+// Run for every mechanism. The engine's touch filter must carry over
+// between the Runs, as a mechanism's state does, and the second Run must
+// stay serial: its mechanism and memory system are no longer untouched.
+// The window is unlimited, so the ring, which each Run starts empty,
+// gates nothing. The Requests, TotalStall and Span of the halves combine
+// to the whole run's; the mechanism and memory counters cover the whole
+// trace, so the second Result must carry the whole run's.
+func TestTwoRunsEqualOneRun(t *testing.T) {
+	const n = 20_000
+	w, heap, _ := paritySnapshots(t, n)
+	for _, mc := range mechanisms {
+		t.Run(mc.name, func(t *testing.T) {
+			b := newBackend()
+			m := mc.build(t, b)
+			defer mech.Release(m)
+			e := New(b, m)
+			e.Window = -1
+			ss := heap.DecodedStream(&b.Geom)
+			first, err := e.Run(w.Name, trace.NewLimitStream(ss, n/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ss.Pos() != n/2 {
+				t.Fatalf("first Run left the cursor at %d, want %d", ss.Pos(), n/2)
+			}
+			e.Shards = 2
+			second, err := e.Run(w.Name, ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.ParallelBlocks() != 0 {
+				t.Fatalf("second Run split a used mechanism over %d workers", e.ParallelBlocks())
+			}
+
+			wb := newBackend()
+			wm := mc.build(t, wb)
+			defer mech.Release(wm)
+			we := New(wb, wm)
+			we.Window, we.Shards = -1, 1
+			whole, err := we.Run(w.Name, heap.DecodedStream(&wb.Geom))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got := second
+			got.Requests += first.Requests
+			got.TotalStall += first.TotalStall
+			got.Span = max(first.Span, second.Span)
+			diffResults(t, "two Runs vs one", got, whole)
+		})
+	}
+}

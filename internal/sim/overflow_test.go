@@ -21,7 +21,7 @@ type stallStub struct {
 }
 
 func (s *stallStub) Name() string { return "stall-stub" }
-func (s *stallStub) Access(_ *trace.Decoded, _, at clock.Time) clock.Time {
+func (s *stallStub) Access(_ *trace.Decoded, _, at clock.Time, _ bool) clock.Time {
 	return at + s.stall
 }
 func (s *stallStub) Stats() mech.MigStats { return mech.MigStats{} }
@@ -36,12 +36,8 @@ func (s *stallStub) SplitPods(owner []int) []mech.PodView {
 func (s *stallStub) JoinPods([]mech.PodView) {}
 func (s *stallStub) ResetPods()              {}
 
-type stubView struct{ s *stallStub }
+type stubView struct{ *stallStub }
 
-func (stubView) Scan([]trace.Decoded, []bool) {}
-func (v stubView) AccessPod(_ *trace.Decoded, at clock.Time, _ bool) clock.Time {
-	return at + v.s.stall
-}
 func (stubView) Finish(clock.Time) {}
 
 // TestRunRejectsStallOverflow: a run whose stall sum leaves the int64

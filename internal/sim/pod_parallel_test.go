@@ -238,11 +238,11 @@ type failingMemPod struct {
 	viewAccess *atomic.Int64
 }
 
-func (f failingMemPod) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
+func (f failingMemPod) Access(d *trace.Decoded, arrival, at clock.Time, touched bool) clock.Time {
 	if (poisoned{arrival, *d}) == f.bad {
 		return at
 	}
-	return f.MemPod.Access(d, arrival, at)
+	return f.MemPod.Access(d, arrival, at, touched)
 }
 
 func (f failingMemPod) SplitPods(owner []int) []mech.PodView {
@@ -267,12 +267,12 @@ type failingView struct {
 	viewAccess *atomic.Int64
 }
 
-func (v failingView) AccessPod(d *trace.Decoded, at clock.Time, touched bool) clock.Time {
+func (v failingView) Access(d *trace.Decoded, arrival, at clock.Time, touched bool) clock.Time {
 	v.viewAccess.Add(1)
-	if (poisoned{at, *d}) == v.bad {
+	if (poisoned{arrival, *d}) == v.bad {
 		return at
 	}
-	return v.PodView.AccessPod(d, at, touched)
+	return v.PodView.Access(d, arrival, at, touched)
 }
 
 // TestPodParallelMechanismError poisons one mid-trace request: the

@@ -170,7 +170,6 @@ type THM struct {
 	dFast    addr.Divisor
 	copier   mech.CopyQueue // per-segment swaps; locks keyed by flat page
 	cache    *mech.Cache
-	touch    mech.TouchFilter
 	maxCount uint8
 }
 
@@ -260,7 +259,7 @@ func (t *THM) pageOf(seg uint64, member int) addr.Page {
 // access path; but when the member still holds its home slot (most of the
 // trace), the decoded home channel/row services the access without
 // re-deriving HomeFrame.
-func (t *THM) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
+func (t *THM) Access(d *trace.Decoded, arrival, at clock.Time, touched bool) clock.Time {
 	page := addr.Page(d.Page)
 	if t.copier.Due(at) {
 		t.copier.Drain(at, t)
@@ -291,7 +290,7 @@ func (t *THM) Access(d *trace.Decoded, arrival, at clock.Time) clock.Time {
 	// Competing-counter update, once per page touch; may trigger a swap
 	// *after* this access.
 	trigger := false
-	if t.touch.Touch(d.Core, uint64(page)) {
+	if touched {
 		trigger = t.updateCounter(s, member, slot)
 	}
 

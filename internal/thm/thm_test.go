@@ -11,21 +11,30 @@ import (
 	"repro/internal/trace"
 )
 
-// access drives one request through m the way the engine does: with its
-// address decoded under the backend's geometry.
-func access(m *THM, r *trace.Request, at clock.Time) clock.Time {
-	d := trace.Decode(r, &m.backend.Geom)
-	return m.Access(&d, r.Time, at)
+// testTHM is a THM with the touch filter the engine would keep for it.
+type testTHM struct {
+	*THM
+	touch mech.TouchFilter
 }
 
-func newTHM(t *testing.T, cfg Config) *THM {
+// access drives one request through m the way the engine does: with its
+// address decoded under the backend's geometry and its touch verdict
+// from a filter that sees every request m serves.
+func access(m *testTHM, r *trace.Request, at clock.Time) clock.Time {
+	d := []trace.Decoded{trace.Decode(r, &m.backend.Geom)}
+	var touched [1]bool
+	m.touch.Scan(d, touched[:])
+	return m.Access(&d[0], r.Time, at, touched[0])
+}
+
+func newTHM(t *testing.T, cfg Config) *testTHM {
 	t.Helper()
 	b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
 	m, err := New(cfg, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return &testTHM{THM: m}
 }
 
 func TestConfigValidate(t *testing.T) {
